@@ -33,8 +33,6 @@ from .errors import (
 from .optimize import (
     GainReconciliation,
     OptimizationResult,
-    SweepRow,
-    SweepSpec,
     baseline_sensitivity,
     fundamental_limit,
     gain_formula_reconciliation,
@@ -44,7 +42,6 @@ from .optimize import (
     optimal_sensitivity_analytic,
     optimize_gain_numeric,
     snr_gain_db,
-    sweep,
 )
 from .oracle import (
     ComparePoint,
@@ -63,9 +60,7 @@ from .sensor import (
     CavityParams,
     InputQuadratureState,
     PhysicalScale,
-    SpectrumResult,
     anti_quadrature_noise_spectrum,
-    compute_spectrum,
     gain_validity_warning,
     omega_from_hz,
     qcrb,

@@ -107,14 +107,12 @@ def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.
                              eps_read=params["eps_read"])
     src = ExternalSqueezeSource.from_squeeze_parameter(params["r_ext"])
     state = input_state_from_source(src, chain.eps_inj)
-    out = np.empty((len(pump_settings), 2))
-    for i, a in enumerate(pump_settings):
-        q = params["q_max"] * a
-        out[i, 0] = measured_noise_with_jitter(cav, q, state, chain, omega,
-                                               model=jitter_model)
-        out[i, 1] = measured_anti_noise_with_jitter(cav, q, state, chain, omega,
-                                                    model=jitter_model)
-    return out
+    q = params["q_max"] * np.asarray(pump_settings, dtype=float)
+    return np.column_stack([
+        measured_noise_with_jitter(cav, q, state, chain, omega, model=jitter_model),
+        measured_anti_noise_with_jitter(cav, q, state, chain, omega,
+                                        model=jitter_model),
+    ])
 
 
 def synthesize_measurements(true_params: dict[str, float], pump_grid,

@@ -17,6 +17,7 @@ import configparser
 import csv
 import datetime
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -102,7 +103,7 @@ class RunConfig:
     g_grid: np.ndarray
     baseline: str
     jitter_model: str
-    panels: list[tuple[float, float, float]]
+    panels: list[tuple[ExternalSqueezeSource, DecoherenceChain]]
     seed: int
     out_dir: str
     formats: tuple[str, ...]
@@ -119,6 +120,12 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
 
+def _check_finite(name: str, *values: float):
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} must be finite, got "
+                          f"{', '.join(map(repr, values))}")
+
+
 def _parse_grid(text: str, name: str) -> np.ndarray:
     try:
         start, stop, npts = text.split(":")
@@ -127,6 +134,7 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be start:stop:npoints, got {text!r}") from exc
     if npts < 1:
         raise ConfigError(f"{name} needs at least one point")
+    _check_finite(name, start, stop)
     return np.linspace(start, stop, npts)
 
 
@@ -136,9 +144,25 @@ def _get_float(cp, section, key, required=True, default=None):
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
     try:
-        return cp.getfloat(section, key)
+        value = cp.getfloat(section, key)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} is not a number") from exc
+    _check_finite(f"[{section}] {key}", value)
+    return value
+
+
+def _get_int(cp, section, key, default):
+    try:
+        return cp.getint(section, key, fallback=default)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} must be an integer") from exc
+
+
+def _get_bool(cp, section, key, default):
+    try:
+        return cp.getboolean(section, key, fallback=default)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} must be a boolean") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -206,16 +230,25 @@ def load_config(path: str | Path) -> RunConfig:
     panels = []
     if cp.has_option("analysis", "panels"):
         for chunk in cp.get("analysis", "panels").split(","):
-            parts = chunk.strip().split(":")
+            chunk = chunk.strip()
+            parts = chunk.split(":")
             try:
                 if len(parts) != 3:
                     raise ValueError
-                panels.append(tuple(float(p) for p in parts))
+                squeeze_db, theta_rms, eps_read = (float(p) for p in parts)
             except ValueError:
                 raise ConfigError(
                     "panels entries must be squeeze_db:theta_rms:eps_read, "
-                    f"got {chunk.strip()!r}"
+                    f"got {chunk!r}"
                 ) from None
+            _check_finite(f"panel {chunk!r}", squeeze_db, theta_rms, eps_read)
+            try:
+                panels.append((ExternalSqueezeSource(squeeze_db),
+                               DecoherenceChain(eps_inj=chain.eps_inj,
+                                                theta_rms=theta_rms,
+                                                eps_read=eps_read)))
+            except ValueError as exc:
+                raise ConfigError(f"panel {chunk!r}: {exc}") from exc
 
     free = tuple(
         name.strip()
@@ -234,14 +267,10 @@ def load_config(path: str | Path) -> RunConfig:
                     raise ConfigError(
                         f"{key} must be two comma-separated numbers, got {raw!r}"
                     ) from None
+                _check_finite(key, lo, hi)
                 if lo >= hi:
                     raise ConfigError(f"{key}: lower bound must be below upper")
                 cal_bounds[name] = (lo, hi)
-
-    try:
-        seed = cp.getint("run", "seed", fallback=0)
-    except ValueError as exc:
-        raise ConfigError("[run] seed must be an integer") from exc
 
     echo = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(
@@ -252,17 +281,17 @@ def load_config(path: str | Path) -> RunConfig:
         omega_grid=omega_grid,
         g=_get_float(cp, "analysis", "g", required=False, default=0.0),
         g_grid=g_grid, baseline=baseline, jitter_model=jitter_model,
-        panels=panels, seed=seed,
+        panels=panels, seed=_get_int(cp, "run", "seed", 0),
         out_dir=cp.get("run", "out_dir", fallback="out"),
         formats=tuple(cp.get("run", "format", fallback="csv,json").split(",")),
-        verify_grid_points=cp.getint("verify", "grid_points", fallback=64),
-        verify_sde=cp.getboolean("verify", "sde", fallback=False),
+        verify_grid_points=_get_int(cp, "verify", "grid_points", 64),
+        verify_sde=_get_bool(cp, "verify", "sde", False),
         verify_probe_q=_get_float(cp, "verify", "probe_q", required=False,
                                   default=0.0085),
-        sde_trajectories=cp.getint("verify", "sde_trajectories", fallback=32),
+        sde_trajectories=_get_int(cp, "verify", "sde_trajectories", 32),
         sde_duration=_get_float(cp, "verify", "sde_duration", required=False,
                                 default=385024.0),
-        sde_segment_length=cp.getint("verify", "sde_segment_length", fallback=4096),
+        sde_segment_length=_get_int(cp, "verify", "sde_segment_length", 4096),
         sde_dt=_get_float(cp, "verify", "sde_dt", required=False, default=0.5),
         calibrate_free=free,
         calibrate_q_max=_get_float(cp, "calibrate", "q_max", required=False),
@@ -435,33 +464,27 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
     g_grid = cfg.g_grid
     if np.any(np.abs(g_grid) >= 1.0):
         raise ConfigError("figure3 gain grid must lie strictly inside (-1, 1)")
+    q_grid = -g_grid * cav.q_threshold
     summary = []
-    for i, (squeeze_db, theta_rms, eps_read) in enumerate(cfg.panels, start=1):
-        source = ExternalSqueezeSource(squeeze_db)
-        chain = DecoherenceChain(eps_inj=cfg.chain.eps_inj, theta_rms=theta_rms,
-                                 eps_read=eps_read)
+    for i, (source, chain) in enumerate(cfg.panels, start=1):
         state = input_state_from_source(source, chain.eps_inj)
-        rows = []
-        for g in g_grid:
-            q = -g * cav.q_threshold
-            gain_ni = snr_gain_db(cav, state, chain, cfg.omega, q,
-                                  baseline="no_internal",
-                                  jitter_model=cfg.jitter_model)
-            gain_ns = snr_gain_db(cav, state, chain, cfg.omega, q,
-                                  baseline="no_squeezing",
-                                  jitter_model=cfg.jitter_model)
-            rows.append([g, q, float(gain_ni), float(gain_ns)])
-        name = f"figure3_panel_{i}"
-        writer.add_table(name, ["g", "q", "snr_gain_db_no_internal",
-                                "snr_gain_db_no_squeezing"], rows)
-        arr = np.array(rows)
+        gain_ni = snr_gain_db(cav, state, chain, cfg.omega, q_grid,
+                              baseline="no_internal",
+                              jitter_model=cfg.jitter_model)
+        gain_ns = snr_gain_db(cav, state, chain, cfg.omega, q_grid,
+                              baseline="no_squeezing",
+                              jitter_model=cfg.jitter_model)
+        arr = np.column_stack([g_grid, q_grid, gain_ni, gain_ns])
+        writer.add_table(f"figure3_panel_{i}",
+                         ["g", "q", "snr_gain_db_no_internal",
+                          "snr_gain_db_no_squeezing"], arr.tolist())
         opt = optimize_gain_numeric(cav, state, chain, cfg.omega,
                                     jitter_model=cfg.jitter_model)
         summary.append({
             "panel": i,
-            "squeeze_db": squeeze_db,
-            "theta_rms": theta_rms,
-            "eps_read": eps_read,
+            "squeeze_db": source.squeeze_db,
+            "theta_rms": chain.theta_rms,
+            "eps_read": chain.eps_read,
             "grid_peak_no_internal": {
                 "g": float(arr[np.argmax(arr[:, 2]), 0]),
                 "gain_db": float(arr[:, 2].max()),
@@ -501,20 +524,25 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
         common = dict(dt=cfg.sde_dt, duration=cfg.sde_duration,
                       n_trajectories=cfg.sde_trajectories,
                       segment_length=cfg.sde_segment_length)
-        sde_specs = [
-            ("vacuum_passive",
-             SdeRunSpec(cavity=cfg.cavity, q=0.0,
-                        input_state=InputQuadratureState.vacuum(),
-                        eps_read=0.0, seed=cfg.seed, **common), "sq"),
-            ("squeezed_passive",
-             SdeRunSpec(cavity=cfg.cavity, q=0.0, input_state=state,
-                        eps_read=cfg.chain.eps_read, seed=cfg.seed + 1,
-                        **common), "sq"),
-            ("anti_with_gain",
-             SdeRunSpec(cavity=cfg.cavity, q=cfg.verify_probe_q,
-                        input_state=state, eps_read=cfg.chain.eps_read,
-                        seed=cfg.seed + 2, **common), "anti"),
-        ]
+        try:
+            sde_specs = [
+                ("vacuum_passive",
+                 SdeRunSpec(cavity=cfg.cavity, q=0.0,
+                            input_state=InputQuadratureState.vacuum(),
+                            eps_read=0.0, seed=cfg.seed, **common), "sq"),
+                ("squeezed_passive",
+                 SdeRunSpec(cavity=cfg.cavity, q=0.0, input_state=state,
+                            eps_read=cfg.chain.eps_read, seed=cfg.seed + 1,
+                            **common), "sq"),
+                ("anti_with_gain",
+                 SdeRunSpec(cavity=cfg.cavity, q=cfg.verify_probe_q,
+                            input_state=state, eps_read=cfg.chain.eps_read,
+                            seed=cfg.seed + 2, **common), "anti"),
+            ]
+        except InstabilityError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"[verify] {exc}") from exc
     report = compare_oracles(points, sde_specs=sde_specs, fault_offset=fault)
 
     rows = [["analytic_grid", report.max_analytic_diff,

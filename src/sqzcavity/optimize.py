@@ -2,24 +2,18 @@
 
 Closed forms for the optimal roundtrip gain and the optimal sensitivity of a
 pure injected-squeezing chain, the internal-loss-only fundamental limit, a
-derivative-free numeric minimizer for the general (lossy, jittered) chain,
-SNR-gain metrics and one-parameter sweeps.
+derivative-free numeric minimizer for the general (lossy, jittered) chain
+and SNR-gain metrics.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .decoherence import (
-    DecoherenceChain,
-    ExternalSqueezeSource,
-    input_state_from_source,
-    measured_sensitivity,
-)
+from .decoherence import DecoherenceChain, measured_sensitivity
 from .errors import ConvergenceError, SingularResponseError
 from .sensor import (
     CavityParams,
@@ -159,8 +153,8 @@ def _brent_min(f: Callable[[float], float], a: float, b: float,
     return x, fx, max_iter, False
 
 
-def _quadratic_polish(f: Callable[[float], float], x0: float, h: float,
-                      lo: float, hi: float):
+def _quadratic_polish(f: Callable[[np.ndarray], np.ndarray], x0: float,
+                      h: float, lo: float, hi: float):
     """Refine a minimizer by least-squares parabola fits on symmetric stencils.
 
     Two stages with shrinking spacing beat the flat-bottom rounding noise that
@@ -171,7 +165,7 @@ def _quadratic_polish(f: Callable[[float], float], x0: float, h: float,
         if x - 3.0 * step < lo or x + 3.0 * step > hi:
             break
         offs = np.arange(-3, 4, dtype=float) * step
-        vals = np.array([f(x + o) for o in offs])
+        vals = f(x + offs)
         # fit c0 + c1*o + c2*o^2
         coef = np.polynomial.polynomial.polyfit(offs, vals, 2)
         if coef[2] <= 0.0:
@@ -203,20 +197,16 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
         if not -q_th < lo < hi:
             raise ValueError("search interval must lie within (-q_th, q_th)")
 
-    def objective(q: float) -> float:
-        return float(measured_sensitivity(cav, q, input_state, chain, omega,
-                                          model=jitter_model))
+    def objective(q):
+        return measured_sensitivity(cav, q, input_state, chain, omega,
+                                    model=jitter_model)
 
-    f_lo, f_hi = objective(lo), objective(hi)
-    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-        raise SingularResponseError("objective not finite at the interval endpoints")
-
-    # coarse scan to bracket the global minimum
+    # coarse scan, endpoints included, to bracket the global minimum
     n_scan = 129
     qs = np.linspace(lo, hi, n_scan)
-    vals = np.array([objective(q) for q in qs])
+    vals = objective(qs)
     if not np.all(np.isfinite(vals)):
-        raise SingularResponseError("objective not finite inside the search interval")
+        raise SingularResponseError("objective not finite on the search interval")
     k = int(np.argmin(vals))
     a = qs[max(k - 1, 0)]
     b = qs[min(k + 1, n_scan - 1)]
@@ -321,87 +311,3 @@ def gain_formula_reconciliation(cav: CavityParams, beta: float, eps_read: float
         corrected_matches_numeric=corrected_ok,
         note=note,
     )
-
-
-SWEEPABLE = ("q", "g", "eps_read", "squeeze_db", "theta_rms", "omega")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep around a fixed configuration snapshot.
-
-    For parameter q (or its normalized-gain alias g) each row evaluates the
-    sensitivity and SNR gain at that gain; for every other parameter each row
-    re-optimizes the internal gain.
-    """
-
-    parameter: str
-    grid: np.ndarray
-    cavity: CavityParams
-    source: ExternalSqueezeSource
-    chain: DecoherenceChain
-    omega: float = 0.0
-    baseline: str = "no_squeezing"
-    jitter_model: str = "pump_frame"
-
-    def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ValueError(f"parameter must be one of {SWEEPABLE}")
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("sweep grid must be nonempty")
-        d = np.diff(grid)
-        if grid.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
-            raise ValueError("sweep grid must be strictly monotone")
-        object.__setattr__(self, "grid", grid)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    q_opt: float
-    s_opt: float
-    snr_gain_db: float
-    error: str | None = None
-
-
-def _sweep_row(spec: SweepSpec, value: float) -> SweepRow:
-    cav, source, chain = spec.cavity, spec.source, spec.chain
-    omega = spec.omega
-    if spec.parameter == "eps_read":
-        chain = replace(chain, eps_read=float(value))
-    elif spec.parameter == "squeeze_db":
-        source = ExternalSqueezeSource(float(value))
-    elif spec.parameter == "theta_rms":
-        chain = replace(chain, theta_rms=float(value))
-    elif spec.parameter == "omega":
-        omega = float(value)
-    input_state = input_state_from_source(source, chain.eps_inj)
-    try:
-        if spec.parameter in ("q", "g"):
-            q = float(value) if spec.parameter == "q" else -float(value) * cav.q_threshold
-            s = float(measured_sensitivity(cav, q, input_state, chain, omega,
-                                           model=spec.jitter_model))
-            gain = float(snr_gain_db(cav, input_state, chain, omega, q,
-                                     baseline=spec.baseline,
-                                     jitter_model=spec.jitter_model))
-            return SweepRow(value=float(value), q_opt=q, s_opt=s, snr_gain_db=gain)
-        res = optimize_gain_numeric(cav, input_state, chain, omega,
-                                    jitter_model=spec.jitter_model)
-        gain = float(snr_gain_db(cav, input_state, chain, omega, res.q_opt,
-                                 baseline=spec.baseline,
-                                 jitter_model=spec.jitter_model))
-        return SweepRow(value=float(value), q_opt=res.q_opt, s_opt=res.s_opt,
-                        snr_gain_db=gain)
-    except (SingularResponseError, ConvergenceError, ValueError) as exc:
-        return SweepRow(value=float(value), q_opt=math.nan, s_opt=math.nan,
-                        snr_gain_db=math.nan, error=str(exc))
-
-
-def sweep(spec: SweepSpec, map_fn: Callable = map) -> list[SweepRow]:
-    """Evaluate the sweep; rows are independent and may be mapped concurrently.
-
-    map_fn must be order-preserving (builtin map, executor.map, ...).  Per-row
-    failures are recorded in the row's error field and do not stop the sweep.
-    """
-    return list(map_fn(lambda v: _sweep_row(spec, v), spec.grid))

@@ -235,31 +235,3 @@ def threshold_sensitivity(cav: CavityParams, input_state: InputQuadratureState,
     """
     return sensitivity(cav, cav.q_threshold, input_state, eps_read, omega,
                        scale=scale)
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Per-frequency arrays of noise, signal-transfer power and sensitivity."""
-
-    omega: np.ndarray
-    s_sn: np.ndarray
-    t2: np.ndarray
-    s_x: np.ndarray
-
-    def __post_init__(self):
-        n = self.omega.shape
-        if not (self.s_sn.shape == n and self.t2.shape == n and self.s_x.shape == n):
-            raise ValueError("spectrum arrays must have equal length")
-        if not np.allclose(self.s_x * self.t2, self.s_sn, rtol=1e-9, atol=0.0):
-            raise ValueError("s_x must equal s_sn / t2 elementwise")
-
-
-def compute_spectrum(cav: CavityParams, q: float, input_state: InputQuadratureState,
-                     eps_read: float, omega, scale: PhysicalScale | None = None
-                     ) -> SpectrumResult:
-    """Evaluate noise, transfer and sensitivity on a frequency grid."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    s_sn = np.atleast_1d(quadrature_noise_spectrum(cav, q, input_state.v_sq,
-                                                   eps_read, omega))
-    t2 = np.atleast_1d(signal_transfer_power(cav, q, eps_read, omega, scale=scale))
-    return SpectrumResult(omega=omega, s_sn=s_sn, t2=t2, s_x=s_sn / t2)

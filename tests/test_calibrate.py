@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from sqzcavity import (
+    CavityParams,
+    DecoherenceChain,
     ExternalSqueezeSource,
     FitModel,
     IdentifiabilityError,
     VariancePair,
     fit_parameters,
     forward_variances,
+    input_state_from_source,
+    measured_anti_noise_with_jitter,
+    measured_noise_with_jitter,
     synthesize_measurements,
 )
 
@@ -33,6 +38,18 @@ class TestSynthesize:
         for i, r in enumerate(rows):
             assert r.v_sq == model[i, 0]
             assert r.v_anti == model[i, 1]
+        # the vector evaluation matches per-pump scalar blends
+        cav = CavityParams(TRUE["t_c"], TRUE["eps_int"])
+        chain = DecoherenceChain(TRUE["eps_inj"], TRUE["theta_rms"],
+                                 TRUE["eps_read"])
+        state = input_state_from_source(
+            ExternalSqueezeSource.from_squeeze_parameter(TRUE["r_ext"]),
+            TRUE["eps_inj"])
+        scalar = [[f(cav, TRUE["q_max"] * a, state, chain, 0.0)
+                   for f in (measured_noise_with_jitter,
+                             measured_anti_noise_with_jitter)]
+                  for a in PUMPS]
+        np.testing.assert_allclose(model, scalar, rtol=1e-14, atol=0)
 
     def test_zero_pump_matches_blend(self):
         # exact loss-mapped input state, hence slightly off the rounded

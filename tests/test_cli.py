@@ -141,6 +141,10 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
         assert not out.exists()
+        # NaN passes every range comparison; it must not reach the tables
+        cfg = write_config(tmp_path, name="nan.ini", theta_rms="nan")
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="\n[cavity]\nbogus = 1\n")
@@ -168,10 +172,20 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, analysis="omega_grid = 0:2")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "spectrum"]) == 2
-        cfg = write_config(tmp_path, name="p.ini",
-                           analysis="panels = 5.4:0.015, 8.6:0.04:0.1")
+        cfg = write_config(tmp_path, analysis="omega_grid = 0:inf:3")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "figure3"]) == 2
+                     "spectrum"]) == 2
+        for panels in ("5.4:0.015, 8.6:0.04:0.1", "10.5:0.05:1.5",
+                       "10.5:nan:0.1"):
+            cfg = write_config(tmp_path, name="p.ini",
+                               analysis=f"panels = {panels}")
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "figure3"]) == 2
+        for verify in ("grid_points = abc", "sde = maybe"):
+            cfg = write_config(tmp_path, name="v.ini",
+                               extra=f"\n[verify]\n{verify}\n")
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "verify"]) == 2
 
     def test_malformed_calibrate_bound(self, tmp_path):
         cfg = write_config(
@@ -182,6 +196,10 @@ class TestConfigValidation:
         _write_measurements(data)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 2
+        cfg.write_text(cfg.read_text().replace("bound_eps_read = 0.5",
+                                               "bound_eps_read = 0, inf"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "calibrate", "--data", str(data)]) == 2
 
     def test_unstable_probe_q_exit_3(self, tmp_path):
         cfg = write_config(tmp_path,
@@ -190,6 +208,11 @@ class TestConfigValidation:
                                  "sde_trajectories = 1\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "verify"]) == 3
+        # a too-coarse SDE step is a config error, not a domain error
+        cfg.write_text(cfg.read_text().replace("probe_q = 0.5",
+                                               "probe_q = 0.0085\nsde_dt = 50"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "verify"]) == 2
 
 
 class TestOptimize:
@@ -232,11 +255,22 @@ class TestFigure3:
         cfg = write_config(tmp_path, analysis=analysis)
         out = tmp_path / "outf"
         assert main(["--config", str(cfg), "--out", str(out), "figure3"]) == 0
-        for i in (1, 2, 3):
+        cav = CavityParams(0.11, 0.012)
+        for i, (db, theta) in enumerate(((5.4, 0.015), (8.6, 0.040),
+                                         (10.5, 0.050)), start=1):
             header, rows = read_csv(out / f"figure3_panel_{i}.csv")
             assert header == ["g", "q", "snr_gain_db_no_internal",
                               "snr_gain_db_no_squeezing"]
             assert len(rows) == 99
+            table = np.array(rows)
+            assert np.array_equal(table[:, 1], -table[:, 0] * cav.q_threshold)
+            # the vector evaluation matches point-by-point scalar calls
+            chain = DecoherenceChain(0.08, theta, 0.10)
+            state = input_state_from_source(ExternalSqueezeSource(db), 0.08)
+            scalar = [[snr_gain_db(cav, state, chain, 0.0, q, baseline=b)
+                       for b in ("no_internal", "no_squeezing")]
+                      for q in table[:, 1]]
+            np.testing.assert_allclose(table[:, 2:], scalar, rtol=1e-14, atol=0)
         env = json.loads((out / "figure3_summary.json").read_text())
         panels = env["results"]["panels"]
         g_opts = [p["optimized"]["g_opt"] for p in panels]

@@ -1,7 +1,5 @@
 """Analytic limits, numeric gain optimization, SNR gains and sweeps."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +11,10 @@ from sqzcavity import (
     ExternalSqueezeSource,
     InputQuadratureState,
     PhysicalScale,
-    SweepSpec,
     baseline_sensitivity,
     fundamental_limit,
     gain_formula_reconciliation,
+    input_state_from_source,
     measured_sensitivity,
     optimal_gain_analytic,
     optimal_gain_for_input,
@@ -26,7 +24,6 @@ from sqzcavity import (
     qcrb,
     sensitivity,
     snr_gain_db,
-    sweep,
     threshold_sensitivity,
 )
 
@@ -258,68 +255,22 @@ class TestReconciliation:
 
 
 class TestSweep:
-    def test_gain_sweep_single_interior_maximum(self, cav, source_105,
+    """One-parameter sweeps through the vector closed forms and the optimizer."""
+
+    def test_gain_sweep_single_interior_maximum(self, cav, state_105,
                                                 chain_jitter):
-        spec = SweepSpec(parameter="g", grid=np.linspace(-0.99, 0.99, 99),
-                         cavity=cav, source=source_105, chain=chain_jitter)
-        rows = sweep(spec)
-        gains = np.array([r.snr_gain_db for r in rows])
+        g = np.linspace(-0.99, 0.99, 99)
+        gains = snr_gain_db(cav, state_105, chain_jitter, 0.0,
+                            -g * cav.q_threshold, baseline="no_squeezing")
         k = int(np.argmax(gains))
         assert 0 < k < len(gains) - 1
         assert np.all(np.diff(gains[:k + 1]) > 0)
         assert np.all(np.diff(gains[k:]) < 0)
 
-    def test_readout_sweep_flatness(self, cav, source_105):
-        chain = DecoherenceChain(0.08, 0.05, 0.10)
-        spec = SweepSpec(parameter="eps_read", grid=np.array([0.10, 0.20, 0.30]),
-                         cavity=cav, source=source_105, chain=chain)
-        rows = sweep(spec)
-        gains = [r.snr_gain_db for r in rows]
-        assert max(gains) - min(gains) < 0.3
-
     def test_squeeze_sweep_moves_toward_amplification(self, cav, chain_jitter):
-        spec = SweepSpec(parameter="squeeze_db", grid=np.array([5.4, 8.6, 10.5]),
-                         cavity=cav, source=ExternalSqueezeSource(10.5),
-                         chain=chain_jitter)
-        rows = sweep(spec)
-        q_opts = [r.q_opt for r in rows]
+        q_opts = [optimize_gain_numeric(
+                      cav, input_state_from_source(ExternalSqueezeSource(db),
+                                                   chain_jitter.eps_inj),
+                      chain_jitter, 0.0).q_opt
+                  for db in (5.4, 8.6, 10.5)]
         assert q_opts[0] > q_opts[1] > q_opts[2]
-
-    def test_row_errors_recorded(self, cav, source_105, chain_jitter):
-        grid = np.array([-cav.q_threshold, 0.0])  # first row hits the pole
-        spec = SweepSpec(parameter="q", grid=grid, cavity=cav,
-                         source=source_105, chain=chain_jitter)
-        rows = sweep(spec)
-        assert rows[0].error is not None and math.isnan(rows[0].s_opt)
-        assert rows[1].error is None and math.isfinite(rows[1].s_opt)
-
-    def test_normalized_gain_reparameterization(self, cav, source_105,
-                                                chain_jitter):
-        g_grid = np.linspace(-0.9, 0.9, 19)
-        spec_g = SweepSpec(parameter="g", grid=g_grid, cavity=cav,
-                           source=source_105, chain=chain_jitter)
-        spec_q = SweepSpec(parameter="q", grid=(-g_grid * cav.q_threshold)[::-1],
-                           cavity=cav, source=source_105, chain=chain_jitter)
-        s_from_g = [r.s_opt for r in sweep(spec_g)]
-        s_from_q = [r.s_opt for r in sweep(spec_q)][::-1]
-        assert np.allclose(s_from_g, s_from_q, rtol=1e-14)
-
-    def test_spec_validation(self, cav, source_105, chain_jitter):
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="nope", grid=np.array([1.0]), cavity=cav,
-                      source=source_105, chain=chain_jitter)
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="q", grid=np.array([]), cavity=cav,
-                      source=source_105, chain=chain_jitter)
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="q", grid=np.array([0.0, 0.1, 0.05]), cavity=cav,
-                      source=source_105, chain=chain_jitter)
-
-    def test_concurrent_map_matches_serial(self, cav, source_105, chain_jitter):
-        from concurrent.futures import ThreadPoolExecutor
-        spec = SweepSpec(parameter="g", grid=np.linspace(-0.5, 0.5, 11),
-                         cavity=cav, source=source_105, chain=chain_jitter)
-        serial = sweep(spec)
-        with ThreadPoolExecutor(4) as ex:
-            threaded = sweep(spec, map_fn=ex.map)
-        assert [r.s_opt for r in serial] == [r.s_opt for r in threaded]

@@ -18,7 +18,6 @@ from sqzcavity import (
     PhysicalScale,
     SingularResponseError,
     anti_quadrature_noise_spectrum,
-    compute_spectrum,
     gain_validity_warning,
     omega_from_hz,
     qcrb,
@@ -267,22 +266,3 @@ class TestThresholdSensitivity:
             pytest.approx(0.10898566464646459, abs=1e-12)
         assert threshold_sensitivity(cav, vacuum, 0.10, 0.0) == \
             pytest.approx(0.11337373737373736, abs=1e-12)
-
-
-class TestSpectrumResult:
-    def test_ratio_identity(self, cav):
-        state = InputQuadratureState(0.2, 5.0)
-        res = compute_spectrum(cav, 0.01, state, 0.1, np.linspace(0, 3, 50))
-        assert np.allclose(res.s_x, res.s_sn / res.t2, rtol=1e-15)
-
-    def test_length_mismatch_rejected(self):
-        from sqzcavity import SpectrumResult
-        with pytest.raises(ValueError):
-            SpectrumResult(omega=np.zeros(3), s_sn=np.zeros(2),
-                           t2=np.zeros(3), s_x=np.zeros(3))
-
-    def test_inconsistent_ratio_rejected(self):
-        from sqzcavity import SpectrumResult
-        with pytest.raises(ValueError):
-            SpectrumResult(omega=np.ones(2), s_sn=np.ones(2),
-                           t2=np.ones(2), s_x=np.full(2, 2.0))
