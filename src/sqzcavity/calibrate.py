@@ -53,10 +53,10 @@ class VariancePair:
     def __post_init__(self):
         if not 0.0 <= self.pump_setting <= 1.0:
             raise ValueError("pump_setting must be in [0, 1]")
-        if self.v_sq <= 0.0 or self.v_anti <= 0.0:
-            raise ValueError("measured variances must be positive")
-        if self.err_sq <= 0.0 or self.err_anti <= 0.0:
-            raise ValueError("standard errors must be positive")
+        if not (0.0 < self.v_sq < math.inf and 0.0 < self.v_anti < math.inf):
+            raise ValueError("measured variances must be positive and finite")
+        if not (0.0 < self.err_sq < math.inf and 0.0 < self.err_anti < math.inf):
+            raise ValueError("standard errors must be positive and finite")
 
 
 @dataclass(frozen=True)

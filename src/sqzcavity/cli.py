@@ -272,6 +272,11 @@ def load_config(path: str | Path) -> RunConfig:
                     raise ConfigError(f"{key}: lower bound must be below upper")
                 cal_bounds[name] = (lo, hi)
 
+    # an empty analytic grid would let verify pass after checking nothing
+    grid_points = _get_int(cp, "verify", "grid_points", 64)
+    if grid_points < 1:
+        raise ConfigError(f"[verify] grid_points must be >= 1, got {grid_points}")
+
     echo = {s: dict(cp[s]) for s in cp.sections()}
     return RunConfig(
         cavity=cavity, scale=scale,
@@ -284,7 +289,7 @@ def load_config(path: str | Path) -> RunConfig:
         panels=panels, seed=_get_int(cp, "run", "seed", 0),
         out_dir=cp.get("run", "out_dir", fallback="out"),
         formats=tuple(cp.get("run", "format", fallback="csv,json").split(",")),
-        verify_grid_points=_get_int(cp, "verify", "grid_points", 64),
+        verify_grid_points=grid_points,
         verify_sde=_get_bool(cp, "verify", "sde", False),
         verify_probe_q=_get_float(cp, "verify", "probe_q", required=False,
                                   default=0.0085),
@@ -529,15 +534,15 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
                 ("vacuum_passive",
                  SdeRunSpec(cavity=cfg.cavity, q=0.0,
                             input_state=InputQuadratureState.vacuum(),
-                            eps_read=0.0, seed=cfg.seed, **common), "sq"),
+                            eps_read=0.0, seed=cfg.seed, **common)),
                 ("squeezed_passive",
                  SdeRunSpec(cavity=cfg.cavity, q=0.0, input_state=state,
                             eps_read=cfg.chain.eps_read, seed=cfg.seed + 1,
-                            **common), "sq"),
+                            **common)),
                 ("anti_with_gain",
                  SdeRunSpec(cavity=cfg.cavity, q=cfg.verify_probe_q,
                             input_state=state, eps_read=cfg.chain.eps_read,
-                            seed=cfg.seed + 2, **common), "anti"),
+                            seed=cfg.seed + 2, quadrature="anti", **common)),
             ]
         except InstabilityError:
             raise

@@ -29,8 +29,8 @@ class ExternalSqueezeSource:
     squeeze_db: float
 
     def __post_init__(self):
-        if self.squeeze_db < 0.0:
-            raise ValueError(f"squeeze_db must be >= 0, got {self.squeeze_db}")
+        if not (0.0 <= self.squeeze_db < math.inf):
+            raise ValueError(f"squeeze_db must be finite and >= 0, got {self.squeeze_db}")
 
     @property
     def r_ext(self) -> float:
@@ -60,8 +60,8 @@ class DecoherenceChain:
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
-        if self.theta_rms < 0.0:
-            raise ValueError(f"theta_rms must be >= 0, got {self.theta_rms}")
+        if not (0.0 <= self.theta_rms < math.inf):
+            raise ValueError(f"theta_rms must be finite and >= 0, got {self.theta_rms}")
 
     @property
     def is_pure(self) -> bool:

@@ -32,6 +32,11 @@ from .sensor import (
 )
 
 _WINDOWS = ("hann", "rect")
+_QUADRATURES = ("sq", "anti")
+
+# a**k is exactly 0.0 once k*ln(a) < -745.2, below half the smallest
+# subnormal (2**-1075 = e**-745.13)
+_UNDERFLOW_LOG = 745.2
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,8 @@ class SdeRunSpec:
     """Parameters of one stochastic verification run.
 
     duration is per trajectory in normalized time units.  seed is mandatory:
-    runs must be reproducible.
+    runs must be reproducible.  quadrature selects the detected quadrature
+    the run estimates: "sq" (readout, gain q) or "anti" (orthogonal, gain -q).
     """
 
     cavity: CavityParams
@@ -137,10 +143,13 @@ class SdeRunSpec:
     segment_length: int = 4096
     overlap: float = 0.0
     window: str = "hann"
+    quadrature: str = "sq"
 
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is required; stochastic runs must be reproducible")
+        if not all(map(math.isfinite, (self.q, self.dt, self.duration))):
+            raise ValueError("q, dt and duration must be finite")
         if not 0.0 <= self.eps_read < 1.0:
             raise ValueError("eps_read must be in [0, 1)")
         if abs(self.q) >= self.cavity.q_threshold:
@@ -164,6 +173,8 @@ class SdeRunSpec:
             raise ValueError("overlap must be in [0, 1)")
         if self.window not in _WINDOWS:
             raise ValueError(f"window must be one of {_WINDOWS}")
+        if self.quadrature not in _QUADRATURES:
+            raise ValueError(f"quadrature must be one of {_QUADRATURES}")
         if self.steps_per_trajectory < self.segment_length:
             raise ValueError("duration too short for a single segment")
 
@@ -174,11 +185,12 @@ class SdeRunSpec:
 
 @dataclass(frozen=True)
 class SdeResult:
+    """Segment-averaged power spectrum of the run's quadrature with per-bin
+    standard errors."""
+
     omega: np.ndarray
-    psd_sq: np.ndarray
-    psd_anti: np.ndarray
-    stderr_sq: np.ndarray
-    stderr_anti: np.ndarray
+    psd: np.ndarray
+    stderr: np.ndarray
     n_segments: int
 
 
@@ -203,8 +215,8 @@ def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
     # discrete stationary distribution
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
     x0 = math.sqrt(sig2) * rng.standard_normal()
-    powers = a ** np.arange(1, n + 1)
-    x_next = x_next + x0 * powers
+    m = min(n, int(_UNDERFLOW_LOG / -math.log(a)) + 2)
+    x_next[:m] += x0 * a ** np.arange(1, m + 1)    # beyond m the term is 0.0
     x = np.empty(n)
     x[0] = x0
     x[1:] = x_next[:-1]
@@ -217,23 +229,27 @@ def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
 def _segment_periodograms(x: np.ndarray, length: int, hop: int, win: np.ndarray,
                           dt: float) -> np.ndarray:
     """Two-sided-normalized windowed periodograms, vacuum = 1 per bin."""
-    n_seg = 1 + (x.size - length) // hop
-    idx = np.arange(length)[None, :] + hop * np.arange(n_seg)[:, None]
-    segs = x[idx] * win[None, :]
+    segs = np.lib.stride_tricks.sliding_window_view(x, length)[::hop] * win
     spec = np.fft.rfft(segs, axis=1)
     return (np.abs(spec) ** 2) * dt / (win * win).sum()
 
 
 def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
-    """Integrate the quadrature Langevin equations and estimate both detected
-    power spectra with per-bin standard errors.
+    """Integrate the Langevin equation of spec.quadrature and estimate its
+    detected power spectrum with per-bin standard errors.
 
     Trajectories use independent child streams spawned from the master seed
     and are reduced in trajectory order, so any order-preserving concurrent
-    map_fn yields results identical to the serial run.
+    map_fn yields results identical to the serial run.  Each stream draws the
+    readout quadrature's noise first, so a quadrature's estimate does not
+    depend on which one a run selects.
     """
-    cav, q = spec.cavity, spec.q
-    kc, kl, g = cav.t_c / 2.0, cav.eps_int / 2.0, q / 2.0
+    cav = spec.cavity
+    kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
+    if spec.quadrature == "sq":
+        lam, v_in = kc + kl + spec.q / 2.0, spec.input_state.v_sq
+    else:
+        lam, v_in = kc + kl - spec.q / 2.0, spec.input_state.v_anti
     n = spec.steps_per_trajectory
     length = spec.segment_length
     hop = max(1, int(round(length * (1.0 - spec.overlap))))
@@ -242,33 +258,27 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
-        b_sq = _simulate_quadrature(rng, n, spec.dt, kc, kl, kc + kl + g,
-                                    spec.input_state.v_sq, spec.eps_read)
-        p_sq = _segment_periodograms(b_sq, length, hop, win, spec.dt)
-        b_anti = _simulate_quadrature(rng, n, spec.dt, kc, kl, kc + kl - g,
-                                      spec.input_state.v_anti, spec.eps_read)
-        p_anti = _segment_periodograms(b_anti, length, hop, win, spec.dt)
-        return (p_sq.sum(axis=0), (p_sq**2).sum(axis=0),
-                p_anti.sum(axis=0), (p_anti**2).sum(axis=0), p_sq.shape[0])
+        if spec.quadrature == "anti":
+            rng.standard_normal(3 * n + 1)    # the readout quadrature's draws
+        b = _simulate_quadrature(rng, n, spec.dt, kc, kl, lam, v_in,
+                                 spec.eps_read)
+        p = _segment_periodograms(b, length, hop, win, spec.dt)
+        return p.sum(axis=0), (p**2).sum(axis=0), p.shape[0]
 
     n_bins = length // 2 + 1
-    sums = [np.zeros(n_bins) for _ in range(4)]
+    s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
     n_seg = 0
-    for part in map_fn(one_trajectory, seeds):
-        for acc, inc in zip(sums, part[:4]):
-            acc += inc
-        n_seg += part[4]
+    for p_sum, p2_sum, p_seg in map_fn(one_trajectory, seeds):
+        s1 += p_sum
+        s2 += p2_sum
+        n_seg += p_seg
 
-    def mean_se(s1, s2):
-        mean = s1 / n_seg
-        var = (s2 - n_seg * mean**2) / (n_seg - 1) if n_seg > 1 else np.full_like(mean, np.nan)
-        return mean, np.sqrt(np.maximum(var, 0.0) / n_seg)
-
-    psd_sq, se_sq = mean_se(sums[0], sums[1])
-    psd_anti, se_anti = mean_se(sums[2], sums[3])
+    psd = s1 / n_seg
+    var = (s2 - n_seg * psd**2) / (n_seg - 1) if n_seg > 1 else np.full_like(psd, np.nan)
     omega = 4.0 * math.pi * np.fft.rfftfreq(length, spec.dt)
-    return SdeResult(omega=omega, psd_sq=psd_sq, psd_anti=psd_anti,
-                     stderr_sq=se_sq, stderr_anti=se_anti, n_segments=n_seg)
+    return SdeResult(omega=omega, psd=psd,
+                     stderr=np.sqrt(np.maximum(var, 0.0) / n_seg),
+                     n_segments=n_seg)
 
 
 @dataclass(frozen=True)
@@ -364,10 +374,10 @@ def compare_analytic(points: Sequence[ComparePoint], fault_offset: float = 0.0
     return out
 
 
-def compare_sde(spec: SdeRunSpec, label: str = "", quadrature: str = "sq",
-                band_cutoff: float = 3.0, fault_offset: float = 0.0
-                ) -> SdeComparison:
-    """Run the stochastic oracle and score it against the closed form.
+def compare_sde(spec: SdeRunSpec, label: str = "", band_cutoff: float = 3.0,
+                fault_offset: float = 0.0) -> SdeComparison:
+    """Run the stochastic oracle on spec.quadrature and score its spectrum
+    against that quadrature's closed form.
 
     The zero-frequency bin must agree within 3 standard errors; across the
     band below band_cutoff (in Omega, where discretization bias is negligible
@@ -375,13 +385,12 @@ def compare_sde(spec: SdeRunSpec, label: str = "", quadrature: str = "sq",
     |z| = 3.
     """
     res = run_sde(spec)
-    if quadrature == "sq":
-        est, se = res.psd_sq, res.stderr_sq
+    est, se = res.psd, res.stderr
+    if spec.quadrature == "sq":
         target = quadrature_noise_spectrum(spec.cavity, spec.q,
                                            spec.input_state.v_sq,
                                            spec.eps_read, res.omega)
     else:
-        est, se = res.psd_anti, res.stderr_anti
         target = anti_quadrature_noise_spectrum(spec.cavity, spec.q,
                                                 spec.input_state.v_anti,
                                                 spec.eps_read, res.omega)
@@ -392,21 +401,21 @@ def compare_sde(spec: SdeRunSpec, label: str = "", quadrature: str = "sq",
     z0 = float(z[0])
     se_rel0 = float(se[0] / est[0])
     passed = abs(z0) <= 3.0 and frac < 0.01 and se_rel0 <= 0.02
-    return SdeComparison(label=label or quadrature, target_zero=float(target[0]),
+    return SdeComparison(label=label or spec.quadrature, target_zero=float(target[0]),
                          estimate_zero=float(est[0]), stderr_rel_zero=se_rel0,
                          z_zero=z0, frac_abs_z_above_3=frac,
                          band_cutoff=band_cutoff, passed=passed)
 
 
 def compare_oracles(points: Sequence[ComparePoint],
-                    sde_specs: Sequence[tuple[str, SdeRunSpec, str]] = (),
+                    sde_specs: Sequence[tuple[str, SdeRunSpec]] = (),
                     analytic_tolerance: float = 1e-12,
                     fault_offset: float = 0.0) -> OracleReport:
     """Full discrepancy report.  An empty grid passes trivially."""
     analytic = compare_analytic(points, fault_offset=fault_offset)
     max_diff = max((a.max_rel_diff for a in analytic), default=0.0)
-    sde = [compare_sde(spec, label=label, quadrature=quad, fault_offset=fault_offset)
-           for label, spec, quad in sde_specs]
+    sde = [compare_sde(spec, label=label, fault_offset=fault_offset)
+           for label, spec in sde_specs]
     passed = max_diff < analytic_tolerance and all(s.passed for s in sde)
     return OracleReport(analytic=analytic, sde=sde,
                         analytic_tolerance=analytic_tolerance,

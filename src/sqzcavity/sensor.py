@@ -69,8 +69,9 @@ class InputQuadratureState:
     v_anti: float
 
     def __post_init__(self):
-        if self.v_sq <= 0.0 or self.v_anti <= 0.0:
-            raise ValueError("quadrature variances must be positive")
+        if not (0.0 < self.v_sq < math.inf and 0.0 < self.v_anti < math.inf):
+            raise ValueError("quadrature variances must be positive and finite, "
+                             f"got {self.v_sq}, {self.v_anti}")
         if self.v_sq * self.v_anti < 1.0 - 1e-12:
             raise ValueError(
                 f"uncertainty bound violated: v_sq*v_anti = {self.v_sq * self.v_anti}"
@@ -94,8 +95,10 @@ class PhysicalScale:
     intracavity_power: float
 
     def __post_init__(self):
-        if self.wavelength <= 0.0 or self.intracavity_power <= 0.0:
-            raise ValueError("wavelength and intracavity_power must be positive")
+        if not (0.0 < self.wavelength < math.inf
+                and 0.0 < self.intracavity_power < math.inf):
+            raise ValueError("wavelength and intracavity_power must be "
+                             "positive and finite")
 
     @property
     def sensitivity_prefactor(self) -> float:

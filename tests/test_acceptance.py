@@ -71,26 +71,27 @@ def test_c2_sde_oracle():
     res = run_sde(SdeRunSpec(cavity=P0, q=0.0,
                              input_state=InputQuadratureState.vacuum(),
                              eps_read=0.0, seed=101, **common))
-    z = (res.psd_sq - 1.0) / res.stderr_sq
+    z = (res.psd - 1.0) / res.stderr
     checks.append(("vacuum flat", float(np.mean(np.abs(z) > 3.0)) < 0.01
-                   and abs(float(np.mean(res.psd_sq)) - 1.0) < 0.005
+                   and abs(float(np.mean(res.psd)) - 1.0) < 0.005
                    and abs(z[0]) <= 3.0))
 
     # squeezed input on the passive cavity, readout quadrature at Omega = 0
     res = run_sde(SdeRunSpec(cavity=P0, q=0.0, input_state=state,
                              eps_read=0.10, seed=102, **common))
     target = float(quadrature_noise_spectrum(P0, 0.0, 0.0891, 0.10, 0.0))
-    z0 = (res.psd_sq[0] - target) / res.stderr_sq[0]
-    se = res.stderr_sq[0] / res.psd_sq[0]
+    z0 = (res.psd[0] - target) / res.stderr[0]
+    se = res.stderr[0] / res.psd[0]
     checks.append((f"squeezed probe z={z0:+.2f} se={100 * se:.2f}%",
                    abs(z0) <= 3.0 and se <= 0.02))
 
     # anti-squeezed quadrature with internal gain on
     res = run_sde(SdeRunSpec(cavity=P0, q=0.0085, input_state=state_anti,
-                             eps_read=0.10, seed=103, **common))
+                             eps_read=0.10, seed=103, quadrature="anti",
+                             **common))
     target = float(anti_quadrature_noise_spectrum(P0, 0.0085, 10.40, 0.10, 0.0))
-    z0 = (res.psd_anti[0] - target) / res.stderr_anti[0]
-    se = res.stderr_anti[0] / res.psd_anti[0]
+    z0 = (res.psd[0] - target) / res.stderr[0]
+    se = res.stderr[0] / res.psd[0]
     checks.append((f"anti probe z={z0:+.2f} se={100 * se:.2f}%",
                    abs(z0) <= 3.0 and se <= 0.02))
 
@@ -99,7 +100,7 @@ def test_c2_sde_oracle():
                        seed=104, dt=0.5, duration=0.5 * 4096 * 20,
                        n_trajectories=2, segment_length=4096)
     a, b = run_sde(small), run_sde(small)
-    checks.append(("deterministic", np.array_equal(a.psd_sq, b.psd_sq)))
+    checks.append(("deterministic", np.array_equal(a.psd, b.psd)))
 
     # stability contract
     try:

@@ -79,6 +79,12 @@ class TestVariancePair:
             VariancePair(pump_setting=0.5, v_sq=0.0, v_anti=1.0)
         with pytest.raises(ValueError):
             VariancePair(pump_setting=0.5, v_sq=1.0, v_anti=1.0, err_sq=0.0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(v_sq=nan), dict(v_anti=inf), dict(err_sq=nan),
+                    dict(err_anti=inf), dict(pump_setting=nan)):
+            with pytest.raises(ValueError):
+                VariancePair(**{"pump_setting": 0.5, "v_sq": 1.0,
+                                "v_anti": 1.0, **bad})
 
 
 class TestFitModel:

@@ -181,7 +181,8 @@ class TestConfigValidation:
                                analysis=f"panels = {panels}")
             assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                          "figure3"]) == 2
-        for verify in ("grid_points = abc", "sde = maybe"):
+        for verify in ("grid_points = abc", "sde = maybe", "grid_points = 0",
+                       "grid_points = -3"):
             cfg = write_config(tmp_path, name="v.ini",
                                extra=f"\n[verify]\n{verify}\n")
             assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -356,6 +357,20 @@ class TestCalibrate:
         data.write_text("pump_setting,V_sq,V_anti,err_sq,err_anti\n0.0,1.0\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 2
+
+    def test_nan_variance_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, extra=self.CAL)
+        data = tmp_path / "meas.csv"
+        _write_measurements(data)
+        lines = data.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "nan"
+        lines[2] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 2
+        assert not out.exists()
 
     def test_wrong_header_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.CAL)

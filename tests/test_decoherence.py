@@ -36,6 +36,9 @@ class TestSource:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ExternalSqueezeSource(-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExternalSqueezeSource(bad)
 
 
 class TestChain:
@@ -44,6 +47,9 @@ class TestChain:
             DecoherenceChain(eps_inj=1.0, theta_rms=0.0, eps_read=0.0)
         with pytest.raises(ValueError):
             DecoherenceChain(eps_inj=0.0, theta_rms=-0.1, eps_read=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                DecoherenceChain(eps_inj=0.0, theta_rms=bad, eps_read=0.0)
         assert DecoherenceChain(0.0, 0.0, 0.1).is_pure
         assert not DecoherenceChain(0.01, 0.0, 0.1).is_pure
 

@@ -1,7 +1,10 @@
 """Transfer-matrix and stochastic oracles against the closed forms."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sqzcavity import (
     CavityParams,
@@ -82,45 +85,125 @@ def _small_spec(cav, q=0.0, v=(1.0, 1.0), eps_read=0.0, seed=99, **kw):
                       eps_read=eps_read, seed=seed, **defaults)
 
 
+def _reference_sde(spec):
+    """Both quadratures of every trajectory, simulated and segmented the
+    straightforward way: the full start-term power series and fancy-index
+    segments.  run_sde must reproduce each quadrature bit for bit."""
+    def simulate(rng, n, dt, kc, kl, lam, v_in, eps_read):
+        xi = rng.standard_normal(n)
+        eta = rng.standard_normal(n)
+        zeta = rng.standard_normal(n)
+        a = 1.0 - lam * dt
+        w = math.sqrt(2.0 * kc * dt * v_in) * xi + math.sqrt(2.0 * kl * dt) * eta
+        x_next = lfilter([1.0], [1.0, -a], w)
+        sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
+        x0 = math.sqrt(sig2) * rng.standard_normal()
+        powers = a ** np.arange(1, n + 1)
+        x_next = x_next + x0 * powers
+        x = np.empty(n)
+        x[0] = x0
+        x[1:] = x_next[:-1]
+        x_mid = 0.5 * (x + x_next)
+        b_out = math.sqrt(2.0 * kc) * x_mid - math.sqrt(v_in / dt) * xi
+        return (math.sqrt(1.0 - eps_read) * b_out
+                + math.sqrt(eps_read / dt) * zeta)
+
+    def periodograms(x, length, hop, win, dt):
+        n_seg = 1 + (x.size - length) // hop
+        idx = np.arange(length)[None, :] + hop * np.arange(n_seg)[:, None]
+        segs = x[idx] * win[None, :]
+        spec_ = np.fft.rfft(segs, axis=1)
+        return (np.abs(spec_) ** 2) * dt / (win * win).sum()
+
+    kc, kl, g = spec.cavity.t_c / 2.0, spec.cavity.eps_int / 2.0, spec.q / 2.0
+    n = spec.steps_per_trajectory
+    length = spec.segment_length
+    hop = max(1, int(round(length * (1.0 - spec.overlap))))
+    win = np.hanning(length) if spec.window == "hann" else np.ones(length)
+    sums = [np.zeros(length // 2 + 1) for _ in range(4)]
+    n_seg = 0
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trajectories):
+        rng = np.random.default_rng(child)
+        b_sq = simulate(rng, n, spec.dt, kc, kl, kc + kl + g,
+                        spec.input_state.v_sq, spec.eps_read)
+        p_sq = periodograms(b_sq, length, hop, win, spec.dt)
+        b_anti = simulate(rng, n, spec.dt, kc, kl, kc + kl - g,
+                          spec.input_state.v_anti, spec.eps_read)
+        p_anti = periodograms(b_anti, length, hop, win, spec.dt)
+        for acc, inc in zip(sums, (p_sq.sum(axis=0), (p_sq**2).sum(axis=0),
+                                   p_anti.sum(axis=0), (p_anti**2).sum(axis=0))):
+            acc += inc
+        n_seg += p_sq.shape[0]
+
+    def mean_se(s1, s2):
+        mean = s1 / n_seg
+        var = (s2 - n_seg * mean**2) / (n_seg - 1)
+        return mean, np.sqrt(np.maximum(var, 0.0) / n_seg)
+
+    return {"sq": mean_se(sums[0], sums[1]), "anti": mean_se(sums[2], sums[3]),
+            "n_segments": n_seg}
+
+
 class TestSde:
     def test_vacuum_flat(self, cav):
         res = run_sde(_small_spec(cav))
-        z = (res.psd_sq - 1.0) / res.stderr_sq
+        z = (res.psd - 1.0) / res.stderr
         assert np.mean(np.abs(z) > 3.0) < 0.01
-        assert abs(np.mean(res.psd_sq) - 1.0) < 0.01
+        assert abs(np.mean(res.psd) - 1.0) < 0.01
 
     def test_squeezed_probe_within_errors(self, cav):
         spec = _small_spec(cav, v=(0.0891, 1.0 / 0.0891), eps_read=0.10, seed=5)
         res = run_sde(spec)
         target = quadrature_noise_spectrum(cav, 0.0, 0.0891, 0.10, res.omega)
-        z0 = (res.psd_sq[0] - target[0]) / res.stderr_sq[0]
+        z0 = (res.psd[0] - target[0]) / res.stderr[0]
         assert abs(z0) < 3.0
 
     def test_anti_channel_with_gain(self, cav):
-        spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10, seed=6)
+        spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10, seed=6,
+                           quadrature="anti")
         res = run_sde(spec)
         target = anti_quadrature_noise_spectrum(cav, 0.0085, 10.40, 0.10, 0.0)
-        z0 = (res.psd_anti[0] - target) / res.stderr_anti[0]
+        z0 = (res.psd[0] - target) / res.stderr[0]
         assert abs(z0) < 3.0
 
+    # kappa_total*dt runs from no start-term underflow (the term spans the
+    # whole trajectory) up to just below the 0.05 stability bound; at 0.03
+    # and 0.0499 the term underflows to 0.0 within the 32 768 steps
+    @pytest.mark.parametrize("kappa_dt", [1e-6, 1e-3, 0.03, 0.0499])
+    @pytest.mark.parametrize("window,overlap", [("hann", 0.0), ("rect", 0.5)])
+    def test_matches_reference_kernel(self, cav, kappa_dt, window, overlap):
+        q = 0.3 * cav.q_threshold
+        dt = kappa_dt / ((cav.t_c + cav.eps_int + q) / 2.0)
+        common = dict(q=q, v=(0.162, 10.40), eps_read=0.10, seed=41,
+                      dt=dt, duration=dt * 32768, n_trajectories=2,
+                      segment_length=512, window=window, overlap=overlap)
+        ref = _reference_sde(_small_spec(cav, **common))
+        for quadrature in ("sq", "anti"):
+            res = run_sde(_small_spec(cav, quadrature=quadrature, **common))
+            psd, stderr = ref[quadrature]
+            assert np.array_equal(res.psd, psd)
+            assert np.array_equal(res.stderr, stderr)
+            assert res.n_segments == ref["n_segments"]
+
     def test_deterministic_under_seed(self, cav):
-        spec = _small_spec(cav, seed=17, duration=0.5 * 4096 * 10,
-                           n_trajectories=2)
-        a = run_sde(spec)
-        b = run_sde(spec)
-        assert np.array_equal(a.psd_sq, b.psd_sq)
-        assert np.array_equal(a.psd_anti, b.psd_anti)
-        assert np.array_equal(a.stderr_sq, b.stderr_sq)
+        for quadrature in ("sq", "anti"):
+            spec = _small_spec(cav, seed=17, duration=0.5 * 4096 * 10,
+                               n_trajectories=2, quadrature=quadrature)
+            a = run_sde(spec)
+            b = run_sde(spec)
+            assert np.array_equal(a.psd, b.psd)
+            assert np.array_equal(a.stderr, b.stderr)
 
     def test_concurrent_matches_serial(self, cav):
         from concurrent.futures import ThreadPoolExecutor
-        spec = _small_spec(cav, seed=18, duration=0.5 * 4096 * 10,
-                           n_trajectories=4)
-        serial = run_sde(spec)
-        with ThreadPoolExecutor(4) as ex:
-            threaded = run_sde(spec, map_fn=ex.map)
-        assert np.array_equal(serial.psd_sq, threaded.psd_sq)
-        assert np.array_equal(serial.psd_anti, threaded.psd_anti)
+        for quadrature in ("sq", "anti"):
+            spec = _small_spec(cav, seed=18, duration=0.5 * 4096 * 10,
+                               n_trajectories=4, quadrature=quadrature)
+            serial = run_sde(spec)
+            with ThreadPoolExecutor(4) as ex:
+                threaded = run_sde(spec, map_fn=ex.map)
+            assert np.array_equal(serial.psd, threaded.psd)
+            assert np.array_equal(serial.stderr, threaded.stderr)
 
     def test_instability_rejection(self, cav):
         with pytest.raises(InstabilityError):
@@ -150,20 +233,26 @@ class TestSde:
             _small_spec(cav, overlap=1.0)
         with pytest.raises(ValueError):
             _small_spec(cav, window="flying")
+        with pytest.raises(ValueError):
+            _small_spec(cav, quadrature="both")
+        for bad in (dict(q=float("nan")), dict(dt=float("nan")),
+                    dict(duration=float("inf"))):
+            with pytest.raises(ValueError):
+                _small_spec(cav, **bad)
 
     def test_step_halving_within_statistics(self, cav):
         base = dict(v=(0.0891, 1.0 / 0.0891), eps_read=0.10,
                     duration=0.5 * 4096 * 60, n_trajectories=4)
         a = run_sde(_small_spec(cav, seed=21, dt=0.5, **base))
         b = run_sde(_small_spec(cav, seed=22, dt=0.25, **base))
-        pooled = np.hypot(a.stderr_sq[0], b.stderr_sq[0])
-        assert abs(a.psd_sq[0] - b.psd_sq[0]) < 3.0 * pooled
+        pooled = np.hypot(a.stderr[0], b.stderr[0])
+        assert abs(a.psd[0] - b.psd[0]) < 3.0 * pooled
 
     def test_overlap_and_rect_window(self, cav):
         res = run_sde(_small_spec(cav, seed=30, duration=0.5 * 4096 * 20,
                                   n_trajectories=2, overlap=0.5, window="rect"))
         assert res.n_segments > 38  # overlap increases the segment count
-        assert abs(np.mean(res.psd_sq) - 1.0) < 0.02
+        assert abs(np.mean(res.psd) - 1.0) < 0.02
 
 
 class TestCompareOracles:

@@ -55,6 +55,10 @@ class TestTypes:
             InputQuadratureState(0.0, 1.0)
         with pytest.raises(ValueError):
             InputQuadratureState(0.5, 0.5)  # below the uncertainty bound
+        for bad in ((float("nan"), 1.0), (1.0, float("nan")),
+                    (1.0, float("inf"))):
+            with pytest.raises(ValueError):
+                InputQuadratureState(*bad)
         s = InputQuadratureState(0.5, 2.0)
         assert s.is_pure
         assert not InputQuadratureState(0.5, 3.0).is_pure
@@ -64,6 +68,10 @@ class TestTypes:
         assert scale.sensitivity_prefactor * scale.transfer_prefactor == pytest.approx(1.0)
         with pytest.raises(ValueError):
             PhysicalScale(wavelength=-1.0, intracavity_power=1.0)
+        with pytest.raises(ValueError):
+            PhysicalScale(wavelength=float("nan"), intracavity_power=1.0)
+        with pytest.raises(ValueError):
+            PhysicalScale(wavelength=1064e-9, intracavity_power=float("inf"))
 
     def test_omega_from_hz(self):
         # pole of the response sits at f = q_th * FSR / (4 pi)
