@@ -416,8 +416,11 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
                                      baseline=cfg.baseline,
                                      jitter_model=cfg.jitter_model))
     header = ["omega", "S_sn", "S_anti", "S_eff", "T2", "S_x", "snr_gain_db"]
-    rows = [[omega[i], s_sn[i], s_anti[i], s_eff[i], t2[i], s_x[i], gain[i]]
-            for i in range(omega.size)]
+    columns = [omega, s_sn, s_anti, s_eff, t2, s_x, gain]
+    bad = [h for h, col in zip(header, columns) if not np.all(np.isfinite(col))]
+    if bad:
+        raise SingularResponseError(f"spectrum columns not finite: {', '.join(bad)}")
+    rows = [list(row) for row in zip(*columns)]
     writer.add_table("spectrum", header, rows)
     warnings = _collect_warnings(cfg, q)
     results = {
@@ -449,11 +452,11 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
         "reconciliation": asdict(recon),
     }
     header = ["q_opt", "s_opt", "g_opt", "analytic_q_opt", "analytic_s_opt_pure",
-              "fundamental_limit", "converged", "iterations"]
+              "fundamental_limit"]
     writer.add_table("optimize", header, [[
         res.q_opt, res.s_opt, res.g_opt,
         res.analytic_q_opt if res.analytic_q_opt is not None else float("nan"),
-        s_analytic, fundamental_limit(cav), res.converged, res.iterations,
+        s_analytic, fundamental_limit(cav),
     ]])
     warnings = _collect_warnings(cfg, res.q_opt)
     writer.add_envelope("optimize", _envelope(cfg, "optimize", results,

@@ -8,6 +8,7 @@ squeeze/LO frame, and the readout loss folded into the closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .sensor import (
@@ -31,6 +32,10 @@ class ExternalSqueezeSource:
     def __post_init__(self):
         if not (0.0 <= self.squeeze_db < math.inf):
             raise ValueError(f"squeeze_db must be finite and >= 0, got {self.squeeze_db}")
+        # a normal e^(-2 r_ext) keeps beta and both injected variances finite
+        if math.exp(-2.0 * self.r_ext) < sys.float_info.min:
+            raise ValueError(f"squeeze_db = {self.squeeze_db} is too large: the "
+                             "squeezed variance leaves the float range")
 
     @property
     def r_ext(self) -> float:

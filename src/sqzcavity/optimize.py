@@ -1,20 +1,19 @@
 """Decoherence-induced sensitivity limits and optimization of the internal gain.
 
 Closed forms for the optimal roundtrip gain and the optimal sensitivity of a
-pure injected-squeezing chain, the internal-loss-only fundamental limit, a
-derivative-free numeric minimizer for the general (lossy, jittered) chain
-and SNR-gain metrics.
+pure injected-squeezing chain, the internal-loss-only fundamental limit, an
+exact stationary-point solve for the optimal gain of the general (lossy,
+jittered) chain and SNR-gain metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .decoherence import DecoherenceChain, measured_sensitivity
-from .errors import ConvergenceError, SingularResponseError
+from .errors import SingularResponseError
 from .sensor import (
     CavityParams,
     InputQuadratureState,
@@ -22,8 +21,6 @@ from .sensor import (
 )
 
 BASELINES = ("no_internal", "no_squeezing")
-
-_GOLDEN = 0.3819660112501051  # 2 - golden ratio
 
 
 def optimal_sensitivity_analytic(cav: CavityParams, beta: float, eps_read: float) -> float:
@@ -92,139 +89,55 @@ class OptimizationResult:
     s_opt: float
     g_opt: float                       # normalized-gain coordinate -q_opt/q_th
     analytic_q_opt: float | None       # closed form when the chain is jitter-free
-    converged: bool
-    iterations: int
-
-
-def _brent_min(f: Callable[[float], float], a: float, b: float,
-               xatol: float, max_iter: int = 200):
-    """Bounded scalar minimization, golden-section with parabolic steps."""
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for it in range(max_iter):
-        mid = 0.5 * (a + b)
-        tol1 = xatol + 1e-15 * abs(x)
-        tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, fx, it + 1, True
-        if abs(e) > tol1:
-            # parabola through (x, w, v)
-            r = (x - w) * (fx - fv)
-            qq = (x - v) * (fx - fw)
-            p = (x - v) * qq - (x - w) * r
-            qq = 2.0 * (qq - r)
-            if qq > 0.0:
-                p = -p
-            qq = abs(qq)
-            etmp = e
-            e = d
-            if (abs(p) >= abs(0.5 * qq * etmp) or p <= qq * (a - x)
-                    or p >= qq * (b - x)):
-                e = b - x if x < mid else a - x
-                d = _GOLDEN * e
-            else:
-                d = p / qq
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if x < mid else -tol1
-        else:
-            e = b - x if x < mid else a - x
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx, max_iter, False
-
-
-def _quadratic_polish(f: Callable[[np.ndarray], np.ndarray], x0: float,
-                      h: float, lo: float, hi: float):
-    """Refine a minimizer by least-squares parabola fits on symmetric stencils.
-
-    Two stages with shrinking spacing beat the flat-bottom rounding noise that
-    limits pure value-comparison search near the minimum.
-    """
-    x = x0
-    for step in (h, h / 8.0):
-        if x - 3.0 * step < lo or x + 3.0 * step > hi:
-            break
-        offs = np.arange(-3, 4, dtype=float) * step
-        vals = f(x + offs)
-        # fit c0 + c1*o + c2*o^2
-        coef = np.polynomial.polynomial.polyfit(offs, vals, 2)
-        if coef[2] <= 0.0:
-            break
-        delta = -0.5 * coef[1] / coef[2]
-        if abs(delta) > 3.0 * step:
-            break
-        x = x + delta
-    return min(max(x, lo), hi)
 
 
 def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
                           chain: DecoherenceChain, omega: float = 0.0,
-                          q_search_interval: tuple[float, float] | None = None,
-                          jitter_model: str = "pump_frame",
-                          max_iter: int = 200) -> OptimizationResult:
+                          jitter_model: str = "pump_frame") -> OptimizationResult:
     """Locate the internal gain minimizing the measured sensitivity.
 
-    Coarse bracketing scan followed by Brent refinement and a quadratic polish,
-    with requested tolerance 1e-10 * q_th on the gain.  The default search
-    interval is the normalized-gain range g in (-0.999, +0.999); the
-    jitter-free closed form is attached for cross-checking whenever available.
+    Exact stationary-point solve on the normalized-gain range
+    g in [-0.999, +0.999]: in x = q/q_th the sensitivity is P(x)/D(x) with
+    D(x) = (1 - x)^2 + (omega/q_th)^2 and P a polynomial of degree <= 4,
+    recovered by interpolation at 5 Chebyshev nodes.  The minimum is the
+    smallest sensitivity among the range endpoints and the roots of the
+    numerator P'D - PD' of dS/dx.  The jitter-free closed form is attached
+    for cross-checking whenever available.  SingularResponseError when the
+    sensitivity is not finite at a node or a candidate.
     """
     q_th = cav.q_threshold
-    if q_search_interval is None:
-        lo, hi = -0.999 * q_th, 0.999 * q_th
-    else:
-        lo, hi = q_search_interval
-        if not -q_th < lo < hi:
-            raise ValueError("search interval must lie within (-q_th, q_th)")
 
     def objective(q):
-        return measured_sensitivity(cav, q, input_state, chain, omega,
-                                    model=jitter_model)
+        s = measured_sensitivity(cav, q, input_state, chain, omega,
+                                 model=jitter_model)
+        if not np.all(np.isfinite(s)):
+            raise SingularResponseError("objective not finite on the search interval")
+        return s
 
-    # coarse scan, endpoints included, to bracket the global minimum
-    n_scan = 129
-    qs = np.linspace(lo, hi, n_scan)
-    vals = objective(qs)
-    if not np.all(np.isfinite(vals)):
-        raise SingularResponseError("objective not finite on the search interval")
+    # S*D is a quartic in x: 1/T2 cancels every (q_th+q)^2+w^2, only S_anti has D
+    c = omega / q_th
+    a = 1.0 / (1.0 + c * c)
+    d = np.array([a, -2.0 * a, 1.0])      # D/(1 + c^2): with S/max(S), no overflow
+    nodes = np.cos(np.pi * (np.arange(5) + 0.5) / 5.0)
+    s = objective(nodes * q_th)
+    p = np.polyfit(nodes, s / np.max(s) * np.polyval(d, nodes), 4)
+    numer = np.polysub(np.polymul(np.polyder(p), d),
+                       np.polymul(p, np.polyder(d)))
+    # real parts of all roots: rounding can split the double root of a flat
+    # minimum into a complex pair
+    x = np.roots(numer).real
+    cand = np.concatenate(([-0.999 * q_th, 0.999 * q_th],
+                           x[np.abs(x) < 0.999] * q_th))
+    vals = objective(cand)
     k = int(np.argmin(vals))
-    a = qs[max(k - 1, 0)]
-    b = qs[min(k + 1, n_scan - 1)]
-
-    xatol = 1e-10 * q_th
-    q_opt, s_opt, iters, converged = _brent_min(objective, a, b, xatol, max_iter)
-    if not converged:
-        raise ConvergenceError(f"gain minimization did not converge in {max_iter} iterations")
-    q_opt = _quadratic_polish(objective, q_opt, 1e-5 * q_th, lo, hi)
-    s_opt = objective(q_opt)
+    q_opt, s_opt = cand[k], vals[k]
 
     analytic = None
     if chain.theta_rms == 0.0:
         analytic = optimal_gain_for_input(cav, input_state.v_sq, chain.eps_read)
     return OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),
                               g_opt=float(-q_opt / q_th),
-                              analytic_q_opt=analytic, converged=converged,
-                              iterations=iters)
+                              analytic_q_opt=analytic)
 
 
 def baseline_sensitivity(cav: CavityParams, input_state: InputQuadratureState,

@@ -160,6 +160,15 @@ class SdeRunSpec:
             )
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        # per-step factor 1 - lam*dt of the slower quadrature, rounded as in
+        # run_sde; at 1.0 its stationary start variance divides by zero
+        kc, kl = self.cavity.t_c / 2.0, self.cavity.eps_int / 2.0
+        if not 1.0 - (kc + kl - abs(self.q) / 2.0) * self.dt < 1.0:
+            raise InstabilityError(
+                f"q = {self.q} is within rounding of threshold "
+                f"{self.cavity.q_threshold}: the slower quadrature does not "
+                f"decay within one step of dt = {self.dt}"
+            )
         kappa_total = (self.cavity.t_c + self.cavity.eps_int + abs(self.q)) / 2.0
         if self.dt * kappa_total >= 0.05:
             raise ValueError(

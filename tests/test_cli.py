@@ -133,6 +133,11 @@ class TestSpectrum:
         out = tmp_path / "out3"
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 3
         assert not out.exists()
+        # the jittered signal factor exp(-theta^2) underflows: S_x = inf
+        cfg = write_config(tmp_path, name="theta30.ini", theta_rms=30.0)
+        for command in ("spectrum", "optimize"):
+            assert main(["--config", str(cfg), "--out", str(out), command]) == 3
+            assert not out.exists()
 
 
 class TestConfigValidation:
@@ -145,6 +150,13 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, name="nan.ini", theta_rms="nan")
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
         assert not out.exists()
+        # finite levels whose squeezed variance leaves the float range
+        for squeeze_db in (3100.0, 4000.0):
+            cfg = write_config(tmp_path, name="db.ini", squeeze_db=squeeze_db)
+            for command in ("spectrum", "optimize"):
+                assert main(["--config", str(cfg), "--out", str(out),
+                             command]) == 2
+                assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="\n[cavity]\nbogus = 1\n")
@@ -176,7 +188,7 @@ class TestConfigValidation:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "spectrum"]) == 2
         for panels in ("5.4:0.015, 8.6:0.04:0.1", "10.5:0.05:1.5",
-                       "10.5:nan:0.1"):
+                       "10.5:nan:0.1", "10.5:0.05:0.1, 4000:0.05:0.1"):
             cfg = write_config(tmp_path, name="p.ini",
                                analysis=f"panels = {panels}")
             assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -209,9 +221,15 @@ class TestConfigValidation:
                                  "sde_trajectories = 1\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "verify"]) == 3
+        # within rounding of threshold the slower quadrature never decays
+        text = cfg.read_text()
+        cfg.write_text(text.replace(
+            "probe_q = 0.5", "probe_q = 0.12199999999999998\nsde_dt = 0.4"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "verify"]) == 3
         # a too-coarse SDE step is a config error, not a domain error
-        cfg.write_text(cfg.read_text().replace("probe_q = 0.5",
-                                               "probe_q = 0.0085\nsde_dt = 50"))
+        cfg.write_text(text.replace("probe_q = 0.5",
+                                    "probe_q = 0.0085\nsde_dt = 50"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "verify"]) == 2
 
@@ -414,15 +432,16 @@ class TestCalibrate:
 
 class TestReproducibility:
     def test_byte_identical_outputs(self, tmp_path):
-        cfg = write_config(tmp_path, analysis="omega_grid = 0.0:2.0:9\ng = 0.1")
+        cfg = write_config(tmp_path, analysis="omega_grid = 0.0:2.0:9\ng = 0.1\n"
+                           "panels = 5.4:0.015:0.10, 10.5:0.050:0.30")
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["--config", str(cfg), "--out", str(out),
-                         "spectrum"]) == 0
-            assert main(["--config", str(cfg), "--out", str(out),
-                         "optimize"]) == 0
+            for command in ("spectrum", "optimize", "figure3"):
+                assert main(["--config", str(cfg), "--out", str(out),
+                             command]) == 0
         for name in ("spectrum.csv", "spectrum.json", "optimize.csv",
-                     "optimize.json"):
+                     "optimize.json", "figure3_panel_1.csv",
+                     "figure3_panel_2.csv", "figure3_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_seed_override_recorded(self, tmp_path):

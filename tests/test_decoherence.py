@@ -36,7 +36,8 @@ class TestSource:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ExternalSqueezeSource(-1.0)
-        for bad in (float("nan"), float("inf")):
+        # finite levels whose squeezed variance leaves the float range
+        for bad in (float("nan"), float("inf"), 3100.0, 4000.0):
             with pytest.raises(ValueError):
                 ExternalSqueezeSource(bad)
 

@@ -239,6 +239,9 @@ class TestSde:
                     dict(duration=float("inf"))):
             with pytest.raises(ValueError):
                 _small_spec(cav, **bad)
+        # within rounding of threshold: 1 - lam*dt rounds to 1.0
+        with pytest.raises(InstabilityError):
+            _small_spec(cav, q=0.12199999999999998, dt=0.4)
 
     def test_step_halving_within_statistics(self, cav):
         base = dict(v=(0.0891, 1.0 / 0.0891), eps_read=0.10,

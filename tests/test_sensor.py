@@ -258,9 +258,11 @@ class TestQcrb:
         cav = CavityParams(0.11, 0.0)
         beta = 11.22
         state = InputQuadratureState(1.0 / beta, beta)
-        for q in (-0.08, 0.0, 0.05, 0.10):
+        for q in (-0.08, 0.0, 0.05, 0.10, 0.999999 * cav.t_c):
             assert sensitivity(cav, q, state, 0.0, 0.0) == \
                 pytest.approx(qcrb(cav, q, beta), rel=1e-12)
+        # vanishes toward threshold
+        assert sensitivity(cav, 0.999999 * cav.t_c, state, 0.0, 0.0) < 1e-10
 
 
 class TestThresholdSensitivity:
