@@ -65,7 +65,5 @@ from .sensor import (
     omega_from_hz,
     qcrb,
     quadrature_noise_spectrum,
-    sensitivity,
     signal_transfer_power,
-    threshold_sensitivity,
 )

@@ -311,20 +311,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars, which json does not serialize itself."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class OutputWriter:
@@ -346,24 +337,29 @@ class OutputWriter:
         self._json.append((name, envelope))
 
     def flush(self) -> list[Path]:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         written = []
-        if "csv" in self.formats:
-            for name, header, rows in self._csv:
-                p = self.out_dir / f"{name}.csv"
-                with open(p, "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(header)
-                    for row in rows:
-                        w.writerow([_fmt(v) for v in row])
-                written.append(p)
-        if "json" in self.formats:
-            for name, envelope in self._json:
-                p = self.out_dir / f"{name}.json"
-                with open(p, "w") as fh:
-                    json.dump(_jsonify(envelope), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                written.append(p)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            if "csv" in self.formats:
+                for name, header, rows in self._csv:
+                    p = self.out_dir / f"{name}.csv"
+                    with open(p, "w", newline="") as fh:
+                        w = csv.writer(fh)
+                        w.writerow(header)
+                        for row in rows:
+                            w.writerow([_fmt(v) for v in row])
+                    written.append(p)
+            if "json" in self.formats:
+                for name, envelope in self._json:
+                    p = self.out_dir / f"{name}.json"
+                    with open(p, "w") as fh:
+                        json.dump(envelope, fh, indent=2, sort_keys=True,
+                                  default=_json_default)
+                        fh.write("\n")
+                    written.append(p)
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs to {self.out_dir}: "
+                              f"{exc.strerror or exc}") from exc
         return written
 
 
@@ -384,13 +380,12 @@ def _envelope(cfg: RunConfig, command: str, results: dict, warnings: list[str],
     }
 
 
-def _collect_warnings(cfg: RunConfig, q_values) -> list[str]:
+def _collect_warnings(cfg: RunConfig, q: float) -> list[str]:
     warnings = []
-    q_max = float(np.max(np.abs(np.atleast_1d(q_values)))) if q_values is not None else 0.0
-    if gain_validity_warning(cfg.cavity, q_max):
+    if gain_validity_warning(cfg.cavity, q):
         warnings.append(
             "single-mode validity: t_c + eps_int + |q| = "
-            f"{cfg.cavity.t_c + cfg.cavity.eps_int + q_max:.3f} > 0.3"
+            f"{cfg.cavity.t_c + cfg.cavity.eps_int + abs(q):.3f} > 0.3"
         )
     return warnings
 
@@ -401,20 +396,16 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
     q = -cfg.g * cav.q_threshold
     omega = cfg.omega_grid if cfg.omega_grid is not None else np.array([cfg.omega])
 
-    s_sn = np.atleast_1d(quadrature_noise_spectrum(cav, q, state.v_sq,
-                                                   chain.eps_read, omega))
-    s_anti = np.atleast_1d(anti_quadrature_noise_spectrum(cav, q, state.v_anti,
-                                                          chain.eps_read, omega))
-    s_eff = np.atleast_1d(measured_noise_with_jitter(cav, q, state, chain, omega,
-                                                     model=cfg.jitter_model))
-    t2 = np.atleast_1d(signal_transfer_power(cav, q, chain.eps_read, omega,
-                                             scale=cfg.scale))
-    s_x = np.atleast_1d(measured_sensitivity(cav, q, state, chain, omega,
-                                             model=cfg.jitter_model,
-                                             scale=cfg.scale))
-    gain = np.atleast_1d(snr_gain_db(cav, state, chain, omega, q,
-                                     baseline=cfg.baseline,
-                                     jitter_model=cfg.jitter_model))
+    s_sn = quadrature_noise_spectrum(cav, q, state.v_sq, chain.eps_read, omega)
+    s_anti = anti_quadrature_noise_spectrum(cav, q, state.v_anti, chain.eps_read,
+                                            omega)
+    s_eff = measured_noise_with_jitter(cav, q, state, chain, omega,
+                                       model=cfg.jitter_model)
+    t2 = signal_transfer_power(cav, q, chain.eps_read, omega, scale=cfg.scale)
+    s_x = measured_sensitivity(cav, q, state, chain, omega,
+                               model=cfg.jitter_model, scale=cfg.scale)
+    gain = snr_gain_db(cav, state, chain, omega, q, baseline=cfg.baseline,
+                       jitter_model=cfg.jitter_model)
     header = ["omega", "S_sn", "S_anti", "S_eff", "T2", "S_x", "snr_gain_db"]
     columns = [omega, s_sn, s_anti, s_eff, t2, s_x, gain]
     bad = [h for h, col in zip(header, columns) if not np.all(np.isfinite(col))]
@@ -631,6 +622,9 @@ def cmd_calibrate(cfg: RunConfig, data_path: str, writer: OutputWriter,
 
     pred = forward_variances(result.params, [d.pump_setting for d in data],
                              omega=cfg.omega, jitter_model=cfg.jitter_model)
+    if not np.all(np.isfinite(pred)):
+        raise SingularResponseError("calibration model not finite at the "
+                                    "measured pump settings")
     rows = []
     for i, d in enumerate(data):
         rows.append([d.pump_setting, d.v_sq, pred[i, 0],
@@ -691,6 +685,8 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.format is not None:
             cfg.formats = tuple(args.format.split(","))
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         writer = OutputWriter(cfg.out_dir, cfg.formats)
         if args.command == "spectrum":
             return cmd_spectrum(cfg, writer, args.stamp)

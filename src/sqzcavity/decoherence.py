@@ -11,6 +11,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sensor import (
     CavityParams,
     InputQuadratureState,
@@ -68,11 +70,6 @@ class DecoherenceChain:
         if not (0.0 <= self.theta_rms < math.inf):
             raise ValueError(f"theta_rms must be finite and >= 0, got {self.theta_rms}")
 
-    @property
-    def is_pure(self) -> bool:
-        """No injection loss and no jitter (readout loss may still be nonzero)."""
-        return self.eps_inj == 0.0 and self.theta_rms == 0.0
-
 
 def input_state_from_source(src: ExternalSqueezeSource, eps_inj: float
                             ) -> InputQuadratureState:
@@ -114,6 +111,22 @@ def _check_model(model: str):
         raise ValueError(f"jitter model must be one of {JITTER_MODELS}, got {model!r}")
 
 
+def _blend(cav: CavityParams, q, v_main, v_other, chain: DecoherenceChain,
+           omega, model: str):
+    """Jitter blend of the detected quadrature (gain q, input variance v_main)
+    with its orthogonal partner (gain -q, input variance v_other)."""
+    _check_model(model)
+    s = jitter_mixing_weight(chain.theta_rms)
+    if model == "input_frame":
+        v_eff = (1.0 - s) * v_main + s * v_other
+        return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
+    main = quadrature_noise_spectrum(cav, q, v_main, chain.eps_read, omega)
+    if s == 0.0:
+        return main
+    other = anti_quadrature_noise_spectrum(cav, q, v_other, chain.eps_read, omega)
+    return (1.0 - s) * main + s * other
+
+
 def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
                                chain: DecoherenceChain, omega,
                                model: str = "pump_frame"):
@@ -129,35 +142,17 @@ def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratur
     input_frame (alternative): the jitter scrambles the INPUT state only,
     V_eff = (1-s)*v_sq + s*v_anti fed through the readout-quadrature response.
     """
-    _check_model(model)
-    s = jitter_mixing_weight(chain.theta_rms)
-    if model == "input_frame":
-        v_eff = (1.0 - s) * input_state.v_sq + s * input_state.v_anti
-        return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
-    main = quadrature_noise_spectrum(cav, q, input_state.v_sq, chain.eps_read, omega)
-    if s == 0.0:
-        return main
-    anti = anti_quadrature_noise_spectrum(cav, q, input_state.v_anti,
-                                          chain.eps_read, omega)
-    return (1.0 - s) * main + s * anti
+    return _blend(cav, q, input_state.v_sq, input_state.v_anti, chain, omega, model)
 
 
 def measured_anti_noise_with_jitter(cav: CavityParams, q,
                                     input_state: InputQuadratureState,
                                     chain: DecoherenceChain, omega,
                                     model: str = "pump_frame"):
-    """Detected noise of the orthogonal quadrature; mirror blend of the above."""
-    _check_model(model)
-    s = jitter_mixing_weight(chain.theta_rms)
-    if model == "input_frame":
-        v_eff = (1.0 - s) * input_state.v_anti + s * input_state.v_sq
-        return anti_quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
-    anti = anti_quadrature_noise_spectrum(cav, q, input_state.v_anti,
-                                          chain.eps_read, omega)
-    if s == 0.0:
-        return anti
-    main = quadrature_noise_spectrum(cav, q, input_state.v_sq, chain.eps_read, omega)
-    return (1.0 - s) * anti + s * main
+    """Detected noise of the orthogonal quadrature: the readout blend with
+    q -> -q and the two input variances swapped."""
+    return _blend(cav, -np.asarray(q, dtype=float), input_state.v_anti,
+                  input_state.v_sq, chain, omega, model)
 
 
 def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState,

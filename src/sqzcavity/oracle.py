@@ -146,8 +146,9 @@ class SdeRunSpec:
     quadrature: str = "sq"
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("seed is required; stochastic runs must be reproducible")
+        if self.seed is None or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer; stochastic "
+                             "runs must be reproducible")
         if not all(map(math.isfinite, (self.q, self.dt, self.duration))):
             raise ValueError("q, dt and duration must be finite")
         if not 0.0 <= self.eps_read < 1.0:

@@ -46,11 +46,6 @@ class CavityParams:
         """Parametric oscillation threshold of the roundtrip power gain."""
         return self.t_c + self.eps_int
 
-    @property
-    def single_mode_warning(self) -> bool:
-        """True when the roundtrip budget is too large for the single-mode model."""
-        return self.t_c + self.eps_int > SINGLE_MODE_BUDGET
-
 
 def gain_validity_warning(cav: CavityParams, q: float) -> bool:
     """Single-mode validity flag including the parametric gain contribution."""
@@ -80,10 +75,6 @@ class InputQuadratureState:
     @classmethod
     def vacuum(cls) -> "InputQuadratureState":
         return cls(1.0, 1.0)
-
-    @property
-    def is_pure(self) -> bool:
-        return abs(self.v_sq * self.v_anti - 1.0) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,13 +117,20 @@ def omega_from_hz(f_hz, fsr_hz: float):
     return 4.0 * math.pi * np.asarray(f_hz, dtype=float) / fsr_hz
 
 
-def _maybe_scalar(x: np.ndarray):
-    return x.item() if x.ndim == 0 else x
-
-
-def _check_eps_read(eps_read: float):
+def _response(cav: CavityParams, q, eps_read: float, omega):
+    """(q, omega, (t_c + eps_int + q)^2 + omega^2) as arrays, after checking
+    eps_read; SingularResponseError at the amplification pole."""
     if not 0.0 <= eps_read < 1.0:
         raise ValueError(f"eps_read must be in [0, 1), got {eps_read}")
+    q = np.asarray(q, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    denom = (cav.t_c + cav.eps_int + q) ** 2 + omega**2
+    if np.any(denom == 0.0):
+        raise SingularResponseError(
+            "response evaluated at the amplification pole "
+            f"(q = {-cav.q_threshold}, omega = 0)"
+        )
+    return q, omega, denom
 
 
 def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read: float, omega):
@@ -144,19 +142,10 @@ def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read: float, omega
     v_in is the input variance in the observed quadrature; v_in = 1 recovers
     shot noise for a passive cavity at any frequency.
     """
-    _check_eps_read(eps_read)
-    q = np.asarray(q, dtype=float)
+    q, omega, denom = _response(cav, q, eps_read, omega)
     v_in = np.asarray(v_in, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    denom = (cav.t_c + cav.eps_int + q) ** 2 + omega**2
-    if np.any(denom == 0.0):
-        raise SingularResponseError(
-            "noise spectrum evaluated at the amplification pole "
-            f"(q = {-cav.q_threshold}, omega = 0)"
-        )
     numer = (cav.t_c - cav.eps_int - q) ** 2 + omega**2
-    s = 1.0 - (1.0 - eps_read) / denom * (4.0 * cav.t_c * q + (1.0 - v_in) * numer)
-    return _maybe_scalar(s)
+    return 1.0 - (1.0 - eps_read) / denom * (4.0 * cav.t_c * q + (1.0 - v_in) * numer)
 
 
 def anti_quadrature_noise_spectrum(cav: CavityParams, q, v_anti, eps_read: float, omega):
@@ -178,30 +167,11 @@ def signal_transfer_power(cav: CavityParams, q, eps_read: float, omega,
     Normalized form t_c*(1-eps_read)/((t_c+eps_int+q)^2 + omega^2); multiplied
     by 8*pi*P_c/(hbar*lambda*c) when a physical scale is supplied.
     """
-    _check_eps_read(eps_read)
-    q = np.asarray(q, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    denom = (cav.t_c + cav.eps_int + q) ** 2 + omega**2
-    if np.any(denom == 0.0):
-        raise SingularResponseError(
-            "signal transfer evaluated at the amplification pole"
-        )
+    _, _, denom = _response(cav, q, eps_read, omega)
     t2 = cav.t_c * (1.0 - eps_read) / denom
     if scale is not None:
         t2 = t2 * scale.transfer_prefactor
-    return _maybe_scalar(t2)
-
-
-def sensitivity(cav: CavityParams, q, input_state: InputQuadratureState,
-                eps_read: float, omega, scale: PhysicalScale | None = None):
-    """Noise-to-signal ratio S_x = S_sn / |T_x|^2 for a jitter-free readout.
-
-    input_state is the state at the coupler, i.e. injection loss must already
-    be applied (see decoherence.input_state_from_source).
-    """
-    s_sn = quadrature_noise_spectrum(cav, q, input_state.v_sq, eps_read, omega)
-    t2 = signal_transfer_power(cav, q, eps_read, omega, scale=scale)
-    return s_sn / t2
+    return t2
 
 
 def qcrb(cav: CavityParams, q, beta: float, omega=0.0,
@@ -224,17 +194,5 @@ def qcrb(cav: CavityParams, q, beta: float, omega=0.0,
     bound = ((cav.t_c - q) ** 2 + omega**2) / (beta * cav.t_c)
     if scale is not None:
         bound = bound * scale.sensitivity_prefactor
-    return _maybe_scalar(bound)
+    return bound
 
-
-def threshold_sensitivity(cav: CavityParams, input_state: InputQuadratureState,
-                          eps_read: float, omega,
-                          scale: PhysicalScale | None = None):
-    """Sensitivity with the internal gain parked at threshold q = t_c + eps_int.
-
-    This is the benchmark operating point of maximal internal squeezing; the
-    optimized gain (limits module) is never worse and strictly better for
-    nonzero readout loss.
-    """
-    return sensitivity(cav, cav.q_threshold, input_state, eps_read, omega,
-                       scale=scale)

@@ -7,6 +7,7 @@ from sqzcavity import (
     ExternalSqueezeSource,
     InputQuadratureState,
     input_state_from_source,
+    measured_sensitivity,
 )
 
 # working point shared by most tests: 11% coupler, 1.2% internal loss
@@ -55,3 +56,9 @@ def reference_pure_input_noise(t_c, eps_int, q, beta, eps_read, omega):
         4.0 * t_c * q
         + (1.0 - 1.0 / beta) * ((t_c - eps_int - q) ** 2 + omega**2)
     )
+
+
+def pure_sensitivity(cav, q, input_state, eps_read, omega):
+    """Jitter-free sensitivity: the full chain with readout loss only."""
+    return measured_sensitivity(cav, q, input_state,
+                                DecoherenceChain(0.0, 0.0, eps_read), omega)

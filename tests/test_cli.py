@@ -1,12 +1,17 @@
 """Command-line front end: exit codes, file contracts, pipeline equality."""
 
+import configparser
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzcavity import (
     CavityParams,
@@ -157,6 +162,27 @@ class TestConfigValidation:
                 assert main(["--config", str(cfg), "--out", str(out),
                              command]) == 2
                 assert not out.exists()
+        # a negative seed, from the config or the override, is rejected
+        # before np.random.default_rng sees it
+        cfg = write_config(tmp_path, name="seed.ini", seed=-1,
+                           extra="\n[verify]\ngrid_points = 4\n")
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
+        cfg = write_config(tmp_path, name="seed.ini",
+                           extra="\n[verify]\ngrid_points = 4\n")
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "-1",
+                     "verify"]) == 2
+        assert not out.exists()
+
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            assert main(["--config", str(cfg), "--out", str(out),
+                         "spectrum"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot write outputs to "
+                                  f"{out}") and err.count("\n") == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="\n[cavity]\nbogus = 1\n")
@@ -390,6 +416,16 @@ class TestCalibrate:
                      "--data", str(data)]) == 2
         assert not out.exists()
 
+    def test_non_finite_model_exit_3(self, tmp_path):
+        # a fixed q_max far past threshold leaves the model nan at pump > 0
+        cfg = write_config(tmp_path, extra=self.CAL.replace("0.08", "1e300"))
+        data = tmp_path / "meas.csv"
+        _write_measurements(data)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 3
+        assert not out.exists()
+
     def test_wrong_header_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.CAL)
         data = tmp_path / "wrong.csv"
@@ -470,3 +506,74 @@ class TestReproducibility:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (out / "spectrum.csv").exists()
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+FUZZ_CONFIGS = {"spectrum": "base.ini", "optimize": "base.ini",
+                "figure3": "regime_map.ini", "calibrate": "calibrate.ini",
+                "verify": "verify.ini"}
+# negative, zero, nan, inf, large, empty, malformed; an existing file is added
+# per example
+EDGE_VALUES = ("-1", "0", "nan", "inf", "1e300", "", "1:x:,;")
+
+
+@pytest.fixture(scope="module")
+def fuzz_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz_data") / "meas.csv"
+    _write_measurements(path, noise=0.01, seed=3)
+    return path
+
+
+def _non_finite_cells(path):
+    """(column, text) of every numeric CSV cell that is not finite, except
+    optimize.csv's analytic_q_opt, a documented nan for jittered chains."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    bad = []
+    for row in rows:
+        for column, text in zip(header, row):
+            if path.name == "optimize.csv" and column == "analytic_q_opt":
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                continue                        # check names, True/False
+            if not np.isfinite(value):
+                bad.append((column, text))
+    return bad
+
+
+class TestConfigMutation:
+    @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_edge_value_ends_cleanly(self, command, data, tmp_path_factory,
+                                         fuzz_table):
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        cp.read(SHIPPED / FUZZ_CONFIGS[command])
+        work = tmp_path_factory.mktemp("fuzz")
+        cp["run"]["out_dir"] = str(work / "out")
+        if command == "verify":
+            cp["verify"]["sde"] = "false"
+        blocker = work / "blocker"
+        blocker.write_text("")
+        section, key = data.draw(st.sampled_from(
+            [(s, k) for s in cp.sections() for k in cp[s]]))
+        cp[section][key] = data.draw(st.sampled_from(EDGE_VALUES
+                                                     + (str(blocker),)))
+        cfg = work / "cfg.ini"
+        with open(cfg, "w") as fh:
+            cp.write(fh)
+        argv = ["--config", str(cfg), command]
+        if command == "calibrate":
+            argv += ["--data", str(fuzz_table)]
+        cwd = os.getcwd()
+        os.chdir(work)                          # relative out_dir values land here
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 4, 5, 6)
+        if code == 0:
+            for path in work.rglob("*.csv"):
+                assert _non_finite_cells(path) == [], path

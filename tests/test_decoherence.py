@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,8 +52,6 @@ class TestChain:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 DecoherenceChain(eps_inj=0.0, theta_rms=bad, eps_read=0.0)
-        assert DecoherenceChain(0.0, 0.0, 0.1).is_pure
-        assert not DecoherenceChain(0.01, 0.0, 0.1).is_pure
 
 
 class TestLossMap:
@@ -170,11 +169,16 @@ class TestNoiseBlend:
     def test_anti_blend_mirrors(self, cav, state_105):
         chain = DecoherenceChain(0.08, 0.05, 0.10)
         s = jitter_mixing_weight(0.05)
-        expected = ((1.0 - s) * anti_quadrature_noise_spectrum(
-            cav, 0.02, state_105.v_anti, 0.10, 0.0)
-            + s * quadrature_noise_spectrum(cav, 0.02, state_105.v_sq, 0.10, 0.0))
-        assert measured_anti_noise_with_jitter(cav, 0.02, state_105, chain, 0.0) \
-            == pytest.approx(expected, rel=1e-14)
+        q = np.array([-0.1, -0.02, 0.0, 0.02, 0.1])
+        pump = ((1.0 - s) * anti_quadrature_noise_spectrum(
+            cav, q, state_105.v_anti, 0.10, 0.0)
+            + s * quadrature_noise_spectrum(cav, q, state_105.v_sq, 0.10, 0.0))
+        v_eff = (1.0 - s) * state_105.v_anti + s * state_105.v_sq
+        inp = anti_quadrature_noise_spectrum(cav, q, v_eff, 0.10, 0.0)
+        for model, expected in (("pump_frame", pump), ("input_frame", inp)):
+            got = measured_anti_noise_with_jitter(cav, q, state_105, chain, 0.0,
+                                                  model=model)
+            assert np.array_equal(got, expected)
 
 
 class TestMeasuredSensitivity:

@@ -22,10 +22,9 @@ from sqzcavity import (
     optimal_sensitivity_analytic,
     optimize_gain_numeric,
     qcrb,
-    sensitivity,
     snr_gain_db,
-    threshold_sensitivity,
 )
+from conftest import pure_sensitivity
 
 BETA_105 = 11.22  # reference external squeezing strength
 
@@ -195,8 +194,8 @@ class TestHierarchy:
         state = InputQuadratureState(1.0 / beta, beta)
         s_lim = fundamental_limit(cav)
         s_opt = optimal_sensitivity_analytic(cav, beta, eps_read)
-        s_thr = threshold_sensitivity(cav, state, eps_read, 0.0)
-        s_q0 = sensitivity(cav, 0.0, state, eps_read, 0.0)
+        s_thr = pure_sensitivity(cav, cav.q_threshold, state, eps_read, 0.0)
+        s_q0 = pure_sensitivity(cav, 0.0, state, eps_read, 0.0)
         tol = 1e-12 * max(1.0, s_q0)
         assert s_lim <= s_opt + tol
         assert s_opt <= min(s_thr, s_q0) + tol
@@ -204,7 +203,7 @@ class TestHierarchy:
     def test_threshold_strictly_worse_with_readout_loss(self, cav):
         state = InputQuadratureState(1.0 / BETA_105, BETA_105)
         s_opt = optimal_sensitivity_analytic(cav, BETA_105, 0.10)
-        assert threshold_sensitivity(cav, state, 0.10, 0.0) > s_opt
+        assert pure_sensitivity(cav, cav.q_threshold, state, 0.10, 0.0) > s_opt
 
 
 class TestSnrGain:

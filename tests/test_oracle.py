@@ -236,7 +236,7 @@ class TestSde:
         with pytest.raises(ValueError):
             _small_spec(cav, quadrature="both")
         for bad in (dict(q=float("nan")), dict(dt=float("nan")),
-                    dict(duration=float("inf"))):
+                    dict(duration=float("inf")), dict(seed=-1)):
             with pytest.raises(ValueError):
                 _small_spec(cav, **bad)
         # within rounding of threshold: 1 - lam*dt rounds to 1.0

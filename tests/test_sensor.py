@@ -22,11 +22,9 @@ from sqzcavity import (
     omega_from_hz,
     qcrb,
     quadrature_noise_spectrum,
-    sensitivity,
     signal_transfer_power,
-    threshold_sensitivity,
 )
-from conftest import reference_pure_input_noise
+from conftest import pure_sensitivity, reference_pure_input_noise
 
 ST_TC = st.floats(0.005, 0.25)
 ST_EPS = st.floats(0.0, 0.2)
@@ -45,8 +43,8 @@ class TestTypes:
         assert CavityParams(0.11, 0.012).q_threshold == pytest.approx(0.122)
 
     def test_single_mode_flag(self):
-        assert not CavityParams(0.11, 0.012).single_mode_warning
-        assert CavityParams(0.25, 0.08).single_mode_warning
+        assert not gain_validity_warning(CavityParams(0.11, 0.012), 0.0)
+        assert gain_validity_warning(CavityParams(0.25, 0.08), 0.0)
         assert gain_validity_warning(CavityParams(0.2, 0.05), 0.08)
         assert not gain_validity_warning(CavityParams(0.2, 0.05), 0.01)
 
@@ -59,9 +57,6 @@ class TestTypes:
                     (1.0, float("inf"))):
             with pytest.raises(ValueError):
                 InputQuadratureState(*bad)
-        s = InputQuadratureState(0.5, 2.0)
-        assert s.is_pure
-        assert not InputQuadratureState(0.5, 3.0).is_pure
 
     def test_physical_scale(self):
         scale = PhysicalScale(wavelength=1064e-9, intracavity_power=0.5)
@@ -153,11 +148,13 @@ class TestNoiseSpectrum:
         q = qfrac * cav.q_threshold
         v = np.array([0.1, 1.0, 1.9])
         s = quadrature_noise_spectrum(cav, q, v, eps_read, omega)
+        # near q = -q_th |s| reaches 1e4, where 1e-12 is below one ulp
+        tol = max(1e-12, 8 * np.spacing(np.max(np.abs(s))))
         lin = s[0] + (s[2] - s[0]) * (v[1] - v[0]) / (v[2] - v[0])
-        assert s[1] == pytest.approx(lin, abs=1e-12)
+        assert s[1] == pytest.approx(lin, abs=tol)
         denom = (t_c + eps_int + q) ** 2 + omega**2
         slope = (1.0 - eps_read) * ((t_c - eps_int - q) ** 2 + omega**2) / denom
-        assert (s[2] - s[0]) / (v[2] - v[0]) == pytest.approx(slope, abs=1e-12)
+        assert (s[2] - s[0]) / (v[2] - v[0]) == pytest.approx(slope, abs=tol)
         assert slope >= 0.0
 
 
@@ -209,16 +206,16 @@ class TestSignalTransfer:
 class TestSensitivity:
     def test_frozen_quotient(self, cav):
         state = InputQuadratureState(0.0891, 1.0 / 0.0891)
-        assert sensitivity(cav, 0.0, state, 0.10, 0.0) == \
+        assert pure_sensitivity(cav, 0.0, state, 0.10, 0.0) == \
             pytest.approx(0.07081358343434341, abs=1e-12)
 
     def test_passive_shot_noise_limit(self, cav, vacuum):
         expected = cav.q_threshold**2 / cav.t_c
-        assert sensitivity(cav, 0.0, vacuum, 0.0, 0.0) == pytest.approx(expected)
+        assert pure_sensitivity(cav, 0.0, vacuum, 0.0, 0.0) == pytest.approx(expected)
 
     def test_frozen_impure(self, cav):
         state = InputQuadratureState(0.162, 10.40)
-        assert sensitivity(cav, 0.0, state, 0.10, 0.0) == \
+        assert pure_sensitivity(cav, 0.0, state, 0.10, 0.0) == \
             pytest.approx(0.07717841616161615, abs=1e-12)
 
     @settings(max_examples=100)
@@ -229,8 +226,8 @@ class TestSensitivity:
         cav = CavityParams(t_c, eps_int)
         q = qfrac * cav.q_threshold
         state = InputQuadratureState(v, max(v, 1.0 / v))
-        s1 = sensitivity(cav, q, state, eps_read, om)
-        s2 = sensitivity(cav, q, state, eps_read, om + dom)
+        s1 = pure_sensitivity(cav, q, state, eps_read, om)
+        s2 = pure_sensitivity(cav, q, state, eps_read, om + dom)
         assert s2 >= s1 - 1e-12 * abs(s1)
 
 
@@ -259,20 +256,21 @@ class TestQcrb:
         beta = 11.22
         state = InputQuadratureState(1.0 / beta, beta)
         for q in (-0.08, 0.0, 0.05, 0.10, 0.999999 * cav.t_c):
-            assert sensitivity(cav, q, state, 0.0, 0.0) == \
+            assert pure_sensitivity(cav, q, state, 0.0, 0.0) == \
                 pytest.approx(qcrb(cav, q, beta), rel=1e-12)
         # vanishes toward threshold
-        assert sensitivity(cav, 0.999999 * cav.t_c, state, 0.0, 0.0) < 1e-10
+        assert pure_sensitivity(cav, 0.999999 * cav.t_c, state, 0.0, 0.0) < 1e-10
 
 
 class TestThresholdSensitivity:
     def test_lossless_vanishes(self, vacuum):
         cav = CavityParams(0.11, 0.0)
-        assert threshold_sensitivity(cav, vacuum, 0.0, 0.0) == pytest.approx(0.0)
+        assert pure_sensitivity(cav, cav.q_threshold, vacuum, 0.0, 0.0) == \
+            pytest.approx(0.0)
 
     def test_frozen_values(self, cav, vacuum):
         state = InputQuadratureState(0.162, 10.40)
-        assert threshold_sensitivity(cav, state, 0.10, 0.0) == \
+        assert pure_sensitivity(cav, cav.q_threshold, state, 0.10, 0.0) == \
             pytest.approx(0.10898566464646459, abs=1e-12)
-        assert threshold_sensitivity(cav, vacuum, 0.10, 0.0) == \
+        assert pure_sensitivity(cav, cav.q_threshold, vacuum, 0.10, 0.0) == \
             pytest.approx(0.11337373737373736, abs=1e-12)
