@@ -52,7 +52,6 @@ from .oracle import (
     assemble_transfer,
     compare_analytic,
     compare_oracles,
-    compare_sde,
     random_compare_grid,
     run_sde,
 )
@@ -63,7 +62,6 @@ from .sensor import (
     anti_quadrature_noise_spectrum,
     gain_validity_warning,
     omega_from_hz,
-    qcrb,
     quadrature_noise_spectrum,
     signal_transfer_power,
 )

@@ -38,6 +38,8 @@ DEFAULT_BOUNDS = {
 }
 
 RANK_TOLERANCE = 1e-8
+_MAX_NFEV = 2000   # least_squares evaluation cap per start
+_MAX_STARTS = 8    # multi-start points when the bounds box has more corners
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,12 @@ def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.
 
 
 def synthesize_measurements(true_params: dict[str, float], pump_grid,
-                            noise_level: float, seed: int, omega: float = 0.0,
-                            jitter_model: str = "pump_frame") -> list[VariancePair]:
-    """Forward-model variance pairs, optionally perturbed with relative
-    Gaussian noise of the given level.  Deterministic under seed."""
+                            noise_level: float, seed: int) -> list[VariancePair]:
+    """Forward-model variance pairs at omega = 0 under the pump_frame jitter
+    model, optionally perturbed with relative Gaussian noise of the given
+    level.  Deterministic under seed."""
     pump_grid = list(pump_grid)
-    model = forward_variances(true_params, pump_grid, omega=omega,
-                              jitter_model=jitter_model)
+    model = forward_variances(true_params, pump_grid)
     rng = np.random.default_rng(seed)
     rows = []
     for i, a in enumerate(pump_grid):
@@ -149,15 +150,15 @@ class FitResult:
     jacobian_condition: float
 
 
-def _starts(model: FitModel, n_max: int = 8) -> list[np.ndarray]:
+def _starts(model: FitModel) -> list[np.ndarray]:
     """Deterministic multi-start points: corners of the bounds box (all of
-    them for up to 3 free parameters, a fixed lexicographic subsample of 8
-    otherwise)."""
+    them for up to 3 free parameters, a fixed lexicographic subsample of
+    _MAX_STARTS otherwise)."""
     boxes = [model.bounds[name] for name in model.free]
     corners = list(itertools.product(*boxes))
-    if len(corners) > n_max:
-        stride = len(corners) // n_max
-        corners = corners[::stride][:n_max]
+    if len(corners) > _MAX_STARTS:
+        stride = len(corners) // _MAX_STARTS
+        corners = corners[::stride][:_MAX_STARTS]
     # nudge off the exact edges so every start is strictly feasible
     starts = []
     for c in corners:
@@ -168,15 +169,15 @@ def _starts(model: FitModel, n_max: int = 8) -> list[np.ndarray]:
     return starts
 
 
-def fit_parameters(data: list[VariancePair], model: FitModel,
-                   max_nfev: int = 2000) -> FitResult:
+def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     """Weighted nonlinear least squares over the free parameters.
 
     Residuals are in variance space with inverse-standard-error weights,
     solved with damped least squares (bounded trust-region) from the
-    deterministic multi-start set.  Raises IdentifiabilityError when the
-    Jacobian at the best fit is rank-deficient beyond tolerance and
-    ConvergenceError when no start converges.
+    deterministic multi-start set.  Raises ValueError when a fixed q_max
+    drives the pump scan to or past the fixed threshold t_c + eps_int,
+    IdentifiabilityError when the Jacobian at the best fit is rank-deficient
+    beyond tolerance and ConvergenceError when no start converges.
     """
     if len(model.free) == 0:
         raise ValueError("at least one free parameter required")
@@ -186,6 +187,12 @@ def fit_parameters(data: list[VariancePair], model: FitModel,
             f"{len(model.free) + 2} data points, got {len(data)}"
         )
     pumps = [d.pump_setting for d in data]
+    fixed = model.fixed
+    if "q_max" not in model.free and "t_c" in fixed and "eps_int" in fixed:
+        q_th = fixed["t_c"] + fixed["eps_int"]
+        if abs(fixed["q_max"]) * max(pumps) >= q_th:
+            raise ValueError(f"fixed q_max = {fixed['q_max']} reaches the "
+                             f"parametric threshold {q_th} within the pump scan")
     meas = np.array([[d.v_sq, d.v_anti] for d in data])
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
 
@@ -206,7 +213,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel,
     n_ok = 0
     for x0 in _starts(model):
         res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
-                            max_nfev=max_nfev)
+                            max_nfev=_MAX_NFEV)
         if res.status > 0:
             n_ok += 1
             if best is None or res.cost < best.cost:

@@ -674,6 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# overflowing inputs end in the finiteness checks' one-line exits; numpy's
+# floating-point warnings would only precede them on stderr
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

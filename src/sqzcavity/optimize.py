@@ -14,11 +14,7 @@ import numpy as np
 
 from .decoherence import DecoherenceChain, measured_sensitivity
 from .errors import SingularResponseError
-from .sensor import (
-    CavityParams,
-    InputQuadratureState,
-    PhysicalScale,
-)
+from .sensor import CavityParams, InputQuadratureState
 
 BASELINES = ("no_internal", "no_squeezing")
 
@@ -71,16 +67,13 @@ def optimal_gain_legacy(cav: CavityParams, beta: float, eps_read: float) -> floa
                       / (beta * (1.0 - eps_read) - eps_read)) - cav.eps_int
 
 
-def fundamental_limit(cav: CavityParams, scale: PhysicalScale | None = None) -> float:
+def fundamental_limit(cav: CavityParams) -> float:
     """Sensitivity floor 4*eps_int set by the internal loss alone.
 
     Independent of the readout loss and of the external squeezing level;
     reached in the infinite-external-squeezing limit.
     """
-    lim = 4.0 * cav.eps_int
-    if scale is not None:
-        lim *= scale.sensitivity_prefactor
-    return lim
+    return 4.0 * cav.eps_int
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,12 @@ from .sensor import (
     signal_transfer_power,
 )
 
-_WINDOWS = ("hann", "rect")
 _QUADRATURES = ("sq", "anti")
+
+# SDE band scored, in Omega: there discretization bias is negligible versus
+# the statistical error
+_SDE_BAND_CUTOFF = 3.0
+_ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 
 # a**k is exactly 0.0 once k*ln(a) < -745.2, below half the smallest
 # subnormal (2**-1075 = e**-745.13)
@@ -41,44 +45,32 @@ _UNDERFLOW_LOG = 745.2
 
 @dataclass(frozen=True)
 class QuadratureTransfer:
-    """Per-frequency 2x2 transfer blocks from each input port to the detected
-    quadrature pair (index 0: readout/signal quadrature, 1: orthogonal).
+    """Per-frequency transfer from each input port to the detected quadrature
+    pair (index 0: readout/signal quadrature, 1: orthogonal).
 
-    Blocks already include the readout-loss beamsplitter, so the detected
-    spectra are plain weighted sums of squared magnitudes.  signal is the
-    complex transfer from the intracavity force drive to the detected readout
-    quadrature.
+    The degenerate parametric process is quadrature-diagonal, so each port's
+    2x2 block is diagonal and stored as its (n, 2) diagonal.  Blocks already
+    include the readout-loss beamsplitter, so the detected spectra are plain
+    weighted sums of squared magnitudes.  signal is the complex transfer from
+    the intracavity force drive to the detected readout quadrature.
     """
 
     omega: np.ndarray
-    coupler: np.ndarray        # (n, 2, 2) complex
-    internal_loss: np.ndarray  # (n, 2, 2) complex
-    readout: np.ndarray        # (n, 2, 2) complex
+    coupler: np.ndarray        # (n, 2) complex
+    internal_loss: np.ndarray  # (n, 2) complex
+    readout: np.ndarray        # (n, 2) complex
     signal: np.ndarray         # (n,) complex
 
     def detected_noise(self, input_state: InputQuadratureState) -> np.ndarray:
         """Detected spectra (n, 2) for the given coupler-port input state;
         loss and readout ports carry vacuum."""
         v_in = np.array([input_state.v_sq, input_state.v_anti])
-        s = (np.abs(self.coupler) ** 2 @ v_in
-             + (np.abs(self.internal_loss) ** 2).sum(axis=2)
-             + (np.abs(self.readout) ** 2).sum(axis=2))
-        return s
+        return (np.abs(self.coupler) ** 2 * v_in
+                + np.abs(self.internal_loss) ** 2
+                + np.abs(self.readout) ** 2)
 
     def signal_transfer_power(self) -> np.ndarray:
         return np.abs(self.signal) ** 2
-
-    def port_weight_sum(self) -> np.ndarray:
-        """All-vacuum detected variances; equals 1 in both quadratures when
-        the parametric gain is off."""
-        return self.detected_noise(InputQuadratureState.vacuum())
-
-    def combined_determinant(self) -> np.ndarray:
-        """Determinant of the coupler-to-output map.  For a lossless cavity
-        this map is the whole composition and is symplectic: |det| = 1 at all
-        frequencies and det = 1 at omega = 0."""
-        return (self.coupler[:, 0, 0] * self.coupler[:, 1, 1]
-                - self.coupler[:, 0, 1] * self.coupler[:, 1, 0])
 
 
 def assemble_transfer(cav: CavityParams, q: float, eps_read: float,
@@ -97,9 +89,9 @@ def assemble_transfer(cav: CavityParams, q: float, eps_read: float,
     g = q / 2.0
 
     n = omega.size
-    coupler = np.zeros((n, 2, 2), dtype=complex)
-    loss = np.zeros((n, 2, 2), dtype=complex)
-    readout = np.zeros((n, 2, 2), dtype=complex)
+    coupler = np.empty((n, 2), dtype=complex)
+    loss = np.empty((n, 2), dtype=complex)
+    readout = np.empty((n, 2), dtype=complex)
 
     root_read = math.sqrt(1.0 - eps_read)
     for idx, gain in ((0, g), (1, -g)):
@@ -110,9 +102,9 @@ def assemble_transfer(cav: CavityParams, q: float, eps_read: float,
                 "transfer assembly at the amplification pole of "
                 f"quadrature {idx} (q = {q}, omega = 0)"
             )
-        coupler[:, idx, idx] = root_read * (kc - kl - gain + 1j * w) / denom
-        loss[:, idx, idx] = root_read * 2.0 * math.sqrt(kc * kl) / denom
-        readout[:, idx, idx] = math.sqrt(eps_read)
+        coupler[:, idx] = root_read * (kc - kl - gain + 1j * w) / denom
+        loss[:, idx] = root_read * 2.0 * math.sqrt(kc * kl) / denom
+        readout[:, idx] = math.sqrt(eps_read)
 
     # force drive on the readout quadrature; amplitude normalization 1/2 is
     # the single calibrated constant, fixing the scale of the normalized
@@ -141,8 +133,6 @@ class SdeRunSpec:
     duration: float = 385024.0
     n_trajectories: int = 32
     segment_length: int = 4096
-    overlap: float = 0.0
-    window: str = "hann"
     quadrature: str = "sq"
 
     def __post_init__(self):
@@ -179,10 +169,6 @@ class SdeRunSpec:
             raise ValueError("n_trajectories must be >= 1")
         if self.segment_length < 8:
             raise ValueError("segment_length must be >= 8")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
-        if self.window not in _WINDOWS:
-            raise ValueError(f"window must be one of {_WINDOWS}")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
         if self.steps_per_trajectory < self.segment_length:
@@ -236,17 +222,20 @@ def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
             + math.sqrt(eps_read / dt) * zeta)
 
 
-def _segment_periodograms(x: np.ndarray, length: int, hop: int, win: np.ndarray,
-                          dt: float) -> np.ndarray:
-    """Two-sided-normalized windowed periodograms, vacuum = 1 per bin."""
-    segs = np.lib.stride_tricks.sliding_window_view(x, length)[::hop] * win
+def _segment_periodograms(x: np.ndarray, win: np.ndarray, dt: float
+                          ) -> np.ndarray:
+    """Two-sided-normalized windowed periodograms of consecutive
+    non-overlapping segments, vacuum = 1 per bin."""
+    length = win.size
+    segs = x[:x.size - x.size % length].reshape(-1, length) * win
     spec = np.fft.rfft(segs, axis=1)
     return (np.abs(spec) ** 2) * dt / (win * win).sum()
 
 
 def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
     """Integrate the Langevin equation of spec.quadrature and estimate its
-    detected power spectrum with per-bin standard errors.
+    detected power spectrum with per-bin standard errors from Hann-windowed
+    consecutive segments.
 
     Trajectories use independent child streams spawned from the master seed
     and are reduced in trajectory order, so any order-preserving concurrent
@@ -262,8 +251,7 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
         lam, v_in = kc + kl - spec.q / 2.0, spec.input_state.v_anti
     n = spec.steps_per_trajectory
     length = spec.segment_length
-    hop = max(1, int(round(length * (1.0 - spec.overlap))))
-    win = np.hanning(length) if spec.window == "hann" else np.ones(length)
+    win = np.hanning(length)
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_trajectories)
 
     def one_trajectory(child: np.random.SeedSequence):
@@ -272,7 +260,7 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
             rng.standard_normal(3 * n + 1)    # the readout quadrature's draws
         b = _simulate_quadrature(rng, n, spec.dt, kc, kl, lam, v_in,
                                  spec.eps_read)
-        p = _segment_periodograms(b, length, hop, win, spec.dt)
+        p = _segment_periodograms(b, win, spec.dt)
         return p.sum(axis=0), (p**2).sum(axis=0), p.shape[0]
 
     n_bins = length // 2 + 1
@@ -384,14 +372,13 @@ def compare_analytic(points: Sequence[ComparePoint], fault_offset: float = 0.0
     return out
 
 
-def compare_sde(spec: SdeRunSpec, label: str = "", band_cutoff: float = 3.0,
+def compare_sde(spec: SdeRunSpec, label: str = "",
                 fault_offset: float = 0.0) -> SdeComparison:
     """Run the stochastic oracle on spec.quadrature and score its spectrum
     against that quadrature's closed form.
 
     The zero-frequency bin must agree within 3 standard errors; across the
-    band below band_cutoff (in Omega, where discretization bias is negligible
-    versus the statistical error) no more than 1 percent of bins may exceed
+    band below _SDE_BAND_CUTOFF no more than 1 percent of bins may exceed
     |z| = 3.
     """
     res = run_sde(spec)
@@ -406,7 +393,7 @@ def compare_sde(spec: SdeRunSpec, label: str = "", band_cutoff: float = 3.0,
                                                 spec.eps_read, res.omega)
     target = np.asarray(target, dtype=float) + fault_offset
     z = (est - target) / se
-    band = res.omega <= band_cutoff
+    band = res.omega <= _SDE_BAND_CUTOFF
     frac = float((np.abs(z[band]) > 3.0).mean())
     z0 = float(z[0])
     se_rel0 = float(se[0] / est[0])
@@ -414,19 +401,18 @@ def compare_sde(spec: SdeRunSpec, label: str = "", band_cutoff: float = 3.0,
     return SdeComparison(label=label or spec.quadrature, target_zero=float(target[0]),
                          estimate_zero=float(est[0]), stderr_rel_zero=se_rel0,
                          z_zero=z0, frac_abs_z_above_3=frac,
-                         band_cutoff=band_cutoff, passed=passed)
+                         band_cutoff=_SDE_BAND_CUTOFF, passed=passed)
 
 
 def compare_oracles(points: Sequence[ComparePoint],
                     sde_specs: Sequence[tuple[str, SdeRunSpec]] = (),
-                    analytic_tolerance: float = 1e-12,
                     fault_offset: float = 0.0) -> OracleReport:
     """Full discrepancy report.  An empty grid passes trivially."""
     analytic = compare_analytic(points, fault_offset=fault_offset)
     max_diff = max((a.max_rel_diff for a in analytic), default=0.0)
     sde = [compare_sde(spec, label=label, fault_offset=fault_offset)
            for label, spec in sde_specs]
-    passed = max_diff < analytic_tolerance and all(s.passed for s in sde)
+    passed = max_diff < _ANALYTIC_TOLERANCE and all(s.passed for s in sde)
     return OracleReport(analytic=analytic, sde=sde,
-                        analytic_tolerance=analytic_tolerance,
+                        analytic_tolerance=_ANALYTIC_TOLERANCE,
                         max_analytic_diff=max_diff, passed=passed)

@@ -173,26 +173,3 @@ def signal_transfer_power(cav: CavityParams, q, eps_read: float, omega,
         t2 = t2 * scale.transfer_prefactor
     return t2
 
-
-def qcrb(cav: CavityParams, q, beta: float, omega=0.0,
-         scale: PhysicalScale | None = None):
-    """Lossless quantum Cramer-Rao bound (t_c - q)^2 / (beta * t_c) at omega=0.
-
-    Requires a lossless cavity (eps_int = 0) and pure input squeezing
-    beta = v_sq^-1 >= 1.  At nonzero omega the bound generalizes to
-    ((t_c - q)^2 + omega^2)/(beta*t_c), which the lossless sensitivity attains
-    identically.
-    """
-    if cav.eps_int != 0.0:
-        raise ValueError("qcrb is defined for the lossless cavity (eps_int = 0)")
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    if cav.t_c == 0.0:
-        raise ValueError("t_c must be nonzero")
-    q = np.asarray(q, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    bound = ((cav.t_c - q) ** 2 + omega**2) / (beta * cav.t_c)
-    if scale is not None:
-        bound = bound * scale.sensitivity_prefactor
-    return bound
-

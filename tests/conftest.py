@@ -58,6 +58,15 @@ def reference_pure_input_noise(t_c, eps_int, q, beta, eps_read, omega):
     )
 
 
+def qcrb(cav, q, beta, omega=0.0):
+    """Lossless quantum Cramer-Rao bound ((t_c - q)^2 + omega^2)/(beta*t_c)
+    for a lossless cavity (eps_int = 0) with pure input squeezing
+    beta = 1/v_sq >= 1; the lossless sensitivity attains it identically."""
+    q = np.asarray(q, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    return ((cav.t_c - q) ** 2 + omega**2) / (beta * cav.t_c)
+
+
 def pure_sensitivity(cav, q, input_state, eps_read, omega):
     """Jitter-free sensitivity: the full chain with readout loss only."""
     return measured_sensitivity(cav, q, input_state,

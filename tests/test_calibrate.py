@@ -159,6 +159,15 @@ class TestFit:
             traces.append(float(np.trace(res.covariance)))
         assert traces[0] >= traces[1] >= traces[2]
 
+    def test_fixed_q_max_past_threshold(self):
+        # q = q_max * pump reaches t_c + eps_int = 0.122 within the scan
+        rows = synthesize_measurements(TRUE, PUMPS, 0.01, seed=11)
+        for q_max in (-1.0, -0.122, 0.122, 1e300):
+            fixed = dict(TRUE, q_max=q_max)
+            del fixed["eps_read"]
+            with pytest.raises(ValueError, match="q_max"):
+                fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
+
     def test_too_many_free_parameters(self):
         rows = synthesize_measurements(TRUE, [0.0, 1.0], 0.0, seed=1)
         fixed = {k: v for k, v in TRUE.items() if k != "eps_read"}

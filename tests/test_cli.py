@@ -58,6 +58,12 @@ def write_config(tmp_path, name="cfg.ini", squeeze_db=10.5, eps_inj=0.08,
     return path
 
 
+def one_line_stderr(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -132,7 +138,8 @@ class TestSpectrum:
         env = json.loads((out / "spectrum.json").read_text())
         assert env["results"]["omega_converted_from_hz"] is True
 
-    def test_domain_error_exit_3(self, tmp_path):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_domain_error_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, theta_rms=0.0,
                            analysis="omega = 0.0\ng = 1.0")  # q = -q_th pole
         out = tmp_path / "out3"
@@ -142,6 +149,15 @@ class TestSpectrum:
         cfg = write_config(tmp_path, name="theta30.ini", theta_rms=30.0)
         for command in ("spectrum", "optimize"):
             assert main(["--config", str(cfg), "--out", str(out), command]) == 3
+            assert not out.exists()
+        # overflowing inputs end in the one-line message, with no numpy
+        # warning ahead of it
+        capsys.readouterr()
+        for analysis in ("omega = 1e300", "omega = 0.0\ng = 1e300"):
+            cfg = write_config(tmp_path, name="overflow.ini", analysis=analysis)
+            assert main(["--config", str(cfg), "--out", str(out),
+                         "spectrum"]) == 3
+            assert one_line_stderr(capsys).startswith("domain error: ")
             assert not out.exists()
 
 
@@ -417,14 +433,29 @@ class TestCalibrate:
         assert not out.exists()
 
     def test_non_finite_model_exit_3(self, tmp_path):
-        # a fixed q_max far past threshold leaves the model nan at pump > 0
-        cfg = write_config(tmp_path, extra=self.CAL.replace("0.08", "1e300"))
+        # a fixed q_max far past threshold leaves the model nan at pump > 0;
+        # with t_c free the threshold is not fixed, so the fit runs
+        cfg = write_config(
+            tmp_path, extra="\n[calibrate]\nfree = t_c\nq_max = 1e300\n")
         data = tmp_path / "meas.csv"
         _write_measurements(data)
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "calibrate",
                      "--data", str(data)]) == 3
         assert not out.exists()
+
+    def test_fixed_q_max_past_threshold_exit_2(self, tmp_path, capsys):
+        # |q_max| * max(pump) >= t_c + eps_int = 0.122: the scan crosses the
+        # amplification pole (q_max < 0) or the squeezing threshold
+        data = tmp_path / "meas.csv"
+        _write_measurements(data, noise=0.01)
+        out = tmp_path / "o"
+        for q_max in ("-1", "-0.122", "0.2", "1e300"):
+            cfg = write_config(tmp_path, extra=self.CAL.replace("0.08", q_max))
+            assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                         "--data", str(data)]) == 2
+            assert "q_max" in one_line_stderr(capsys)
+            assert not out.exists()
 
     def test_wrong_header_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.CAL)
@@ -447,7 +478,8 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 6
 
-    def test_unidentifiable_exit_5(self, tmp_path):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unidentifiable_exit_5(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             extra="\n[calibrate]\nfree = eps_inj, eps_read\nq_max = 0.08\n")
@@ -464,6 +496,16 @@ class TestCalibrate:
                             r.err_anti])
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 5
+        # omega^2 overflows: the model is flat in the free parameters, and the
+        # one-line message has no numpy warning ahead of it
+        capsys.readouterr()
+        cfg = write_config(tmp_path, name="omega.ini",
+                           analysis="omega = 1e300", extra=self.CAL)
+        data = tmp_path / "meas.csv"
+        _write_measurements(data)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "calibrate", "--data", str(data)]) == 5
+        assert one_line_stderr(capsys).startswith("identifiability error: ")
 
 
 class TestReproducibility:
@@ -544,6 +586,7 @@ def _non_finite_cells(path):
 
 
 class TestConfigMutation:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -10,7 +10,6 @@ from sqzcavity import (
     DecoherenceChain,
     ExternalSqueezeSource,
     InputQuadratureState,
-    PhysicalScale,
     baseline_sensitivity,
     fundamental_limit,
     gain_formula_reconciliation,
@@ -21,10 +20,9 @@ from sqzcavity import (
     optimal_gain_legacy,
     optimal_sensitivity_analytic,
     optimize_gain_numeric,
-    qcrb,
     snr_gain_db,
 )
-from conftest import pure_sensitivity
+from conftest import pure_sensitivity, qcrb
 
 BETA_105 = 11.22  # reference external squeezing strength
 
@@ -64,9 +62,6 @@ class TestAnalyticForms:
     def test_fundamental_limit(self, cav):
         assert fundamental_limit(cav) == pytest.approx(0.048)
         assert fundamental_limit(CavityParams(0.11, 0.0)) == 0.0
-        scale = PhysicalScale(wavelength=1064e-9, intracavity_power=0.5)
-        assert fundamental_limit(cav, scale=scale) == \
-            pytest.approx(0.048 * scale.sensitivity_prefactor)
 
     def test_limit_independent_of_readout_loss(self, cav):
         # at huge squeezing the optimum sheds the readout loss completely
