@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .decoherence import (
     DecoherenceChain,
@@ -22,7 +21,7 @@ from .decoherence import (
     measured_anti_noise_with_jitter,
     measured_noise_with_jitter,
 )
-from .errors import ConvergenceError, IdentifiabilityError
+from .errors import ConvergenceError, IdentifiabilityError, SingularResponseError
 from .sensor import CavityParams
 
 PARAM_NAMES = ("t_c", "eps_int", "eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
@@ -98,6 +97,14 @@ class FitModel:
         params = dict(self.fixed)
         params.update(zip(self.free, np.asarray(x, dtype=float)))
         return params
+
+
+def least_squares(fun, x0, **kwargs):
+    """scipy.optimize.least_squares, imported on first use so that importing
+    the package, and every command but calibrate, does not load
+    scipy.optimize."""
+    from scipy.optimize import least_squares
+    return least_squares(fun, x0, **kwargs)
 
 
 def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.0,
@@ -176,8 +183,10 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     solved with damped least squares (bounded trust-region) from the
     deterministic multi-start set.  Raises ValueError when a fixed q_max
     drives the pump scan to or past the fixed threshold t_c + eps_int,
-    IdentifiabilityError when the Jacobian at the best fit is rank-deficient
-    beyond tolerance and ConvergenceError when no start converges.
+    SingularResponseError when the model is not finite at the first start
+    point, IdentifiabilityError when the Jacobian at the best fit is
+    rank-deficient beyond tolerance and ConvergenceError when no start
+    converges.
     """
     if len(model.free) == 0:
         raise ValueError("at least one free parameter required")
@@ -196,22 +205,39 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     meas = np.array([[d.v_sq, d.v_anti] for d in data])
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        params = model.full_params(x)
+    def predict(params: dict[str, float]) -> np.ndarray | None:
+        """Model variances at params; None where the model rejects them."""
         try:
-            pred = forward_variances(params, pumps, omega=model.omega,
+            return forward_variances(params, pumps, omega=model.omega,
                                      jitter_model=model.jitter_model)
         except (ValueError, ZeroDivisionError):
+            return None
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        pred = predict(model.full_params(x))
+        if pred is None:
             return np.full(meas.size, 1e6)
         r = (pred - meas) / errs
         r = np.where(np.isfinite(r), r, 1e6)
         return r.ravel()
 
+    starts = _starts(model)
+    # an input past the float range (omega**2 overflowing, say) leaves the
+    # model non-finite at every point; the fit would see a constant residual
+    # and end rank-deficient, blaming the data
+    params0 = model.full_params(starts[0])
+    pred0 = predict(params0)
+    if pred0 is not None and not np.all(np.isfinite(pred0)):
+        raise SingularResponseError(
+            f"calibration model not finite at the first start point (omega = "
+            f"{model.omega}; "
+            + ", ".join(f"{k} = {v}" for k, v in params0.items()) + ")")
+
     lo = np.array([model.bounds[name][0] for name in model.free])
     hi = np.array([model.bounds[name][1] for name in model.free])
     best = None
     n_ok = 0
-    for x0 in _starts(model):
+    for x0 in starts:
         res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
                             max_nfev=_MAX_NFEV)
         if res.status > 0:

@@ -617,6 +617,8 @@ def cmd_calibrate(cfg: RunConfig, data_path: str, writer: OutputWriter,
                          bounds=cfg.calibrate_bounds, omega=cfg.omega,
                          jitter_model=cfg.jitter_model)
         result = fit_parameters(data, model)
+    except SingularResponseError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

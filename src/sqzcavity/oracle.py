@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InstabilityError, SingularResponseError
 from .sensor import (
@@ -190,6 +189,13 @@ class SdeResult:
     n_segments: int
 
 
+def lfilter(b, a, x):
+    """scipy.signal.lfilter, imported on first use so that importing the
+    package, and every command but verify, does not load scipy.signal."""
+    from scipy.signal import lfilter
+    return lfilter(b, a, x)
+
+
 def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
                          kl: float, lam: float, v_in: float, eps_read: float
                          ) -> np.ndarray:
@@ -205,8 +211,14 @@ def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
     eta = rng.standard_normal(n)
     zeta = rng.standard_normal(n)
     a = 1.0 - lam * dt
-    w = math.sqrt(2.0 * kc * dt * v_in) * xi + math.sqrt(2.0 * kl * dt) * eta
+    # in place, so that few arrays of n are live at once; every product and
+    # sum keeps the operand order of the reference kernel in the tests
+    w = math.sqrt(2.0 * kc * dt * v_in) * xi
+    eta *= math.sqrt(2.0 * kl * dt)
+    w += eta
+    del eta
     x_next = lfilter([1.0], [1.0, -a], w)          # X_1 .. X_n with X_0 = 0
+    del w
     # stationary start: add the homogeneous solution for X_0 drawn from the
     # discrete stationary distribution
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
@@ -216,10 +228,16 @@ def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
     x = np.empty(n)
     x[0] = x0
     x[1:] = x_next[:-1]
-    x_mid = 0.5 * (x + x_next)
-    b_out = math.sqrt(2.0 * kc) * x_mid - math.sqrt(v_in / dt) * xi
-    return (math.sqrt(1.0 - eps_read) * b_out
-            + math.sqrt(eps_read / dt) * zeta)
+    x += x_next                                    # x_mid = (x + x_next)/2
+    del x_next
+    x *= 0.5
+    x *= math.sqrt(2.0 * kc)                       # b_out
+    xi *= math.sqrt(v_in / dt)
+    x -= xi
+    x *= math.sqrt(1.0 - eps_read)                 # readout mix
+    zeta *= math.sqrt(eps_read / dt)
+    x += zeta
+    return x
 
 
 def _segment_periodograms(x: np.ndarray, win: np.ndarray, dt: float

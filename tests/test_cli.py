@@ -496,16 +496,24 @@ class TestCalibrate:
                             r.err_anti])
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 5
-        # omega^2 overflows: the model is flat in the free parameters, and the
-        # one-line message has no numpy warning ahead of it
-        capsys.readouterr()
-        cfg = write_config(tmp_path, name="omega.ini",
-                           analysis="omega = 1e300", extra=self.CAL)
+        assert one_line_stderr(capsys).startswith("identifiability error: ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_omega_exit_3(self, tmp_path, capsys):
+        # omega^2 overflows: the model is not finite anywhere, which is a
+        # domain error naming omega, not a flat fit; the one-line message has
+        # no numpy warning ahead of it
         data = tmp_path / "meas.csv"
         _write_measurements(data)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "calibrate", "--data", str(data)]) == 5
-        assert one_line_stderr(capsys).startswith("identifiability error: ")
+        out = tmp_path / "o"
+        for omega in ("1e300", "1.2e154"):
+            cfg = write_config(tmp_path, name="omega.ini",
+                               analysis=f"omega = {omega}", extra=self.CAL)
+            assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                         "--data", str(data)]) == 3
+            line = one_line_stderr(capsys)
+            assert line.startswith("domain error: ") and "omega" in line
+            assert not out.exists()
 
 
 class TestReproducibility:
@@ -548,6 +556,45 @@ class TestReproducibility:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (out / "spectrum.csv").exists()
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """Names of the scipy modules loaded after running code in a fresh
+    interpreter that imports the package from this checkout."""
+    import sqzcavity
+
+    src = str(Path(sqzcavity.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy is imported where it is used: spectrum, optimize and figure3 run
+    on numpy alone, calibrate adds scipy.optimize, verify's SDE checks
+    scipy.signal."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert _scipy_modules_after("import sqzcavity.cli") == []
+
+    def test_fit_loads_scipy_optimize_only(self):
+        mods = _scipy_modules_after("""
+from sqzcavity import (ExternalSqueezeSource, FitModel, fit_parameters,
+                       synthesize_measurements)
+true = dict(t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10,
+            theta_rms=0.05, r_ext=ExternalSqueezeSource(10.5).r_ext,
+            q_max=0.08)
+rows = synthesize_measurements(true, [0.0, 0.5, 1.0, 0.75], 0.0, seed=1)
+fixed = {k: v for k, v in true.items() if k != "eps_read"}
+fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
+""")
+        assert "scipy.optimize" in mods
+        assert "scipy.signal" not in mods
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
