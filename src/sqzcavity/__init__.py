@@ -44,7 +44,7 @@ from .optimize import (
     snr_gain_db,
 )
 from .oracle import (
-    ComparePoint,
+    CompareGrid,
     OracleReport,
     QuadratureTransfer,
     SdeResult,

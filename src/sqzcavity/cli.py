@@ -193,28 +193,26 @@ def load_config(path: str | Path) -> RunConfig:
             theta_rms=_get_float(cp, "source", "theta_rms"),
             eps_read=_get_float(cp, "readout", "eps_read"),
         )
+        wavelength = _get_float(cp, "cavity", "wavelength_m", required=False)
+        power = _get_float(cp, "cavity", "power_w", required=False)
+        if (wavelength is None) != (power is None):
+            raise ConfigError("wavelength_m and power_w must be given together")
+        scale = None if wavelength is None else PhysicalScale(
+            wavelength=wavelength, intracavity_power=power)
+        fsr_hz = _get_float(cp, "cavity", "fsr_hz", required=False)
+        omega = _get_float(cp, "analysis", "omega", required=False, default=0.0)
+        omega_grid = None
+        if cp.has_option("analysis", "omega_grid"):
+            omega_grid = _parse_grid(cp.get("analysis", "omega_grid"),
+                                     "omega_grid")
+        if fsr_hz is not None:
+            # with a free spectral range configured, analysis frequencies are
+            # given in Hz and mapped onto the normalized coordinate
+            omega = float(omega_from_hz(omega, fsr_hz))
+            if omega_grid is not None:
+                omega_grid = omega_from_hz(omega_grid, fsr_hz)
     except (ValueError, configparser.NoSectionError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    wavelength = _get_float(cp, "cavity", "wavelength_m", required=False)
-    power = _get_float(cp, "cavity", "power_w", required=False)
-    if (wavelength is None) != (power is None):
-        raise ConfigError("wavelength_m and power_w must be given together")
-    scale = None
-    if wavelength is not None:
-        scale = PhysicalScale(wavelength=wavelength, intracavity_power=power)
-
-    fsr_hz = _get_float(cp, "cavity", "fsr_hz", required=False)
-    omega = _get_float(cp, "analysis", "omega", required=False, default=0.0)
-    omega_grid = None
-    if cp.has_option("analysis", "omega_grid"):
-        omega_grid = _parse_grid(cp.get("analysis", "omega_grid"), "omega_grid")
-    if fsr_hz is not None:
-        # with a free spectral range configured, analysis frequencies are
-        # given in Hz and mapped onto the normalized coordinate
-        omega = float(omega_from_hz(omega, fsr_hz))
-        if omega_grid is not None:
-            omega_grid = omega_from_hz(omega_grid, fsr_hz)
 
     g_grid = np.linspace(-0.99, 0.99, 199)
     if cp.has_option("analysis", "g_grid"):
@@ -515,7 +513,7 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
 
 def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
                inject_fault: bool = False) -> int:
-    points = random_compare_grid(cfg.verify_grid_points, cfg.seed)
+    grid = random_compare_grid(cfg.verify_grid_points, cfg.seed)
     fault = 1e-9 if inject_fault else 0.0
     sde_specs = []
     if cfg.verify_sde:
@@ -542,7 +540,7 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
             raise
         except ValueError as exc:
             raise ConfigError(f"[verify] {exc}") from exc
-    report = compare_oracles(points, sde_specs=sde_specs, fault_offset=fault)
+    report = compare_oracles(grid, sde_specs=sde_specs, fault_offset=fault)
 
     rows = [["analytic_grid", report.max_analytic_diff,
              report.analytic_tolerance,
@@ -553,7 +551,7 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
                      rows)
     results = {
         "passed": report.passed,
-        "n_grid_points": len(report.analytic),
+        "n_grid_points": report.analytic.size,
         "max_analytic_rel_diff": report.max_analytic_diff,
         "analytic_tolerance": report.analytic_tolerance,
         "fault_injected": inject_fault,

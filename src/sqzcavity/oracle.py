@@ -25,6 +25,7 @@ from .errors import InstabilityError, SingularResponseError
 from .sensor import (
     CavityParams,
     InputQuadratureState,
+    _check_eps_read,
     anti_quadrature_noise_spectrum,
     quadrature_noise_spectrum,
     signal_transfer_power,
@@ -44,8 +45,8 @@ _UNDERFLOW_LOG = 745.2
 
 @dataclass(frozen=True)
 class QuadratureTransfer:
-    """Per-frequency transfer from each input port to the detected quadrature
-    pair (index 0: readout/signal quadrature, 1: orthogonal).
+    """Per-point transfer from each input port to the detected quadrature
+    pair (last-axis index 0: readout/signal quadrature, 1: orthogonal).
 
     The degenerate parametric process is quadrature-diagonal, so each port's
     2x2 block is diagonal and stored as its (n, 2) diagonal.  Blocks already
@@ -61,9 +62,9 @@ class QuadratureTransfer:
     signal: np.ndarray         # (n,) complex
 
     def detected_noise(self, input_state: InputQuadratureState) -> np.ndarray:
-        """Detected spectra (n, 2) for the given coupler-port input state;
-        loss and readout ports carry vacuum."""
-        v_in = np.array([input_state.v_sq, input_state.v_anti])
+        """Detected spectra (n, 2) for the given coupler-port input state,
+        scalar or per point; loss and readout ports carry vacuum."""
+        v_in = np.stack([input_state.v_sq, input_state.v_anti], axis=-1)
         return (np.abs(self.coupler) ** 2 * v_in
                 + np.abs(self.internal_loss) ** 2
                 + np.abs(self.readout) ** 2)
@@ -72,27 +73,23 @@ class QuadratureTransfer:
         return np.abs(self.signal) ** 2
 
 
-def assemble_transfer(cav: CavityParams, q: float, eps_read: float,
-                      omega) -> QuadratureTransfer:
-    """Compose the cavity input-output response port by port.
+def assemble_transfer(cav: CavityParams, q, eps_read, omega
+                      ) -> QuadratureTransfer:
+    """Compose the cavity input-output response port by port, broadcast over
+    q, eps_read, omega and per-point cavities.
 
     omega is in the model's normalized units (internally halved to the
     normalized angular frequency).
     """
-    if not 0.0 <= eps_read < 1.0:
-        raise ValueError(f"eps_read must be in [0, 1), got {eps_read}")
+    _check_eps_read(eps_read)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     w = omega / 2.0                       # normalized angular frequency
     kc = cav.t_c / 2.0
     kl = cav.eps_int / 2.0
-    g = q / 2.0
+    g = np.asarray(q, dtype=float) / 2.0
 
-    n = omega.size
-    coupler = np.empty((n, 2), dtype=complex)
-    loss = np.empty((n, 2), dtype=complex)
-    readout = np.empty((n, 2), dtype=complex)
-
-    root_read = math.sqrt(1.0 - eps_read)
+    root_read = np.sqrt(1.0 - eps_read)
+    coupler, loss = [], []
     for idx, gain in ((0, g), (1, -g)):
         lam = kc + kl + gain
         denom = lam - 1j * w
@@ -101,16 +98,18 @@ def assemble_transfer(cav: CavityParams, q: float, eps_read: float,
                 "transfer assembly at the amplification pole of "
                 f"quadrature {idx} (q = {q}, omega = 0)"
             )
-        coupler[:, idx] = root_read * (kc - kl - gain + 1j * w) / denom
-        loss[:, idx] = root_read * 2.0 * math.sqrt(kc * kl) / denom
-        readout[:, idx] = math.sqrt(eps_read)
+        coupler.append(root_read * (kc - kl - gain + 1j * w) / denom)
+        loss.append(root_read * 2.0 * np.sqrt(kc * kl) / denom)
+    coupler = np.stack(coupler, axis=-1)
+    readout = np.zeros_like(coupler) + np.sqrt(eps_read)[..., None]
 
     # force drive on the readout quadrature; amplitude normalization 1/2 is
     # the single calibrated constant, fixing the scale of the normalized
     # transfer while the (q, omega, eps_read) dependence is all composition
-    signal = root_read * math.sqrt(2.0 * kc) * 0.5 / (kc + kl + g - 1j * w)
+    signal = root_read * np.sqrt(2.0 * kc) * 0.5 / (kc + kl + g - 1j * w)
 
-    return QuadratureTransfer(omega=omega, coupler=coupler, internal_loss=loss,
+    return QuadratureTransfer(omega=omega, coupler=coupler,
+                              internal_loss=np.stack(loss, axis=-1),
                               readout=readout, signal=signal)
 
 
@@ -140,8 +139,7 @@ class SdeRunSpec:
                              "runs must be reproducible")
         if not all(map(math.isfinite, (self.q, self.dt, self.duration))):
             raise ValueError("q, dt and duration must be finite")
-        if not 0.0 <= self.eps_read < 1.0:
-            raise ValueError("eps_read must be in [0, 1)")
+        _check_eps_read(self.eps_read)
         if abs(self.q) >= self.cavity.q_threshold:
             raise InstabilityError(
                 f"|q| = {abs(self.q)} is at or above threshold "
@@ -170,6 +168,10 @@ class SdeRunSpec:
             raise ValueError("segment_length must be >= 8")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
+        steps = self.duration / self.dt    # compared exactly; inf fails too
+        if not steps <= np.iinfo(np.intp).max:
+            raise ValueError(f"duration/dt = {steps:.3g} exceeds the largest "
+                             "array length")
         if self.steps_per_trajectory < self.segment_length:
             raise ValueError("duration too short for a single segment")
 
@@ -298,26 +300,15 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
 
 
 @dataclass(frozen=True)
-class ComparePoint:
-    """One configuration of the analytic comparison grid."""
+class CompareGrid:
+    """Configurations of the analytic comparison grid, one array entry per
+    point in every field."""
 
     cavity: CavityParams
-    q: float
+    q: np.ndarray
     input_state: InputQuadratureState
-    eps_read: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class AnalyticComparison:
-    point: ComparePoint
-    rel_diff_sq: float
-    rel_diff_anti: float
-    rel_diff_signal: float
-
-    @property
-    def max_rel_diff(self) -> float:
-        return max(self.rel_diff_sq, self.rel_diff_anti, self.rel_diff_signal)
+    eps_read: np.ndarray
+    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -334,60 +325,48 @@ class SdeComparison:
 
 @dataclass(frozen=True)
 class OracleReport:
-    analytic: list[AnalyticComparison]
+    analytic: np.ndarray    # per-point max relative gap
     sde: list[SdeComparison]
     analytic_tolerance: float
     max_analytic_diff: float
     passed: bool
 
 
-def random_compare_grid(n_points: int, seed: int) -> list[ComparePoint]:
+def random_compare_grid(n_points: int, seed: int) -> CompareGrid:
     """Random single-mode-domain grid: t_c, eps_int in (0, 0.2], eps_read in
     [0, 0.5), q in (-q_th, q_th), input variance in [0.05, 12], Omega in [0, 1]."""
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(n_points):
-        t_c = rng.uniform(1e-4, 0.2)
-        eps_int = rng.uniform(0.0, 0.2)
-        cav = CavityParams(t_c=t_c, eps_int=eps_int)
-        q = rng.uniform(-0.999, 0.999) * cav.q_threshold
-        v_sq = rng.uniform(0.05, 12.0)
-        v_anti = max(1.0 / v_sq, rng.uniform(0.05, 12.0))
-        points.append(ComparePoint(
-            cavity=cav, q=q,
-            input_state=InputQuadratureState(v_sq=v_sq, v_anti=v_anti),
-            eps_read=rng.uniform(0.0, 0.5), omega=rng.uniform(0.0, 1.0),
-        ))
-    return points
+    lows = (1e-4, 0.0, -0.999, 0.05, 0.05, 0.0, 0.0)
+    highs = (0.2, 0.2, 0.999, 12.0, 12.0, 0.5, 1.0)
+    draws = np.random.default_rng(seed).uniform(lows, highs, size=(n_points, 7))
+    t_c, eps_int, q_frac, v_sq, v_anti, eps_read, omega = draws.T
+    cav = CavityParams(t_c=t_c, eps_int=eps_int)
+    return CompareGrid(
+        cavity=cav, q=q_frac * cav.q_threshold,
+        input_state=InputQuadratureState(v_sq=v_sq,
+                                         v_anti=np.maximum(1.0 / v_sq, v_anti)),
+        eps_read=eps_read, omega=omega,
+    )
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-def compare_analytic(points: Sequence[ComparePoint], fault_offset: float = 0.0
-                     ) -> list[AnalyticComparison]:
-    """Closed forms against the transfer-matrix composition, point by point.
+def compare_analytic(grid: CompareGrid, fault_offset: float = 0.0) -> np.ndarray:
+    """Closed forms against the transfer-matrix composition: the largest
+    relative gap of the two noise spectra and the signal transfer, per point.
 
     fault_offset perturbs the closed-form side; nonzero only in harness
     self-tests.
     """
-    out = []
-    for p in points:
-        tr = assemble_transfer(p.cavity, p.q, p.eps_read, p.omega)
-        noise = tr.detected_noise(p.input_state)
-        s_sq = quadrature_noise_spectrum(p.cavity, p.q, p.input_state.v_sq,
-                                         p.eps_read, p.omega) + fault_offset
-        s_anti = anti_quadrature_noise_spectrum(p.cavity, p.q, p.input_state.v_anti,
-                                                p.eps_read, p.omega) + fault_offset
-        t2 = signal_transfer_power(p.cavity, p.q, p.eps_read, p.omega) + fault_offset
-        out.append(AnalyticComparison(
-            point=p,
-            rel_diff_sq=_rel(float(noise[0, 0]), float(s_sq)),
-            rel_diff_anti=_rel(float(noise[0, 1]), float(s_anti)),
-            rel_diff_signal=_rel(float(tr.signal_transfer_power()[0]), float(t2)),
-        ))
-    return out
+    cav, q, state = grid.cavity, grid.q, grid.input_state
+    tr = assemble_transfer(cav, q, grid.eps_read, grid.omega)
+    composed = np.column_stack([tr.detected_noise(state),
+                                tr.signal_transfer_power()])
+    closed = np.column_stack([
+        quadrature_noise_spectrum(cav, q, state.v_sq, grid.eps_read, grid.omega),
+        anti_quadrature_noise_spectrum(cav, q, state.v_anti, grid.eps_read,
+                                       grid.omega),
+        signal_transfer_power(cav, q, grid.eps_read, grid.omega),
+    ]) + fault_offset
+    scale = np.maximum(np.maximum(np.abs(composed), np.abs(closed)), 1e-300)
+    return (np.abs(composed - closed) / scale).max(axis=1)
 
 
 def compare_sde(spec: SdeRunSpec, label: str = "",
@@ -422,12 +401,12 @@ def compare_sde(spec: SdeRunSpec, label: str = "",
                          band_cutoff=_SDE_BAND_CUTOFF, passed=passed)
 
 
-def compare_oracles(points: Sequence[ComparePoint],
+def compare_oracles(grid: CompareGrid,
                     sde_specs: Sequence[tuple[str, SdeRunSpec]] = (),
                     fault_offset: float = 0.0) -> OracleReport:
     """Full discrepancy report.  An empty grid passes trivially."""
-    analytic = compare_analytic(points, fault_offset=fault_offset)
-    max_diff = max((a.max_rel_diff for a in analytic), default=0.0)
+    analytic = compare_analytic(grid, fault_offset=fault_offset)
+    max_diff = float(analytic.max(initial=0.0))
     sde = [compare_sde(spec, label=label, fault_offset=fault_offset)
            for label, spec in sde_specs]
     passed = max_diff < _ANALYTIC_TOLERANCE and all(s.passed for s in sde)

@@ -6,11 +6,15 @@ signal quadrature, ``q < 0`` amplifies it.  All spectra are vacuum-normalized
 (shot noise = 1) and the sideband frequency ``omega`` is dimensionless, in the
 units where the cavity response denominator reads
 ``(t_c + eps_int + q)**2 + omega**2``.
+
+The closed forms broadcast over ``q``, ``omega``, ``eps_read`` and the input
+variances, and over per-point cavities whose constants are arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +28,15 @@ SPEED_OF_LIGHT = 299792458.0      # m / s
 SINGLE_MODE_BUDGET = 0.3
 
 
+def _holds(condition) -> bool:
+    """Whether a range check holds at every point; scalar checks stay off
+    numpy, because every closed-form call validates."""
+    return bool(condition.all() if isinstance(condition, np.ndarray) else condition)
+
+
 @dataclass(frozen=True)
 class CavityParams:
-    """Roundtrip-normalized cavity constants.
+    """Roundtrip-normalized cavity constants, scalars or per-point arrays.
 
     t_c:     power transmission of the incoupling mirror per roundtrip
     eps_int: internal power loss per roundtrip
@@ -36,9 +46,9 @@ class CavityParams:
     eps_int: float
 
     def __post_init__(self):
-        if not 0.0 < self.t_c < 1.0:
+        if not _holds((0.0 < self.t_c) & (self.t_c < 1.0)):
             raise ValueError(f"t_c must be in (0, 1), got {self.t_c}")
-        if not 0.0 <= self.eps_int < 1.0:
+        if not _holds((0.0 <= self.eps_int) & (self.eps_int < 1.0)):
             raise ValueError(f"eps_int must be in [0, 1), got {self.eps_int}")
 
     @property
@@ -54,7 +64,8 @@ def gain_validity_warning(cav: CavityParams, q: float) -> bool:
 
 @dataclass(frozen=True)
 class InputQuadratureState:
-    """Variance pair of the field entering the coupler, vacuum = 1.
+    """Variance pair of the field entering the coupler, vacuum = 1, scalars
+    or per-point arrays.
 
     v_sq is the variance of the readout (signal) quadrature, v_anti of the
     orthogonal one.  Physical states satisfy v_sq * v_anti >= 1.
@@ -64,10 +75,11 @@ class InputQuadratureState:
     v_anti: float
 
     def __post_init__(self):
-        if not (0.0 < self.v_sq < math.inf and 0.0 < self.v_anti < math.inf):
+        if not _holds((0.0 < self.v_sq) & (self.v_sq < math.inf)
+                      & (0.0 < self.v_anti) & (self.v_anti < math.inf)):
             raise ValueError("quadrature variances must be positive and finite, "
                              f"got {self.v_sq}, {self.v_anti}")
-        if self.v_sq * self.v_anti < 1.0 - 1e-12:
+        if not _holds(self.v_sq * self.v_anti >= 1.0 - 1e-12):
             raise ValueError(
                 f"uncertainty bound violated: v_sq*v_anti = {self.v_sq * self.v_anti}"
             )
@@ -90,6 +102,10 @@ class PhysicalScale:
                 and 0.0 < self.intracavity_power < math.inf):
             raise ValueError("wavelength and intracavity_power must be "
                              "positive and finite")
+        # a normal prefactor keeps its reciprocal finite and nonzero
+        if not sys.float_info.min <= self.sensitivity_prefactor < math.inf:
+            raise ValueError("wavelength and intracavity_power put the "
+                             "sensitivity prefactor outside the float range")
 
     @property
     def sensitivity_prefactor(self) -> float:
@@ -117,11 +133,15 @@ def omega_from_hz(f_hz, fsr_hz: float):
     return 4.0 * math.pi * np.asarray(f_hz, dtype=float) / fsr_hz
 
 
-def _response(cav: CavityParams, q, eps_read: float, omega):
+def _check_eps_read(eps_read):
+    if not _holds((0.0 <= eps_read) & (eps_read < 1.0)):
+        raise ValueError(f"eps_read must be in [0, 1), got {eps_read}")
+
+
+def _response(cav: CavityParams, q, eps_read, omega):
     """(q, omega, (t_c + eps_int + q)^2 + omega^2) as arrays, after checking
     eps_read; SingularResponseError at the amplification pole."""
-    if not 0.0 <= eps_read < 1.0:
-        raise ValueError(f"eps_read must be in [0, 1), got {eps_read}")
+    _check_eps_read(eps_read)
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
     denom = (cav.t_c + cav.eps_int + q) ** 2 + omega**2
@@ -133,7 +153,7 @@ def _response(cav: CavityParams, q, eps_read: float, omega):
     return q, omega, denom
 
 
-def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read: float, omega):
+def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read, omega):
     """Vacuum-normalized noise power of the readout quadrature.
 
     S = 1 - (1-eps_read)/((t_c+eps_int+q)^2 + omega^2)
@@ -148,7 +168,7 @@ def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read: float, omega
     return 1.0 - (1.0 - eps_read) / denom * (4.0 * cav.t_c * q + (1.0 - v_in) * numer)
 
 
-def anti_quadrature_noise_spectrum(cav: CavityParams, q, v_anti, eps_read: float, omega):
+def anti_quadrature_noise_spectrum(cav: CavityParams, q, v_anti, eps_read, omega):
     """Noise power of the quadrature orthogonal to the readout.
 
     The degenerate parametric interaction is quadrature-diagonal with opposite
@@ -160,7 +180,7 @@ def anti_quadrature_noise_spectrum(cav: CavityParams, q, v_anti, eps_read: float
                                      eps_read, omega)
 
 
-def signal_transfer_power(cav: CavityParams, q, eps_read: float, omega,
+def signal_transfer_power(cav: CavityParams, q, eps_read, omega,
                           scale: PhysicalScale | None = None):
     """Power of the force-signal transfer function.
 

@@ -200,6 +200,36 @@ class TestConfigValidation:
             assert err.startswith("config error: cannot write outputs to "
                                   f"{out}") and err.count("\n") == 1
 
+    def test_cavity_scale_out_of_range(self, tmp_path, capsys):
+        # each is rejected at the config boundary, before any command runs
+        for keys in ("fsr_hz = 0", "fsr_hz = -1e9",
+                     "wavelength_m = -1e-6\npower_w = 1.0",
+                     "wavelength_m = 1.064e-6\npower_w = 0",
+                     # the sensitivity prefactor underflows to 0.0
+                     "wavelength_m = 1.064e-6\npower_w = 1e300"):
+            cfg = write_config(tmp_path,
+                               analysis="omega = 0.0\npanels = 10.5:0.05:0.1")
+            cfg.write_text(cfg.read_text().replace(
+                "eps_int = 0.012", f"eps_int = 0.012\n{keys}"))
+            out = tmp_path / "out"
+            for command in ("spectrum", "optimize", "figure3"):
+                assert main(["--config", str(cfg), "--out", str(out),
+                             command]) == 2
+                assert one_line_stderr(capsys).startswith("config error: ")
+                assert not out.exists()
+
+    def test_sde_steps_beyond_array_length_exit_2(self, tmp_path, capsys):
+        # duration/dt above the largest array length is rejected when the
+        # SDE checks are specified, before any array is allocated
+        for sde in ("sde_duration = 1e300", "sde_dt = 1e-14"):
+            cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 4\n"
+                                               f"sde = true\n{sde}\n")
+            out = tmp_path / "out"
+            assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
+            assert one_line_stderr(capsys).startswith(
+                "config error: [verify] duration/dt = ")
+            assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, extra="\n[cavity]\nbogus = 1\n")
         # configparser collapses duplicate sections; write a clean bad key
@@ -645,6 +675,10 @@ class TestConfigMutation:
         cp["run"]["out_dir"] = str(work / "out")
         if command == "verify":
             cp["verify"]["sde"] = "false"
+        if command == "spectrum":
+            # no shipped config sets the physical-scale keys
+            cp["cavity"].update(fsr_hz="1e9", wavelength_m="1.064e-06",
+                                power_w="1.0")
         blocker = work / "blocker"
         blocker.write_text("")
         section, key = data.draw(st.sampled_from(

@@ -40,17 +40,18 @@ class TestTransferMatrix:
         assert anti == pytest.approx(8.70994469133886, abs=1e-10)
 
     def test_identity_with_closed_forms_random(self):
-        for p in random_compare_grid(200, seed=11):
-            tr = assemble_transfer(p.cavity, p.q, p.eps_read, p.omega)
-            noise = tr.detected_noise(p.input_state)
-            s_sq = quadrature_noise_spectrum(p.cavity, p.q, p.input_state.v_sq,
-                                             p.eps_read, p.omega)
-            s_anti = anti_quadrature_noise_spectrum(
-                p.cavity, p.q, p.input_state.v_anti, p.eps_read, p.omega)
-            t2 = signal_transfer_power(p.cavity, p.q, p.eps_read, p.omega)
-            assert noise[0, 0] == pytest.approx(s_sq, rel=1e-13)
-            assert noise[0, 1] == pytest.approx(s_anti, rel=1e-13)
-            assert tr.signal_transfer_power()[0] == pytest.approx(t2, rel=1e-13)
+        g = random_compare_grid(200, seed=11)
+        tr = assemble_transfer(g.cavity, g.q, g.eps_read, g.omega)
+        noise = tr.detected_noise(g.input_state)
+        s_sq = quadrature_noise_spectrum(g.cavity, g.q, g.input_state.v_sq,
+                                         g.eps_read, g.omega)
+        s_anti = anti_quadrature_noise_spectrum(
+            g.cavity, g.q, g.input_state.v_anti, g.eps_read, g.omega)
+        t2 = signal_transfer_power(g.cavity, g.q, g.eps_read, g.omega)
+        assert noise.shape == (200, 2)
+        assert noise[:, 0] == pytest.approx(s_sq, rel=1e-13)
+        assert noise[:, 1] == pytest.approx(s_anti, rel=1e-13)
+        assert tr.signal_transfer_power() == pytest.approx(t2, rel=1e-13)
 
     def test_port_weights_sum_to_unity_at_zero_gain(self):
         rng = np.random.default_rng(3)
@@ -236,8 +237,11 @@ class TestSde:
             _small_spec(cav, duration=10.0)
         with pytest.raises(ValueError):
             _small_spec(cav, quadrature="both")
+        # duration/dt beyond the largest array length, and beyond the
+        # float range, are rejected before anything is allocated
         for bad in (dict(q=float("nan")), dict(dt=float("nan")),
-                    dict(duration=float("inf")), dict(seed=-1)):
+                    dict(duration=float("inf")), dict(seed=-1),
+                    dict(duration=1e300), dict(duration=1e300, dt=1e-300)):
             with pytest.raises(ValueError):
                 _small_spec(cav, **bad)
         # within rounding of threshold: 1 - lam*dt rounds to 1.0
@@ -253,11 +257,58 @@ class TestSde:
         assert abs(a.psd[0] - b.psd[0]) < 3.0 * pooled
 
 
+def _reference_grid_and_gaps(n_points, seed, fault_offset=0.0):
+    """The grid fields (n, 7) and per-point gaps the oracle computed one point
+    at a time: seven scalar draws per point, then the transfer composition
+    and each closed form at scalar inputs.  The vector oracle must reproduce
+    both bit for bit."""
+    def rel(a, b):
+        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+    rng = np.random.default_rng(seed)
+    fields, gaps = [], []
+    for _ in range(n_points):
+        t_c = rng.uniform(1e-4, 0.2)
+        eps_int = rng.uniform(0.0, 0.2)
+        cav = CavityParams(t_c=t_c, eps_int=eps_int)
+        q = rng.uniform(-0.999, 0.999) * cav.q_threshold
+        v_sq = rng.uniform(0.05, 12.0)
+        v_anti = max(1.0 / v_sq, rng.uniform(0.05, 12.0))
+        eps_read = rng.uniform(0.0, 0.5)
+        omega = rng.uniform(0.0, 1.0)
+        tr = assemble_transfer(cav, q, eps_read, omega)
+        noise = tr.detected_noise(InputQuadratureState(v_sq=v_sq, v_anti=v_anti))
+        s_sq = quadrature_noise_spectrum(cav, q, v_sq, eps_read,
+                                         omega) + fault_offset
+        s_anti = anti_quadrature_noise_spectrum(cav, q, v_anti, eps_read,
+                                                omega) + fault_offset
+        t2 = signal_transfer_power(cav, q, eps_read, omega) + fault_offset
+        fields.append((t_c, eps_int, q, v_sq, v_anti, eps_read, omega))
+        gaps.append(max(rel(float(noise[0, 0]), float(s_sq)),
+                        rel(float(noise[0, 1]), float(s_anti)),
+                        rel(float(tr.signal_transfer_power()[0]), float(t2))))
+    return np.array(fields).reshape(n_points, 7), np.array(gaps)
+
+
 class TestCompareOracles:
+    @pytest.mark.parametrize("seed, n_points", [
+        (1, 64), (2, 16), (4, 8), (11, 200), (0, 64), (7, 64), (20240601, 1000),
+    ])
+    def test_vector_oracle_matches_scalar_loop(self, seed, n_points):
+        fields, gaps = _reference_grid_and_gaps(n_points, seed)
+        g = random_compare_grid(n_points, seed)
+        grid_fields = np.column_stack([
+            g.cavity.t_c, g.cavity.eps_int, g.q, g.input_state.v_sq,
+            g.input_state.v_anti, g.eps_read, g.omega])
+        assert np.array_equal(grid_fields, fields)
+        assert np.array_equal(compare_analytic(g), gaps)
+        _, fault_gaps = _reference_grid_and_gaps(n_points, seed, 1e-9)
+        assert np.array_equal(compare_analytic(g, fault_offset=1e-9), fault_gaps)
+
     def test_empty_grid_passes(self):
-        report = compare_oracles([])
+        report = compare_oracles(random_compare_grid(0, seed=1))
         assert report.passed
-        assert report.analytic == []
+        assert report.analytic.size == 0
         assert report.max_analytic_diff == 0.0
 
     def test_default_grid_passes(self):
@@ -266,12 +317,11 @@ class TestCompareOracles:
         assert report.max_analytic_diff < 1e-12
 
     def test_fault_injection_detected(self):
-        points = random_compare_grid(16, seed=2)
-        report = compare_oracles(points, fault_offset=1e-9)
+        grid = random_compare_grid(16, seed=2)
+        report = compare_oracles(grid, fault_offset=1e-9)
         assert not report.passed
 
     def test_comparison_entries(self):
-        points = random_compare_grid(8, seed=4)
-        entries = compare_analytic(points)
-        assert len(entries) == 8
-        assert all(e.max_rel_diff < 1e-12 for e in entries)
+        gaps = compare_analytic(random_compare_grid(8, seed=4))
+        assert gaps.shape == (8,)
+        assert np.all(gaps < 1e-12)
