@@ -150,8 +150,6 @@ def synthesize_measurements(true_params: dict[str, float], pump_grid,
 class FitResult:
     params: dict[str, float]
     stderr: dict[str, float]
-    covariance: np.ndarray
-    residuals: np.ndarray
     objective: float
     n_starts_converged: int
     jacobian_condition: float
@@ -210,7 +208,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
         try:
             return forward_variances(params, pumps, omega=model.omega,
                                      jitter_model=model.jitter_model)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             return None
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -256,14 +254,10 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
             f"(singular values {svals}); the free parameters "
             f"{model.free} are not separable from this data"
         )
-    cov = np.linalg.inv(jac.T @ jac)
-    stderr = np.sqrt(np.diag(cov))
-    params = model.full_params(best.x)
+    stderr = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
     return FitResult(
-        params=params,
+        params=model.full_params(best.x),
         stderr=dict(zip(model.free, stderr)),
-        covariance=cov,
-        residuals=best.fun,
         objective=float(2.0 * best.cost),   # sum of squared weighted residuals
         n_starts_converged=n_ok,
         jacobian_condition=cond,

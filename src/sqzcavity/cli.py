@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import datetime
 import json
@@ -46,6 +47,7 @@ from .errors import (
     IdentifiabilityError,
     InstabilityError,
     SingularResponseError,
+    SqzCavityError,
 )
 from .optimize import (
     BASELINES,
@@ -110,10 +112,7 @@ class RunConfig:
     verify_grid_points: int
     verify_sde: bool
     verify_probe_q: float
-    sde_trajectories: int
-    sde_duration: float
-    sde_segment_length: int
-    sde_dt: float
+    sde_options: dict           # SdeRunSpec keywords set in [verify]
     calibrate_free: tuple[str, ...]
     calibrate_q_max: float | None
     calibrate_bounds: dict = field(default_factory=dict)
@@ -136,6 +135,18 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name} needs at least one point")
     _check_finite(name, start, stop)
     return np.linspace(start, stop, npts)
+
+
+@contextlib.contextmanager
+def _config_errors(prefix: str = ""):
+    """Report a ValueError from building domain objects out of config values
+    as a ConfigError; package errors keep their own type and exit code."""
+    try:
+        yield
+    except SqzCavityError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _get_float(cp, section, key, required=True, default=None):
@@ -182,7 +193,7 @@ def load_config(path: str | Path) -> RunConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    try:
+    with _config_errors():
         cavity = CavityParams(
             t_c=_get_float(cp, "cavity", "t_c"),
             eps_int=_get_float(cp, "cavity", "eps_int"),
@@ -211,8 +222,6 @@ def load_config(path: str | Path) -> RunConfig:
             omega = float(omega_from_hz(omega, fsr_hz))
             if omega_grid is not None:
                 omega_grid = omega_from_hz(omega_grid, fsr_hz)
-    except (ValueError, configparser.NoSectionError) as exc:
-        raise ConfigError(str(exc)) from exc
 
     g_grid = np.linspace(-0.99, 0.99, 199)
     if cp.has_option("analysis", "g_grid"):
@@ -240,13 +249,11 @@ def load_config(path: str | Path) -> RunConfig:
                     f"got {chunk!r}"
                 ) from None
             _check_finite(f"panel {chunk!r}", squeeze_db, theta_rms, eps_read)
-            try:
+            with _config_errors(f"panel {chunk!r}: "):
                 panels.append((ExternalSqueezeSource(squeeze_db),
                                DecoherenceChain(eps_inj=chain.eps_inj,
                                                 theta_rms=theta_rms,
                                                 eps_read=eps_read)))
-            except ValueError as exc:
-                raise ConfigError(f"panel {chunk!r}: {exc}") from exc
 
     free = tuple(
         name.strip()
@@ -291,11 +298,14 @@ def load_config(path: str | Path) -> RunConfig:
         verify_sde=_get_bool(cp, "verify", "sde", False),
         verify_probe_q=_get_float(cp, "verify", "probe_q", required=False,
                                   default=0.0085),
-        sde_trajectories=_get_int(cp, "verify", "sde_trajectories", 32),
-        sde_duration=_get_float(cp, "verify", "sde_duration", required=False,
-                                default=385024.0),
-        sde_segment_length=_get_int(cp, "verify", "sde_segment_length", 4096),
-        sde_dt=_get_float(cp, "verify", "sde_dt", required=False, default=0.5),
+        sde_options={name: value for name, value in (
+            ("n_trajectories", _get_int(cp, "verify", "sde_trajectories", None)),
+            ("duration", _get_float(cp, "verify", "sde_duration",
+                                    required=False)),
+            ("segment_length", _get_int(cp, "verify", "sde_segment_length",
+                                        None)),
+            ("dt", _get_float(cp, "verify", "sde_dt", required=False)),
+        ) if value is not None},
         calibrate_free=free,
         calibrate_q_max=_get_float(cp, "calibrate", "q_max", required=False),
         calibrate_bounds=cal_bounds,
@@ -317,28 +327,43 @@ def _json_default(obj):
 
 
 class OutputWriter:
-    """Collects tables and envelopes, writes them only after a run succeeds."""
+    """Collects a command's tables and JSON envelopes; main writes them only
+    after the command returns."""
 
-    def __init__(self, out_dir: str, formats: tuple[str, ...]):
-        for f in formats:
+    def __init__(self, cfg: RunConfig, command: str, stamp: bool):
+        for f in cfg.formats:
             if f not in ("csv", "json"):
                 raise ConfigError(f"unknown output format {f!r}")
-        self.out_dir = Path(out_dir)
-        self.formats = formats
+        self.cfg = cfg
+        self.command = command
+        self.stamp = stamp
+        self.out_dir = Path(cfg.out_dir)
         self._csv: list[tuple[str, list[str], list[list]]] = []
         self._json: list[tuple[str, dict]] = []
 
     def add_table(self, name: str, header: list[str], rows: list[list]):
         self._csv.append((name, header, rows))
 
-    def add_envelope(self, name: str, envelope: dict):
-        self._json.append((name, envelope))
+    def add_envelope(self, name: str, results: dict, warnings: list[str]):
+        ts = None
+        if self.stamp:
+            ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self._json.append((name, {
+            "tool": "sqzcavity",
+            "version": __version__,
+            "command": self.command,
+            "config": self.cfg.echo,
+            "seed": self.cfg.seed,
+            "timestamp": ts,
+            "warnings": warnings,
+            "results": results,
+        }))
 
     def flush(self) -> list[Path]:
         written = []
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            if "csv" in self.formats:
+            if "csv" in self.cfg.formats:
                 for name, header, rows in self._csv:
                     p = self.out_dir / f"{name}.csv"
                     with open(p, "w", newline="") as fh:
@@ -347,7 +372,7 @@ class OutputWriter:
                         for row in rows:
                             w.writerow([_fmt(v) for v in row])
                     written.append(p)
-            if "json" in self.formats:
+            if "json" in self.cfg.formats:
                 for name, envelope in self._json:
                     p = self.out_dir / f"{name}.json"
                     with open(p, "w") as fh:
@@ -361,23 +386,6 @@ class OutputWriter:
         return written
 
 
-def _envelope(cfg: RunConfig, command: str, results: dict, warnings: list[str],
-              stamp: bool) -> dict:
-    ts = None
-    if stamp:
-        ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return {
-        "tool": "sqzcavity",
-        "version": __version__,
-        "command": command,
-        "config": cfg.echo,
-        "seed": cfg.seed,
-        "timestamp": ts,
-        "warnings": warnings,
-        "results": results,
-    }
-
-
 def _collect_warnings(cfg: RunConfig, q: float) -> list[str]:
     warnings = []
     if gain_validity_warning(cfg.cavity, q):
@@ -388,7 +396,7 @@ def _collect_warnings(cfg: RunConfig, q: float) -> list[str]:
     return warnings
 
 
-def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
+def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     cav, chain = cfg.cavity, cfg.chain
     state = input_state_from_source(cfg.source, chain.eps_inj)
     q = -cfg.g * cav.q_threshold
@@ -419,13 +427,11 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
         "columns": header,
         "table": [[float(v) for v in row] for row in rows],
     }
-    writer.add_envelope("spectrum", _envelope(cfg, "spectrum", results,
-                                              warnings, stamp))
-    writer.flush()
+    writer.add_envelope("spectrum", results, warnings)
     return 0
 
 
-def cmd_optimize(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
+def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
     cav, chain = cfg.cavity, cfg.chain
     state = input_state_from_source(cfg.source, chain.eps_inj)
     res = optimize_gain_numeric(cav, state, chain, cfg.omega,
@@ -448,13 +454,11 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
         s_analytic, fundamental_limit(cav),
     ]])
     warnings = _collect_warnings(cfg, res.q_opt)
-    writer.add_envelope("optimize", _envelope(cfg, "optimize", results,
-                                              warnings, stamp))
-    writer.flush()
+    writer.add_envelope("optimize", results, warnings)
     return 0
 
 
-def cmd_figure3(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
+def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     if not cfg.panels:
         raise ConfigError("figure3 requires [analysis] panels")
     cav = cfg.cavity
@@ -505,41 +509,32 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, stamp: bool) -> int:
         "absolute_enhancement_note": ABSOLUTE_ENHANCEMENT_NOTE,
     }
     warnings = _collect_warnings(cfg, cav.q_threshold * np.max(np.abs(g_grid)))
-    writer.add_envelope("figure3_summary", _envelope(cfg, "figure3", results,
-                                                     warnings, stamp))
-    writer.flush()
+    writer.add_envelope("figure3_summary", results, warnings)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
-               inject_fault: bool = False) -> int:
+def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
     grid = random_compare_grid(cfg.verify_grid_points, cfg.seed)
-    fault = 1e-9 if inject_fault else 0.0
+    fault = 1e-9 if args.inject_fault else 0.0
     sde_specs = []
     if cfg.verify_sde:
         state = input_state_from_source(cfg.source, cfg.chain.eps_inj)
-        common = dict(dt=cfg.sde_dt, duration=cfg.sde_duration,
-                      n_trajectories=cfg.sde_trajectories,
-                      segment_length=cfg.sde_segment_length)
-        try:
+        with _config_errors("[verify] "):
             sde_specs = [
                 ("vacuum_passive",
                  SdeRunSpec(cavity=cfg.cavity, q=0.0,
                             input_state=InputQuadratureState.vacuum(),
-                            eps_read=0.0, seed=cfg.seed, **common)),
+                            eps_read=0.0, seed=cfg.seed, **cfg.sde_options)),
                 ("squeezed_passive",
                  SdeRunSpec(cavity=cfg.cavity, q=0.0, input_state=state,
                             eps_read=cfg.chain.eps_read, seed=cfg.seed + 1,
-                            **common)),
+                            **cfg.sde_options)),
                 ("anti_with_gain",
                  SdeRunSpec(cavity=cfg.cavity, q=cfg.verify_probe_q,
                             input_state=state, eps_read=cfg.chain.eps_read,
-                            seed=cfg.seed + 2, quadrature="anti", **common)),
+                            seed=cfg.seed + 2, quadrature="anti",
+                            **cfg.sde_options)),
             ]
-        except InstabilityError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[verify] {exc}") from exc
     report = compare_oracles(grid, sde_specs=sde_specs, fault_offset=fault)
 
     rows = [["analytic_grid", report.max_analytic_diff,
@@ -554,12 +549,10 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, stamp: bool,
         "n_grid_points": report.analytic.size,
         "max_analytic_rel_diff": report.max_analytic_diff,
         "analytic_tolerance": report.analytic_tolerance,
-        "fault_injected": inject_fault,
+        "fault_injected": args.inject_fault,
         "sde_checks": [asdict(s) for s in report.sde],
     }
-    writer.add_envelope("verify_report", _envelope(cfg, "verify", results, [],
-                                                   stamp))
-    writer.flush()
+    writer.add_envelope("verify_report", results, [])
     return 0 if report.passed else 4
 
 
@@ -580,21 +573,18 @@ def _load_measurements(path: str | Path) -> list[VariancePair]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise ConfigError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            try:
+            with _config_errors(f"line {lineno}: "):
                 vals = [float(v) for v in row]
                 rows.append(VariancePair(pump_setting=vals[0], v_sq=vals[1],
                                          v_anti=vals[2], err_sq=vals[3],
                                          err_anti=vals[4]))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
     if not rows:
         raise ConfigError("measurement file has no data rows")
     return rows
 
 
-def cmd_calibrate(cfg: RunConfig, data_path: str, writer: OutputWriter,
-                  stamp: bool) -> int:
-    data = _load_measurements(data_path)
+def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
+    data = _load_measurements(args.data)
     if not cfg.calibrate_free:
         raise ConfigError("calibrate requires [calibrate] free = name, ...")
     fixed = {
@@ -610,15 +600,11 @@ def cmd_calibrate(cfg: RunConfig, data_path: str, writer: OutputWriter,
             raise ConfigError("q_max must be fixed in [calibrate] or listed free")
         fixed["q_max"] = cfg.calibrate_q_max
     fixed = {k: v for k, v in fixed.items() if k not in cfg.calibrate_free}
-    try:
+    with _config_errors():
         model = FitModel(free=cfg.calibrate_free, fixed=fixed,
                          bounds=cfg.calibrate_bounds, omega=cfg.omega,
                          jitter_model=cfg.jitter_model)
         result = fit_parameters(data, model)
-    except SingularResponseError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     pred = forward_variances(result.params, [d.pump_setting for d in data],
                              omega=cfg.omega, jitter_model=cfg.jitter_model)
@@ -642,9 +628,7 @@ def cmd_calibrate(cfg: RunConfig, data_path: str, writer: OutputWriter,
         "jacobian_condition": result.jacobian_condition,
         "n_starts_converged": result.n_starts_converged,
     }
-    writer.add_envelope("calibrate_fit", _envelope(cfg, "calibrate", results, [],
-                                                   stamp))
-    writer.flush()
+    writer.add_envelope("calibrate_fit", results, [])
     return 0
 
 
@@ -663,14 +647,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record a wall-clock timestamp (breaks byte-level "
                              "reproducibility)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", help="frequency spectra at a fixed gain")
-    sub.add_parser("optimize", help="optimal internal gain and analytic limits")
-    sub.add_parser("figure3", help="SNR-gain curves over the gain range per panel")
+    sub.add_parser("spectrum", help="frequency spectra at a fixed gain"
+                   ).set_defaults(run=cmd_spectrum)
+    sub.add_parser("optimize", help="optimal internal gain and analytic limits"
+                   ).set_defaults(run=cmd_optimize)
+    sub.add_parser("figure3", help="SNR-gain curves over the gain range per panel"
+                   ).set_defaults(run=cmd_figure3)
     p_verify = sub.add_parser("verify", help="run the oracle cross-checks")
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="perturb the closed forms (harness self-test)")
+    p_verify.set_defaults(run=cmd_verify)
     p_cal = sub.add_parser("calibrate", help="fit parameters to measured variances")
     p_cal.add_argument("--data", required=True, help="measurement table CSV")
+    p_cal.set_defaults(run=cmd_calibrate)
     return parser
 
 
@@ -690,19 +679,10 @@ def main(argv=None) -> int:
             cfg.formats = tuple(args.format.split(","))
         if cfg.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-        writer = OutputWriter(cfg.out_dir, cfg.formats)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, writer, args.stamp)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, writer, args.stamp)
-        if args.command == "figure3":
-            return cmd_figure3(cfg, writer, args.stamp)
-        if args.command == "verify":
-            return cmd_verify(cfg, writer, args.stamp,
-                              inject_fault=args.inject_fault)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, args.data, writer, args.stamp)
-        raise ConfigError(f"unknown command {args.command!r}")
+        writer = OutputWriter(cfg, args.command, args.stamp)
+        code = args.run(cfg, writer, args)
+        writer.flush()
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -55,7 +55,6 @@ class QuadratureTransfer:
     the intracavity force drive to the detected readout quadrature.
     """
 
-    omega: np.ndarray
     coupler: np.ndarray        # (n, 2) complex
     internal_loss: np.ndarray  # (n, 2) complex
     readout: np.ndarray        # (n, 2) complex
@@ -108,7 +107,7 @@ def assemble_transfer(cav: CavityParams, q, eps_read, omega
     # transfer while the (q, omega, eps_read) dependence is all composition
     signal = root_read * np.sqrt(2.0 * kc) * 0.5 / (kc + kl + g - 1j * w)
 
-    return QuadratureTransfer(omega=omega, coupler=coupler,
+    return QuadratureTransfer(coupler=coupler,
                               internal_loss=np.stack(loss, axis=-1),
                               readout=readout, signal=signal)
 
@@ -149,8 +148,14 @@ class SdeRunSpec:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         # per-step factor 1 - lam*dt of the slower quadrature, rounded as in
-        # run_sde; at 1.0 its stationary start variance divides by zero
+        # run_sde; at 1.0 its stationary start variance divides by zero.  When
+        # even the passive decay rounds away, the step is at fault, not q.
         kc, kl = self.cavity.t_c / 2.0, self.cavity.eps_int / 2.0
+        if not 1.0 - (kc + kl) * self.dt < 1.0:
+            raise ValueError(
+                f"dt = {self.dt} is too fine: the passive cavity does not "
+                "decay within one step"
+            )
         if not 1.0 - (kc + kl - abs(self.q) / 2.0) * self.dt < 1.0:
             raise InstabilityError(
                 f"q = {self.q} is within rounding of threshold "
@@ -369,7 +374,7 @@ def compare_analytic(grid: CompareGrid, fault_offset: float = 0.0) -> np.ndarray
     return (np.abs(composed - closed) / scale).max(axis=1)
 
 
-def compare_sde(spec: SdeRunSpec, label: str = "",
+def compare_sde(spec: SdeRunSpec, label: str,
                 fault_offset: float = 0.0) -> SdeComparison:
     """Run the stochastic oracle on spec.quadrature and score its spectrum
     against that quadrature's closed form.
@@ -395,7 +400,7 @@ def compare_sde(spec: SdeRunSpec, label: str = "",
     z0 = float(z[0])
     se_rel0 = float(se[0] / est[0])
     passed = abs(z0) <= 3.0 and frac < 0.01 and se_rel0 <= 0.02
-    return SdeComparison(label=label or spec.quadrature, target_zero=float(target[0]),
+    return SdeComparison(label=label, target_zero=float(target[0]),
                          estimate_zero=float(est[0]), stderr_rel_zero=se_rel0,
                          z_zero=z0, frac_abs_z_above_3=frac,
                          band_cutoff=_SDE_BAND_CUTOFF, passed=passed)

@@ -156,7 +156,8 @@ class TestFit:
                       [0.0, 0.5, 1.0, 0.75, 0.25, 0.9]):
             rows = synthesize_measurements(TRUE, pumps, 0.0, seed=1)
             res = fit_parameters(rows, model)
-            traces.append(float(np.trace(res.covariance)))
+            # the covariance trace
+            traces.append(sum(e**2 for e in res.stderr.values()))
         assert traces[0] >= traces[1] >= traces[2]
 
     def test_fixed_q_max_past_threshold(self):

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import datetime
 import json
 import os
 import subprocess
@@ -220,14 +221,17 @@ class TestConfigValidation:
 
     def test_sde_steps_beyond_array_length_exit_2(self, tmp_path, capsys):
         # duration/dt above the largest array length is rejected when the
-        # SDE checks are specified, before any array is allocated
-        for sde in ("sde_duration = 1e300", "sde_dt = 1e-14"):
+        # SDE checks are specified, before any array is allocated; so is a
+        # step too fine for even the passive cavity to decay within it
+        for sde, prefix in (
+                ("sde_duration = 1e300", "[verify] duration/dt = "),
+                ("sde_dt = 1e-14", "[verify] duration/dt = "),
+                ("sde_dt = 1e-300", "[verify] dt = 1e-300 is too fine")):
             cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 4\n"
                                                f"sde = true\n{sde}\n")
             out = tmp_path / "out"
             assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
-            assert one_line_stderr(capsys).startswith(
-                "config error: [verify] duration/dt = ")
+            assert one_line_stderr(capsys).startswith("config error: " + prefix)
             assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -559,6 +563,29 @@ class TestReproducibility:
                      "optimize.json", "figure3_panel_1.csv",
                      "figure3_panel_2.csv", "figure3_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_stamp_sets_only_the_timestamp(self, tmp_path):
+        cfg = write_config(tmp_path, analysis="omega_grid = 0.0:2.0:9\ng = 0.1\n"
+                           "panels = 5.4:0.015:0.10, 10.5:0.050:0.30")
+        plain, stamped = tmp_path / "plain", tmp_path / "stamped"
+        for command in ("spectrum", "optimize", "figure3"):
+            assert main(["--config", str(cfg), "--out", str(plain),
+                         command]) == 0
+            assert main(["--config", str(cfg), "--out", str(stamped),
+                         "--stamp", command]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in stamped.iterdir())
+        for name in names:
+            if name.endswith(".csv"):
+                assert (stamped / name).read_bytes() == \
+                    (plain / name).read_bytes()
+                continue
+            env = json.loads((stamped / name).read_text())
+            ref = json.loads((plain / name).read_text())
+            stamp = datetime.datetime.fromisoformat(env.pop("timestamp"))
+            assert stamp.utcoffset() == datetime.timedelta(0)
+            assert ref.pop("timestamp") is None
+            assert env == ref
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(tmp_path)
