@@ -6,8 +6,8 @@ tables plus a JSON envelope.  Outputs are byte-identical for identical
 config + seed + version; the envelope timestamp stays null unless --stamp is
 passed, precisely so that repeated runs reproduce bit for bit.
 
-Exit codes: 0 ok, 2 config/parse error, 3 domain/singularity error,
-4 verification failure, 5 identifiability error, 6 non-convergence.
+Exit codes: 0 ok, 4 verification failure; any other is the exit_code of the
+error type raised (errors.py), with one "<kind>: <message>" line on stderr.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .decoherence import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
-    IdentifiabilityError,
     InstabilityError,
     SingularResponseError,
     SqzCavityError,
@@ -57,8 +55,9 @@ from .optimize import (
     optimize_gain_numeric,
     snr_gain_db,
 )
-from .oracle import SdeRunSpec, compare_oracles, random_compare_grid
+from .oracle import SDE_Z_LIMIT, SdeRunSpec, compare_oracles, random_compare_grid
 from .sensor import (
+    SINGLE_MODE_BUDGET,
     CavityParams,
     InputQuadratureState,
     PhysicalScale,
@@ -387,19 +386,20 @@ class OutputWriter:
 
 
 def _collect_warnings(cfg: RunConfig, q: float) -> list[str]:
-    warnings = []
-    if gain_validity_warning(cfg.cavity, q):
-        warnings.append(
-            "single-mode validity: t_c + eps_int + |q| = "
-            f"{cfg.cavity.t_c + cfg.cavity.eps_int + abs(q):.3f} > 0.3"
-        )
-    return warnings
+    if not gain_validity_warning(cfg.cavity, q):
+        return []
+    return ["single-mode validity: t_c + eps_int + |q| = "
+            f"{cfg.cavity.t_c + cfg.cavity.eps_int + abs(q):.3f} > {SINGLE_MODE_BUDGET}"]
 
 
 def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     cav, chain = cfg.cavity, cfg.chain
     state = input_state_from_source(cfg.source, chain.eps_inj)
     q = -cfg.g * cav.q_threshold
+    if not abs(cfg.g) < 1.0:
+        raise InstabilityError(
+            f"g = {cfg.g} puts the gain at or above the parametric threshold "
+            f"q_th = {cav.q_threshold}: the cavity oscillates")
     omega = cfg.omega_grid if cfg.omega_grid is not None else np.array([cfg.omega])
 
     s_sn = quadrature_noise_spectrum(cav, q, state.v_sq, chain.eps_read, omega)
@@ -469,16 +469,13 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     summary = []
     for i, (source, chain) in enumerate(cfg.panels, start=1):
         state = input_state_from_source(source, chain.eps_inj)
-        gain_ni = snr_gain_db(cav, state, chain, cfg.omega, q_grid,
-                              baseline="no_internal",
-                              jitter_model=cfg.jitter_model)
-        gain_ns = snr_gain_db(cav, state, chain, cfg.omega, q_grid,
-                              baseline="no_squeezing",
-                              jitter_model=cfg.jitter_model)
-        arr = np.column_stack([g_grid, q_grid, gain_ni, gain_ns])
+        gains = {b: snr_gain_db(cav, state, chain, cfg.omega, q_grid,
+                                baseline=b, jitter_model=cfg.jitter_model)
+                 for b in BASELINES}
         writer.add_table(f"figure3_panel_{i}",
-                         ["g", "q", "snr_gain_db_no_internal",
-                          "snr_gain_db_no_squeezing"], arr.tolist())
+                         ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES],
+                         np.column_stack([g_grid, q_grid, *gains.values()]
+                                         ).tolist())
         opt = optimize_gain_numeric(cav, state, chain, cfg.omega,
                                     jitter_model=cfg.jitter_model)
         summary.append({
@@ -486,22 +483,14 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
             "squeeze_db": source.squeeze_db,
             "theta_rms": chain.theta_rms,
             "eps_read": chain.eps_read,
-            "grid_peak_no_internal": {
-                "g": float(arr[np.argmax(arr[:, 2]), 0]),
-                "gain_db": float(arr[:, 2].max()),
-            },
-            "grid_peak_no_squeezing": {
-                "g": float(arr[np.argmax(arr[:, 3]), 0]),
-                "gain_db": float(arr[:, 3].max()),
-            },
+            **{f"grid_peak_{b}": {"g": float(g_grid[np.argmax(gain)]),
+                                  "gain_db": float(gain.max())}
+               for b, gain in gains.items()},
             "optimized": {
                 "g_opt": opt.g_opt, "q_opt": opt.q_opt, "s_opt": opt.s_opt,
-                "gain_db_no_internal": float(snr_gain_db(
-                    cav, state, chain, cfg.omega, opt.q_opt,
-                    baseline="no_internal", jitter_model=cfg.jitter_model)),
-                "gain_db_no_squeezing": float(snr_gain_db(
-                    cav, state, chain, cfg.omega, opt.q_opt,
-                    baseline="no_squeezing", jitter_model=cfg.jitter_model)),
+                **{f"gain_db_{b}": float(snr_gain_db(
+                    cav, state, chain, cfg.omega, opt.q_opt, baseline=b,
+                    jitter_model=cfg.jitter_model)) for b in BASELINES},
             },
         })
     results = {
@@ -519,29 +508,23 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
     sde_specs = []
     if cfg.verify_sde:
         state = input_state_from_source(cfg.source, cfg.chain.eps_inj)
+        eps_read = cfg.chain.eps_read
+        checks = (  # label, q, input state, eps_read, quadrature
+            ("vacuum_passive", 0.0, InputQuadratureState.vacuum(), 0.0, "sq"),
+            ("squeezed_passive", 0.0, state, eps_read, "sq"),
+            ("anti_with_gain", cfg.verify_probe_q, state, eps_read, "anti"))
         with _config_errors("[verify] "):
             sde_specs = [
-                ("vacuum_passive",
-                 SdeRunSpec(cavity=cfg.cavity, q=0.0,
-                            input_state=InputQuadratureState.vacuum(),
-                            eps_read=0.0, seed=cfg.seed, **cfg.sde_options)),
-                ("squeezed_passive",
-                 SdeRunSpec(cavity=cfg.cavity, q=0.0, input_state=state,
-                            eps_read=cfg.chain.eps_read, seed=cfg.seed + 1,
-                            **cfg.sde_options)),
-                ("anti_with_gain",
-                 SdeRunSpec(cavity=cfg.cavity, q=cfg.verify_probe_q,
-                            input_state=state, eps_read=cfg.chain.eps_read,
-                            seed=cfg.seed + 2, quadrature="anti",
-                            **cfg.sde_options)),
-            ]
+                (label, SdeRunSpec(cavity=cfg.cavity, q=q, input_state=in_state,
+                                   eps_read=loss, seed=cfg.seed + i,
+                                   quadrature=quadrature, **cfg.sde_options))
+                for i, (label, q, in_state, loss, quadrature) in enumerate(checks)]
     report = compare_oracles(grid, sde_specs=sde_specs, fault_offset=fault)
 
     rows = [["analytic_grid", report.max_analytic_diff,
-             report.analytic_tolerance,
-             report.max_analytic_diff < report.analytic_tolerance]]
+             report.analytic_tolerance, report.analytic_passed]]
     for s in report.sde:
-        rows.append([f"sde_{s.label}", s.z_zero, 3.0, s.passed])
+        rows.append([f"sde_{s.label}", s.z_zero, SDE_Z_LIMIT, s.passed])
     writer.add_table("verify_report", ["check", "value", "threshold", "passed"],
                      rows)
     results = {
@@ -683,18 +666,9 @@ def main(argv=None) -> int:
         code = args.run(cfg, writer, args)
         writer.flush()
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularResponseError, InstabilityError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except IdentifiabilityError as exc:
-        print(f"identifiability error: {exc}", file=sys.stderr)
-        return 5
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return 6
+    except SqzCavityError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ composed response denominator reads (t_c + eps_int + q)^2 + Omega^2 exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +37,7 @@ _QUADRATURES = ("sq", "anti")
 # SDE band scored, in Omega: there discretization bias is negligible versus
 # the statistical error
 _SDE_BAND_CUTOFF = 3.0
+SDE_Z_LIMIT = 3.0             # |z| a scored SDE bin may reach
 _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 
 # a**k is exactly 0.0 once k*ln(a) < -745.2, below half the smallest
@@ -177,12 +179,28 @@ class SdeRunSpec:
         if not steps <= np.iinfo(np.intp).max:
             raise ValueError(f"duration/dt = {steps:.3g} exceeds the largest "
                              "array length")
-        if self.steps_per_trajectory < self.segment_length:
-            raise ValueError("duration too short for a single segment")
+        # the kernel holds about six float64 arrays of duration/dt at once
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 48.0 * steps > memory:
+            raise ValueError(f"duration/dt = {steps:.3g} steps need about "
+                             f"{48.0 * steps:.3g} bytes, above the "
+                             f"{memory:.3g} bytes of physical memory")
+        n_seg = self.n_trajectories * (self.steps_per_trajectory
+                                       // self.segment_length)
+        if n_seg < 2:
+            raise ValueError(f"periodogram segments in total: {n_seg}; a "
+                             "standard error needs at least 2")
 
     @property
     def steps_per_trajectory(self) -> int:
         return int(round(self.duration / self.dt))
+
+    @property
+    def scored(self) -> tuple[float, float]:
+        """(gain, input variance) of the quadrature the run scores."""
+        if self.quadrature == "sq":
+            return self.q, self.input_state.v_sq
+        return -self.q, self.input_state.v_anti
 
 
 @dataclass(frozen=True)
@@ -270,10 +288,8 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
     """
     cav = spec.cavity
     kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
-    if spec.quadrature == "sq":
-        lam, v_in = kc + kl + spec.q / 2.0, spec.input_state.v_sq
-    else:
-        lam, v_in = kc + kl - spec.q / 2.0, spec.input_state.v_anti
+    gain, v_in = spec.scored
+    lam = kc + kl + gain / 2.0
     n = spec.steps_per_trajectory
     length = spec.segment_length
     win = np.hanning(length)
@@ -297,7 +313,7 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
         n_seg += p_seg
 
     psd = s1 / n_seg
-    var = (s2 - n_seg * psd**2) / (n_seg - 1) if n_seg > 1 else np.full_like(psd, np.nan)
+    var = (s2 - n_seg * psd**2) / (n_seg - 1)
     omega = 4.0 * math.pi * np.fft.rfftfreq(length, spec.dt)
     return SdeResult(omega=omega, psd=psd,
                      stderr=np.sqrt(np.maximum(var, 0.0) / n_seg),
@@ -334,6 +350,7 @@ class OracleReport:
     sde: list[SdeComparison]
     analytic_tolerance: float
     max_analytic_diff: float
+    analytic_passed: bool
     passed: bool
 
 
@@ -379,27 +396,21 @@ def compare_sde(spec: SdeRunSpec, label: str,
     """Run the stochastic oracle on spec.quadrature and score its spectrum
     against that quadrature's closed form.
 
-    The zero-frequency bin must agree within 3 standard errors; across the
-    band below _SDE_BAND_CUTOFF no more than 1 percent of bins may exceed
-    |z| = 3.
+    The zero-frequency bin must agree within SDE_Z_LIMIT standard errors;
+    across the band below _SDE_BAND_CUTOFF no more than 1 percent of bins may
+    exceed |z| = SDE_Z_LIMIT.
     """
     res = run_sde(spec)
     est, se = res.psd, res.stderr
-    if spec.quadrature == "sq":
-        target = quadrature_noise_spectrum(spec.cavity, spec.q,
-                                           spec.input_state.v_sq,
-                                           spec.eps_read, res.omega)
-    else:
-        target = anti_quadrature_noise_spectrum(spec.cavity, spec.q,
-                                                spec.input_state.v_anti,
-                                                spec.eps_read, res.omega)
-    target = np.asarray(target, dtype=float) + fault_offset
+    gain, v_in = spec.scored
+    target = quadrature_noise_spectrum(spec.cavity, gain, v_in, spec.eps_read,
+                                       res.omega) + fault_offset
     z = (est - target) / se
     band = res.omega <= _SDE_BAND_CUTOFF
-    frac = float((np.abs(z[band]) > 3.0).mean())
+    frac = float((np.abs(z[band]) > SDE_Z_LIMIT).mean())
     z0 = float(z[0])
     se_rel0 = float(se[0] / est[0])
-    passed = abs(z0) <= 3.0 and frac < 0.01 and se_rel0 <= 0.02
+    passed = abs(z0) <= SDE_Z_LIMIT and frac < 0.01 and se_rel0 <= 0.02
     return SdeComparison(label=label, target_zero=float(target[0]),
                          estimate_zero=float(est[0]), stderr_rel_zero=se_rel0,
                          z_zero=z0, frac_abs_z_above_3=frac,
@@ -414,7 +425,9 @@ def compare_oracles(grid: CompareGrid,
     max_diff = float(analytic.max(initial=0.0))
     sde = [compare_sde(spec, label=label, fault_offset=fault_offset)
            for label, spec in sde_specs]
-    passed = max_diff < _ANALYTIC_TOLERANCE and all(s.passed for s in sde)
+    analytic_passed = max_diff < _ANALYTIC_TOLERANCE
     return OracleReport(analytic=analytic, sde=sde,
                         analytic_tolerance=_ANALYTIC_TOLERANCE,
-                        max_analytic_diff=max_diff, passed=passed)
+                        max_analytic_diff=max_diff,
+                        analytic_passed=analytic_passed,
+                        passed=analytic_passed and all(s.passed for s in sde))

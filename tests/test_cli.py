@@ -16,8 +16,13 @@ from hypothesis import strategies as st
 
 from sqzcavity import (
     CavityParams,
+    ConfigError,
+    ConvergenceError,
     DecoherenceChain,
     ExternalSqueezeSource,
+    IdentifiabilityError,
+    InstabilityError,
+    SingularResponseError,
     input_state_from_source,
     measured_sensitivity,
     optimal_gain_analytic,
@@ -141,11 +146,17 @@ class TestSpectrum:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_error_exit_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, theta_rms=0.0,
-                           analysis="omega = 0.0\ng = 1.0")  # q = -q_th pole
+        # q = -q_th is the pole; beyond it on either side the cavity
+        # oscillates, and no closed form describes it
         out = tmp_path / "out3"
-        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 3
-        assert not out.exists()
+        for g in ("1.0", "1.5", "-1.5"):
+            cfg = write_config(tmp_path, theta_rms=0.0,
+                               analysis=f"omega = 0.0\ng = {g}")
+            assert main(["--config", str(cfg), "--out", str(out),
+                         "spectrum"]) == 3
+            assert one_line_stderr(capsys).startswith(
+                f"domain error: g = {float(g)} puts the gain at or above")
+            assert not out.exists()
         # the jittered signal factor exp(-theta^2) underflows: S_x = inf
         cfg = write_config(tmp_path, name="theta30.ini", theta_rms=30.0)
         for command in ("spectrum", "optimize"):
@@ -220,13 +231,20 @@ class TestConfigValidation:
                 assert not out.exists()
 
     def test_sde_steps_beyond_array_length_exit_2(self, tmp_path, capsys):
-        # duration/dt above the largest array length is rejected when the
-        # SDE checks are specified, before any array is allocated; so is a
-        # step too fine for even the passive cavity to decay within it
+        # duration/dt above the largest array length, or beyond physical
+        # memory, is rejected when the SDE checks are specified, before any
+        # array is allocated; so is a step too fine for even the passive
+        # cavity to decay within it, and a run too short for the two
+        # periodogram segments a standard error needs
         for sde, prefix in (
                 ("sde_duration = 1e300", "[verify] duration/dt = "),
                 ("sde_dt = 1e-14", "[verify] duration/dt = "),
-                ("sde_dt = 1e-300", "[verify] dt = 1e-300 is too fine")):
+                ("sde_duration = 4096\nsde_dt = 1e-14",
+                 "[verify] duration/dt = 4.1e+17 steps need about"),
+                ("sde_dt = 1e-300", "[verify] dt = 1e-300 is too fine"),
+                ("sde_trajectories = 1\nsde_duration = 4096\n"
+                 "sde_segment_length = 8192",
+                 "[verify] periodogram segments in total: 1;")):
             cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 4\n"
                                                f"sde = true\n{sde}\n")
             out = tmp_path / "out"
@@ -429,6 +447,16 @@ def _write_measurements(path, noise=0.0, seed=3):
             w.writerow([r.pump_setting, r.v_sq, r.v_anti, r.err_sq, r.err_anti])
 
 
+# each error type, the kind main prints for it and the exit code it returns
+ERROR_KINDS = [
+    (ConfigError, "config error", 2),
+    (SingularResponseError, "domain error", 3),
+    (InstabilityError, "domain error", 3),
+    (IdentifiabilityError, "identifiability error", 5),
+    (ConvergenceError, "convergence error", 6),
+]
+
+
 class TestCalibrate:
     CAL = "\n[calibrate]\nfree = eps_read, theta_rms\nq_max = 0.08\n"
 
@@ -498,19 +526,24 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 2
 
-    def test_nonconvergence_exit_6(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error, kind, code", ERROR_KINDS,
+                             ids=[e.__name__ for e, _, _ in ERROR_KINDS])
+    def test_error_kind_and_exit_code(self, tmp_path, monkeypatch, capsys,
+                                      error, kind, code):
         import sqzcavity.cli as climod
-        from sqzcavity import ConvergenceError
 
         def boom(*args, **kwargs):
-            raise ConvergenceError("no start point converged")
+            raise error("no start point converged")
 
         monkeypatch.setattr(climod, "fit_parameters", boom)
         cfg = write_config(tmp_path, extra=self.CAL)
         data = tmp_path / "meas.csv"
         _write_measurements(data)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "calibrate", "--data", str(data)]) == 6
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "calibrate", "--data", str(data)]) == code
+        assert one_line_stderr(capsys) == f"{kind}: no start point converged\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unidentifiable_exit_5(self, tmp_path, capsys):

@@ -233,12 +233,18 @@ class TestSde:
             _small_spec(cav, eps_read=1.0)
         with pytest.raises(ValueError):
             _small_spec(cav, segment_length=4)
-        with pytest.raises(ValueError):
-            _small_spec(cav, duration=10.0)
+        # a standard error needs two periodogram segments in total
+        for short in (dict(duration=10.0),
+                      dict(n_trajectories=1, duration=0.5 * 4096)):
+            with pytest.raises(ValueError, match="segments in total"):
+                _small_spec(cav, **short)
         with pytest.raises(ValueError):
             _small_spec(cav, quadrature="both")
-        # duration/dt beyond the largest array length, and beyond the
-        # float range, are rejected before anything is allocated
+        # duration/dt beyond physical memory, beyond the largest array
+        # length, and beyond the float range, are rejected before anything is
+        # allocated
+        with pytest.raises(ValueError, match="physical memory"):
+            _small_spec(cav, duration=4096.0, dt=1e-14)
         for bad in (dict(q=float("nan")), dict(dt=float("nan")),
                     dict(duration=float("inf")), dict(seed=-1),
                     dict(duration=1e300), dict(duration=1e300, dt=1e-300)):
