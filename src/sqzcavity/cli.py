@@ -6,6 +6,11 @@ tables plus a JSON envelope.  Outputs are byte-identical for identical
 config + seed + version; the envelope timestamp stays null unless --stamp is
 passed, precisely so that repeated runs reproduce bit for bit.
 
+load_config is the one config boundary: it applies the --seed/--out/--format
+overrides, checks every value whatever the command and builds the SDE specs
+and the FitModel.  A command only computes; it raises a config error only for
+a missing section it needs or a fault in its data.
+
 Exit codes: 0 ok, 4 verification failure; any other is the exit_code of the
 error type raised (errors.py), with one "<kind>: <message>" line on stderr.
 """
@@ -20,7 +25,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +96,7 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     cavity: CavityParams
     scale: PhysicalScale | None
@@ -109,13 +114,9 @@ class RunConfig:
     out_dir: str
     formats: tuple[str, ...]
     verify_grid_points: int
-    verify_sde: bool
-    verify_probe_q: float
-    sde_options: dict           # SdeRunSpec keywords set in [verify]
-    calibrate_free: tuple[str, ...]
-    calibrate_q_max: float | None
-    calibrate_bounds: dict = field(default_factory=dict)
-    echo: dict = field(default_factory=dict)
+    sde_specs: list[tuple[str, SdeRunSpec]]   # empty unless [verify] sde
+    fit_model: FitModel | None                # None unless [calibrate] free
+    echo: dict
 
 
 def _check_finite(name: str, *values: float):
@@ -175,7 +176,12 @@ def _get_bool(cp, section, key, default):
         raise ConfigError(f"[{section}] {key} must be a boolean") from exc
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, seed: int | None = None,
+                out_dir: str | None = None,
+                formats: str | None = None) -> RunConfig:
+    """Read and check a run config, whatever the command.  seed, out_dir and
+    formats (comma-separated), when not None, override [run] seed, out_dir
+    and format; the seed override is echoed as [run] seed."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     path = Path(path)
     if not path.is_file():
@@ -281,35 +287,75 @@ def load_config(path: str | Path) -> RunConfig:
     if grid_points < 1:
         raise ConfigError(f"[verify] grid_points must be >= 1, got {grid_points}")
 
+    g = _get_float(cp, "analysis", "g", required=False, default=0.0)
+    config_seed = _get_int(cp, "run", "seed", 0)
+    if out_dir is None:
+        out_dir = cp.get("run", "out_dir", fallback="out")
+    if formats is None:
+        formats = cp.get("run", "format", fallback="csv,json")
+    sde = _get_bool(cp, "verify", "sde", False)
+    probe_q = _get_float(cp, "verify", "probe_q", required=False, default=0.0085)
+    sde_options = {name: value for name, value in (
+        ("n_trajectories", _get_int(cp, "verify", "sde_trajectories", None)),
+        ("duration", _get_float(cp, "verify", "sde_duration", required=False)),
+        ("segment_length", _get_int(cp, "verify", "sde_segment_length", None)),
+        ("dt", _get_float(cp, "verify", "sde_dt", required=False)),
+    ) if value is not None}
+    q_max = _get_float(cp, "calibrate", "q_max", required=False)
+
     echo = {s: dict(cp[s]) for s in cp.sections()}
+    if seed is None:
+        seed = config_seed
+    else:
+        echo.setdefault("run", {})["seed"] = str(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    formats = tuple(formats.split(","))
+    for f in formats:
+        if f not in ("csv", "json"):
+            raise ConfigError(f"unknown output format {f!r}")
+
+    if not abs(g) < 1.0:
+        raise InstabilityError(
+            f"g = {g} puts the gain at or above the parametric threshold "
+            f"q_th = {cavity.q_threshold}: the cavity oscillates")
+    if np.any(np.abs(g_grid) >= 1.0):
+        raise ConfigError("figure3 gain grid must lie strictly inside (-1, 1)")
+
+    sde_specs = []
+    if sde:
+        state = input_state_from_source(source, chain.eps_inj)
+        checks = (  # label, q, input state, eps_read, quadrature
+            ("vacuum_passive", 0.0, InputQuadratureState.vacuum(), 0.0, "sq"),
+            ("squeezed_passive", 0.0, state, chain.eps_read, "sq"),
+            ("anti_with_gain", probe_q, state, chain.eps_read, "anti"))
+        with _config_errors("[verify] "):
+            sde_specs = [
+                (label, SdeRunSpec(cavity=cavity, q=q, input_state=in_state,
+                                   eps_read=loss, seed=seed + i,
+                                   quadrature=quadrature, **sde_options))
+                for i, (label, q, in_state, loss, quadrature) in enumerate(checks)]
+
+    fit_model = None
+    if free:
+        fixed = {"t_c": cavity.t_c, "eps_int": cavity.eps_int,
+                 "eps_inj": chain.eps_inj, "eps_read": chain.eps_read,
+                 "theta_rms": chain.theta_rms, "r_ext": source.r_ext}
+        if "q_max" not in free:
+            if q_max is None:
+                raise ConfigError("q_max must be fixed in [calibrate] or listed free")
+            fixed["q_max"] = q_max
+        with _config_errors():
+            fit_model = FitModel(
+                free=free, fixed={k: v for k, v in fixed.items() if k not in free},
+                bounds=cal_bounds, omega=omega, jitter_model=jitter_model)
+
     return RunConfig(
-        cavity=cavity, scale=scale,
-        fsr_hz=fsr_hz,
-        source=source, chain=chain,
-        omega=omega,
-        omega_grid=omega_grid,
-        g=_get_float(cp, "analysis", "g", required=False, default=0.0),
-        g_grid=g_grid, baseline=baseline, jitter_model=jitter_model,
-        panels=panels, seed=_get_int(cp, "run", "seed", 0),
-        out_dir=cp.get("run", "out_dir", fallback="out"),
-        formats=tuple(cp.get("run", "format", fallback="csv,json").split(",")),
-        verify_grid_points=grid_points,
-        verify_sde=_get_bool(cp, "verify", "sde", False),
-        verify_probe_q=_get_float(cp, "verify", "probe_q", required=False,
-                                  default=0.0085),
-        sde_options={name: value for name, value in (
-            ("n_trajectories", _get_int(cp, "verify", "sde_trajectories", None)),
-            ("duration", _get_float(cp, "verify", "sde_duration",
-                                    required=False)),
-            ("segment_length", _get_int(cp, "verify", "sde_segment_length",
-                                        None)),
-            ("dt", _get_float(cp, "verify", "sde_dt", required=False)),
-        ) if value is not None},
-        calibrate_free=free,
-        calibrate_q_max=_get_float(cp, "calibrate", "q_max", required=False),
-        calibrate_bounds=cal_bounds,
-        echo=echo,
-    )
+        cavity=cavity, scale=scale, fsr_hz=fsr_hz, source=source, chain=chain,
+        omega=omega, omega_grid=omega_grid, g=g, g_grid=g_grid,
+        baseline=baseline, jitter_model=jitter_model, panels=panels, seed=seed,
+        out_dir=out_dir, formats=formats, verify_grid_points=grid_points,
+        sde_specs=sde_specs, fit_model=fit_model, echo=echo)
 
 
 def _fmt(value) -> str:
@@ -318,21 +364,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_default(obj):
-    """numpy arrays and scalars, which json does not serialize itself."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 class OutputWriter:
     """Collects a command's tables and JSON envelopes; main writes them only
     after the command returns."""
 
     def __init__(self, cfg: RunConfig, command: str, stamp: bool):
-        for f in cfg.formats:
-            if f not in ("csv", "json"):
-                raise ConfigError(f"unknown output format {f!r}")
         self.cfg = cfg
         self.command = command
         self.stamp = stamp
@@ -375,8 +411,7 @@ class OutputWriter:
                 for name, envelope in self._json:
                     p = self.out_dir / f"{name}.json"
                     with open(p, "w") as fh:
-                        json.dump(envelope, fh, indent=2, sort_keys=True,
-                                  default=_json_default)
+                        json.dump(envelope, fh, indent=2, sort_keys=True)
                         fh.write("\n")
                     written.append(p)
         except OSError as exc:
@@ -396,10 +431,6 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     cav, chain = cfg.cavity, cfg.chain
     state = input_state_from_source(cfg.source, chain.eps_inj)
     q = -cfg.g * cav.q_threshold
-    if not abs(cfg.g) < 1.0:
-        raise InstabilityError(
-            f"g = {cfg.g} puts the gain at or above the parametric threshold "
-            f"q_th = {cav.q_threshold}: the cavity oscillates")
     omega = cfg.omega_grid if cfg.omega_grid is not None else np.array([cfg.omega])
 
     s_sn = quadrature_noise_spectrum(cav, q, state.v_sq, chain.eps_read, omega)
@@ -461,10 +492,7 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
 def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     if not cfg.panels:
         raise ConfigError("figure3 requires [analysis] panels")
-    cav = cfg.cavity
-    g_grid = cfg.g_grid
-    if np.any(np.abs(g_grid) >= 1.0):
-        raise ConfigError("figure3 gain grid must lie strictly inside (-1, 1)")
+    cav, g_grid = cfg.cavity, cfg.g_grid
     q_grid = -g_grid * cav.q_threshold
     summary = []
     for i, (source, chain) in enumerate(cfg.panels, start=1):
@@ -505,21 +533,7 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
 def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
     grid = random_compare_grid(cfg.verify_grid_points, cfg.seed)
     fault = 1e-9 if args.inject_fault else 0.0
-    sde_specs = []
-    if cfg.verify_sde:
-        state = input_state_from_source(cfg.source, cfg.chain.eps_inj)
-        eps_read = cfg.chain.eps_read
-        checks = (  # label, q, input state, eps_read, quadrature
-            ("vacuum_passive", 0.0, InputQuadratureState.vacuum(), 0.0, "sq"),
-            ("squeezed_passive", 0.0, state, eps_read, "sq"),
-            ("anti_with_gain", cfg.verify_probe_q, state, eps_read, "anti"))
-        with _config_errors("[verify] "):
-            sde_specs = [
-                (label, SdeRunSpec(cavity=cfg.cavity, q=q, input_state=in_state,
-                                   eps_read=loss, seed=cfg.seed + i,
-                                   quadrature=quadrature, **cfg.sde_options))
-                for i, (label, q, in_state, loss, quadrature) in enumerate(checks)]
-    report = compare_oracles(grid, sde_specs=sde_specs, fault_offset=fault)
+    report = compare_oracles(grid, sde_specs=cfg.sde_specs, fault_offset=fault)
 
     rows = [["analytic_grid", report.max_analytic_diff,
              report.analytic_tolerance, report.analytic_passed]]
@@ -568,25 +582,10 @@ def _load_measurements(path: str | Path) -> list[VariancePair]:
 
 def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
     data = _load_measurements(args.data)
-    if not cfg.calibrate_free:
+    model = cfg.fit_model
+    if model is None:
         raise ConfigError("calibrate requires [calibrate] free = name, ...")
-    fixed = {
-        "t_c": cfg.cavity.t_c,
-        "eps_int": cfg.cavity.eps_int,
-        "eps_inj": cfg.chain.eps_inj,
-        "eps_read": cfg.chain.eps_read,
-        "theta_rms": cfg.chain.theta_rms,
-        "r_ext": cfg.source.r_ext,
-    }
-    if "q_max" not in cfg.calibrate_free:
-        if cfg.calibrate_q_max is None:
-            raise ConfigError("q_max must be fixed in [calibrate] or listed free")
-        fixed["q_max"] = cfg.calibrate_q_max
-    fixed = {k: v for k, v in fixed.items() if k not in cfg.calibrate_free}
     with _config_errors():
-        model = FitModel(free=cfg.calibrate_free, fixed=fixed,
-                         bounds=cfg.calibrate_bounds, omega=cfg.omega,
-                         jitter_model=cfg.jitter_model)
         result = fit_parameters(data, model)
 
     pred = forward_variances(result.params, [d.pump_setting for d in data],
@@ -603,8 +602,8 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
                      ["pump_setting", "V_sq_meas", "V_sq_model", "res_sq",
                       "V_anti_meas", "V_anti_model", "res_anti"], rows)
     results = {
-        "free": list(cfg.calibrate_free),
-        "fitted": {k: result.params[k] for k in cfg.calibrate_free},
+        "free": list(model.free),
+        "fitted": {k: result.params[k] for k in model.free},
         "stderr": result.stderr,
         "all_params": result.params,
         "objective": result.objective,
@@ -652,16 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-            cfg.echo.setdefault("run", {})["seed"] = str(args.seed)
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.format is not None:
-            cfg.formats = tuple(args.format.split(","))
-        if cfg.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+        cfg = load_config(args.config, args.seed, args.out, args.format)
         writer = OutputWriter(cfg, args.command, args.stamp)
         code = args.run(cfg, writer, args)
         writer.flush()

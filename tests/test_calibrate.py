@@ -5,6 +5,7 @@ import pytest
 
 from sqzcavity import (
     CavityParams,
+    ConvergenceError,
     DecoherenceChain,
     ExternalSqueezeSource,
     FitModel,
@@ -17,6 +18,7 @@ from sqzcavity import (
     measured_noise_with_jitter,
     synthesize_measurements,
 )
+from sqzcavity import calibrate
 
 TRUE = dict(
     t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10, theta_rms=0.05,
@@ -93,6 +95,8 @@ class TestFitModel:
             FitModel(free=("eps_read",), fixed={})
         with pytest.raises(ValueError):
             FitModel(free=("bogus",), fixed=TRUE)
+        with pytest.raises(ValueError, match="duplicate"):
+            FitModel(free=("eps_read", "eps_read"), fixed=TRUE)
 
     def test_bounds_merging(self):
         fixed = {k: v for k, v in TRUE.items() if k != "eps_read"}
@@ -112,6 +116,47 @@ class TestFit:
         assert abs(res.params["eps_read"] - TRUE["eps_read"]) < 1e-6
         assert abs(res.params["theta_rms"] - TRUE["theta_rms"]) < 1e-6
         assert res.objective < 1e-16
+        # four free parameters: a bounds box of 16 corners, of which a fixed
+        # subsample of 8 starts the fit
+        free = ("eps_read", "theta_rms", "q_max", "eps_inj")
+        model = FitModel(free=free,
+                         fixed={k: v for k, v in TRUE.items() if k not in free})
+        assert len(calibrate._starts(model)) == 8
+        res = fit_parameters(synthesize_measurements(TRUE, PUMPS + [0.9], 0.0,
+                                                     seed=1), model)
+        for name in free:
+            assert abs(res.params[name] - TRUE[name]) < 1e-6
+
+    def test_rejected_parameters_and_user_bounds(self, monkeypatch):
+        # a user box for eps_read reaching past 1: the model rejects the two
+        # starts at eps_read = 1.425, once at each start and once per
+        # Jacobian column, and the fit scores them with the 1e6 fill
+        rejected = []
+
+        def counting(params, *args, **kwargs):
+            try:
+                return forward_variances(params, *args, **kwargs)
+            except ValueError:
+                rejected.append(params["eps_read"])
+                raise
+
+        monkeypatch.setattr(calibrate, "forward_variances", counting)
+        rows = synthesize_measurements(TRUE, PUMPS, 0.0, seed=1)
+        fixed = {k: v for k, v in TRUE.items()
+                 if k not in ("eps_read", "theta_rms")}
+        model = FitModel(free=("eps_read", "theta_rms"), fixed=fixed,
+                         bounds={"eps_read": (0.0, 1.5)})
+        res = fit_parameters(rows, model)
+        assert len(rejected) == 6 and min(rejected) == 1.425
+        assert abs(res.params["eps_read"] - TRUE["eps_read"]) <= 1e-15
+        assert abs(res.params["theta_rms"] - TRUE["theta_rms"]) <= 1e-15
+
+    def test_no_start_converges(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "_MAX_NFEV", 1)
+        rows = synthesize_measurements(TRUE, PUMPS, 0.0, seed=1)
+        fixed = {k: v for k, v in TRUE.items() if k != "eps_read"}
+        with pytest.raises(ConvergenceError):
+            fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
 
     def test_objective_at_truth_is_zero(self):
         rows = synthesize_measurements(TRUE, PUMPS, 0.0, seed=1)
@@ -174,3 +219,5 @@ class TestFit:
         fixed = {k: v for k, v in TRUE.items() if k != "eps_read"}
         with pytest.raises(ValueError):
             fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
+        with pytest.raises(ValueError, match="at least one free"):
+            fit_parameters(rows * 2, FitModel(free=(), fixed=TRUE))

@@ -143,6 +143,12 @@ class TestSpectrum:
         assert rows[0][0] == pytest.approx(0.5, rel=1e-12)
         env = json.loads((out / "spectrum.json").read_text())
         assert env["results"]["omega_converted_from_hz"] is True
+        # a frequency grid is converted point by point
+        cfg.write_text(cfg.read_text().replace(
+            f"omega = {f_hz!r}", f"omega_grid = 0:{2.0 * f_hz!r}:3"))
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 0
+        _, rows = read_csv(out / "spectrum.csv")
+        assert [r[0] for r in rows] == pytest.approx([0.0, 0.5, 1.0], rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_error_exit_3(self, tmp_path, capsys):
@@ -183,6 +189,9 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, name="nan.ini", theta_rms="nan")
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
         assert not out.exists()
+        cfg = write_config(tmp_path, name="abc.ini", eps_read="abc")
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
+        assert not out.exists()
         # finite levels whose squeezed variance leaves the float range
         for squeeze_db in (3100.0, 4000.0):
             cfg = write_config(tmp_path, name="db.ini", squeeze_db=squeeze_db)
@@ -215,6 +224,7 @@ class TestConfigValidation:
     def test_cavity_scale_out_of_range(self, tmp_path, capsys):
         # each is rejected at the config boundary, before any command runs
         for keys in ("fsr_hz = 0", "fsr_hz = -1e9",
+                     "wavelength_m = 1.064e-6",
                      "wavelength_m = -1e-6\npower_w = 1.0",
                      "wavelength_m = 1.064e-6\npower_w = 0",
                      # the sensitivity prefactor underflows to 0.0
@@ -252,13 +262,19 @@ class TestConfigValidation:
             assert one_line_stderr(capsys).startswith("config error: " + prefix)
             assert not out.exists()
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, extra="\n[cavity]\nbogus = 1\n")
-        # configparser collapses duplicate sections; write a clean bad key
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
         cfg.write_text(cfg.read_text().replace("t_c = 0.11",
                                                "t_c = 0.11\nwhatever = 2"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "spectrum"]) == 2
+        assert one_line_stderr(capsys) == \
+            "config error: unknown key 'whatever' in section [cavity]\n"
+        cfg = write_config(tmp_path, extra="\n[bogus]\nwhatever = 2\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "spectrum"]) == 2
+        assert one_line_stderr(capsys) == \
+            "config error: unknown config section [bogus]\n"
 
     def test_missing_required_key(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -266,8 +282,16 @@ class TestConfigValidation:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "spectrum"]) == 2
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.ini"), "spectrum"]) == 2
+        assert one_line_stderr(capsys).startswith(
+            "config error: config file not found: ")
+        # a section written twice is not a readable config
+        cfg = write_config(tmp_path, extra="\n[cavity]\nt_c = 0.2\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "spectrum"]) == 2
+        assert one_line_stderr(capsys).startswith(
+            "config error: cannot parse config: ")
 
     def test_bad_format_value(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -281,6 +305,11 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, analysis="omega_grid = 0:inf:3")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "spectrum"]) == 2
+        for analysis in ("omega_grid = 0:2:0", "baseline = none",
+                         "jitter_model = none"):
+            cfg = write_config(tmp_path, analysis=analysis)
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "spectrum"]) == 2
         for panels in ("5.4:0.015, 8.6:0.04:0.1", "10.5:0.05:1.5",
                        "10.5:nan:0.1", "10.5:0.05:0.1, 4000:0.05:0.1"):
             cfg = write_config(tmp_path, name="p.ini",
@@ -294,7 +323,7 @@ class TestConfigValidation:
             assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                          "verify"]) == 2
 
-    def test_malformed_calibrate_bound(self, tmp_path):
+    def test_malformed_calibrate_bound(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             extra="\n[calibrate]\nfree = eps_read\nq_max = 0.08\n"
@@ -303,10 +332,58 @@ class TestConfigValidation:
         _write_measurements(data)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 2
-        cfg.write_text(cfg.read_text().replace("bound_eps_read = 0.5",
-                                               "bound_eps_read = 0, inf"))
+        text = cfg.read_text()
+        for bound in ("0, inf", "0.5, 0.1"):
+            cfg.write_text(text.replace("bound_eps_read = 0.5",
+                                        f"bound_eps_read = {bound}"))
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "calibrate", "--data", str(data)]) == 2
+        # a box reaching past eps_read < 1: the model rejects part of it, and
+        # the fit still recovers the truth
+        out = tmp_path / "ok"
+        cfg.write_text(text.replace("bound_eps_read = 0.5",
+                                    "bound_eps_read = 0, 1.5"))
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 0
+        env = json.loads((out / "calibrate_fit.json").read_text())
+        assert env["results"]["fitted"]["eps_read"] == pytest.approx(0.10,
+                                                                     abs=1e-6)
+        # calibrate needs its free parameters
+        capsys.readouterr()
+        cfg.write_text(text.replace("free = eps_read\n", "")
+                       .replace("bound_eps_read = 0.5\n", ""))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 2
+        assert one_line_stderr(capsys).startswith(
+            "config error: calibrate requires [calibrate] free")
+
+    def test_every_value_checked_whatever_the_command(self, tmp_path, capsys):
+        # load_config checks each section's values before any command runs,
+        # so a bad value fails commands that do not use it as well
+        cases = (
+            ("verify", "\n[verify]\nsde = true\nprobe_q = 0.5\n", "", 3,
+             "domain error: |q| = 0.5 is at or above threshold"),
+            ("calibrate", "\n[calibrate]\nfree = eps_read\n", "", 2,
+             "config error: q_max must be fixed in [calibrate] or listed free"),
+            ("calibrate", "\n[calibrate]\nfree = bogus\nq_max = 0.08\n", "",
+             2, "config error: unknown parameter 'bogus'"),
+            ("g", "", "\ng = 1.5", 3,
+             "domain error: g = 1.5 puts the gain at or above"),
+            ("g_grid", "", "\ng_grid = -1.5:0.5:5", 2,
+             "config error: figure3 gain grid must lie strictly inside"),
+        )
+        out = tmp_path / "o"
+        for section, extra, analysis, code, message in cases:
+            cfg = write_config(tmp_path, extra=extra,
+                               analysis="omega = 0.0" + analysis)
+            commands = {"spectrum", "optimize", "figure3", "verify"}
+            if section == "g_grid":
+                commands.remove("figure3")      # needs panels first
+            for command in sorted(commands):
+                assert main(["--config", str(cfg), "--out", str(out),
+                             command]) == code, (section, command)
+                assert one_line_stderr(capsys).startswith(message)
+                assert not out.exists()
 
     def test_unstable_probe_q_exit_3(self, tmp_path):
         cfg = write_config(tmp_path,
@@ -425,6 +502,27 @@ class TestVerify:
         assert env["results"]["passed"] is False
         assert env["results"]["fault_injected"] is True
 
+    def test_sde_checks_in_report(self, tmp_path):
+        cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 4\n"
+                                           "sde = true\nsde_trajectories = 2\n"
+                                           "sde_duration = 4096\n"
+                                           "sde_segment_length = 256\n")
+        out = tmp_path / "outs"
+        code = main(["--config", str(cfg), "--out", str(out), "verify"])
+        with open(out / "verify_report.csv", newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        assert [r[0] for r in rows] == ["analytic_grid", "sde_vacuum_passive",
+                                        "sde_squeezed_passive",
+                                        "sde_anti_with_gain"]
+        results = json.loads((out / "verify_report.json").read_text())["results"]
+        checks = results["sde_checks"]
+        assert [f"sde_{c['label']}" for c in checks] == [r[0] for r in rows[1:]]
+        for c in checks:
+            assert all(np.isfinite(c[k]) for k in (
+                "target_zero", "estimate_zero", "stderr_rel_zero", "z_zero",
+                "frac_abs_z_above_3"))
+        assert code == (0 if results["passed"] else 4)
+
     def test_report_bytes_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 32\n")
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
@@ -473,12 +571,20 @@ class TestCalibrate:
         header, rows = read_csv(out / "calibrate_residuals.csv")
         assert header[0] == "pump_setting" and len(rows) == 5
 
-    def test_truncated_file_exit_2(self, tmp_path):
+    def test_truncated_file_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=self.CAL)
         data = tmp_path / "broken.csv"
-        data.write_text("pump_setting,V_sq,V_anti,err_sq,err_anti\n0.0,1.0\n")
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "calibrate", "--data", str(data)]) == 2
+        header = "pump_setting,V_sq,V_anti,err_sq,err_anti\n"
+        for text, message in ((header + "0.0,1.0\n", "line 2: expected 5"),
+                              (None, "measurement file not found"),
+                              ("", "measurement file is empty"),
+                              (header, "measurement file has no data rows")):
+            data.unlink(missing_ok=True)
+            if text is not None:
+                data.write_text(text)
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "calibrate", "--data", str(data)]) == 2
+            assert one_line_stderr(capsys).startswith(f"config error: {message}")
 
     def test_nan_variance_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.CAL)
@@ -494,17 +600,23 @@ class TestCalibrate:
                      "--data", str(data)]) == 2
         assert not out.exists()
 
-    def test_non_finite_model_exit_3(self, tmp_path):
+    def test_non_finite_model_exit_3(self, tmp_path, capsys):
         # a fixed q_max far past threshold leaves the model nan at pump > 0;
-        # with t_c free the threshold is not fixed, so the fit runs
-        cfg = write_config(
-            tmp_path, extra="\n[calibrate]\nfree = t_c\nq_max = 1e300\n")
+        # with t_c free the threshold is not fixed, so the fit runs.  With a
+        # t_c box whose first start (t_c < 0) the model rejects, the first
+        # start is not checked, and the fitted model is caught instead
         data = tmp_path / "meas.csv"
         _write_measurements(data)
         out = tmp_path / "o"
-        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
-                     "--data", str(data)]) == 3
-        assert not out.exists()
+        for bound, message in (("", "at the first start point"),
+                               ("bound_t_c = -1, 0.5\n",
+                                "at the measured pump settings")):
+            cfg = write_config(tmp_path, extra="\n[calibrate]\nfree = t_c\n"
+                                                f"q_max = 1e300\n{bound}")
+            assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                         "--data", str(data)]) == 3
+            assert message in one_line_stderr(capsys)
+            assert not out.exists()
 
     def test_fixed_q_max_past_threshold_exit_2(self, tmp_path, capsys):
         # |q_max| * max(pump) >= t_c + eps_int = 0.122: the scan crosses the
@@ -636,6 +748,11 @@ class TestReproducibility:
               "spectrum"])
         assert (out / "spectrum.json").exists()
         assert not (out / "spectrum.csv").exists()
+        # [run] out_dir and format apply where no option overrides them
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, extra=f"out_dir = {out}\nformat = csv\n")
+        assert main(["--config", str(cfg), "spectrum"]) == 0
+        assert [p.name for p in out.iterdir()] == ["spectrum.csv"]
 
     def test_console_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -58,6 +58,9 @@ class TestLossMap:
     def test_vacuum_unchanged(self):
         state = input_state_from_source(ExternalSqueezeSource(0.0), 0.0)
         assert (state.v_sq, state.v_anti) == (1.0, 1.0)
+        for eps_inj in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="eps_inj"):
+                input_state_from_source(ExternalSqueezeSource(0.0), eps_inj)
 
     def test_frozen_105(self):
         state = input_state_from_source(ExternalSqueezeSource(10.5), 0.08)
@@ -92,6 +95,9 @@ class TestJitterStatistics:
     def test_mixing_weight_limits(self):
         assert jitter_mixing_weight(0.0) == 0.0
         assert jitter_mixing_weight(50.0) == pytest.approx(0.5)
+        for f in (jitter_mixing_weight, jittered_signal_factor):
+            with pytest.raises(ValueError, match="theta_rms"):
+                f(-0.1)
 
     def test_mixing_weight_frozen(self):
         assert jitter_mixing_weight(0.05) == pytest.approx(0.00249376040365884,

@@ -21,6 +21,7 @@ from sqzcavity import (
     run_sde,
     signal_transfer_power,
 )
+from sqzcavity.oracle import SDE_Z_LIMIT, compare_sde
 
 
 class TestTransferMatrix:
@@ -233,6 +234,8 @@ class TestSde:
             _small_spec(cav, eps_read=1.0)
         with pytest.raises(ValueError):
             _small_spec(cav, segment_length=4)
+        with pytest.raises(ValueError, match="n_trajectories"):
+            _small_spec(cav, n_trajectories=0)
         # a standard error needs two periodogram segments in total
         for short in (dict(duration=10.0),
                       dict(n_trajectories=1, duration=0.5 * 4096)):
@@ -326,6 +329,29 @@ class TestCompareOracles:
         grid = random_compare_grid(16, seed=2)
         report = compare_oracles(grid, fault_offset=1e-9)
         assert not report.passed
+
+    def test_sde_gate_recomputed_from_run_sde(self, cav):
+        # compare_sde scores run_sde's estimate of spec.quadrature against
+        # that quadrature's closed form with the documented gate
+        spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
+                           seed=6, quadrature="anti", duration=4096.0,
+                           n_trajectories=2, segment_length=256)
+        res = run_sde(spec)
+        target = quadrature_noise_spectrum(cav, -0.0085, 10.40, 0.10, res.omega)
+        z = (res.psd - target) / res.stderr
+        c = compare_sde(spec, label="probe")
+        frac = float((np.abs(z[res.omega <= c.band_cutoff]) > SDE_Z_LIMIT).mean())
+        se_rel0 = float(res.stderr[0] / res.psd[0])
+        assert (c.label, c.target_zero, c.estimate_zero) == \
+            ("probe", target[0], res.psd[0])
+        assert (c.z_zero, c.stderr_rel_zero, c.frac_abs_z_above_3) == \
+            (z[0], se_rel0, frac)
+        assert c.passed == (abs(z[0]) <= SDE_Z_LIMIT and frac < 0.01
+                            and se_rel0 <= 0.02)
+        # the fault offset moves the closed-form side only
+        shifted = compare_sde(spec, label="probe", fault_offset=1e-3)
+        assert shifted.target_zero == c.target_zero + 1e-3
+        assert shifted.estimate_zero == c.estimate_zero
 
     def test_comparison_entries(self):
         gaps = compare_analytic(random_compare_grid(8, seed=4))
