@@ -22,7 +22,7 @@ from .decoherence import (
     measured_noise_with_jitter,
 )
 from .errors import ConvergenceError, IdentifiabilityError, SingularResponseError
-from .sensor import CavityParams
+from .sensor import CavityParams, InputQuadratureState
 
 PARAM_NAMES = ("t_c", "eps_int", "eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
 
@@ -94,6 +94,8 @@ class FitModel:
         object.__setattr__(self, "bounds", merged)
 
     def full_params(self, x: np.ndarray) -> dict[str, float]:
+        """Every parameter by name: the fixed values, and x's entries (scalars
+        or per-row columns) for the free names in order."""
         params = dict(self.fixed)
         params.update(zip(self.free, np.asarray(x, dtype=float)))
         return params
@@ -109,19 +111,40 @@ def least_squares(fun, x0, **kwargs):
 
 def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.0,
                       jitter_model: str = "pump_frame") -> np.ndarray:
-    """Model variances, shape (n, 2): detected (v_sq, v_anti) per pump setting."""
+    """Model variances, shape (n, 2): detected (v_sq, v_anti) per pump setting.
+
+    Parameter values may also be (k, 1) arrays, one row per parameter set.
+    The result then broadcasts to (k, n, 2), and each row is bit for bit the
+    scalar call at that row's values: the per-row scalars (the jitter weight
+    and the injected state) go through math row by row, as a scalar call
+    does.  A ValueError (SingularResponseError included) means that at least
+    one row is rejected; it does not say which.
+    """
     cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
     chain = DecoherenceChain(eps_inj=params["eps_inj"],
                              theta_rms=params["theta_rms"],
                              eps_read=params["eps_read"])
-    src = ExternalSqueezeSource.from_squeeze_parameter(params["r_ext"])
-    state = input_state_from_source(src, chain.eps_inj)
+    state = _input_state(params["r_ext"], chain.eps_inj)
     q = params["q_max"] * np.asarray(pump_settings, dtype=float)
-    return np.column_stack([
+    return np.stack([
         measured_noise_with_jitter(cav, q, state, chain, omega, model=jitter_model),
         measured_anti_noise_with_jitter(cav, q, state, chain, omega,
                                         model=jitter_model),
-    ])
+    ], axis=-1)
+
+
+def _input_state(r_ext, eps_inj) -> InputQuadratureState:
+    """Injected state of a squeeze parameter after the injection loss; for
+    per-row arrays, the scalar state of each row, as it goes through math."""
+    if not (isinstance(r_ext, np.ndarray) or isinstance(eps_inj, np.ndarray)):
+        src = ExternalSqueezeSource.from_squeeze_parameter(r_ext)
+        return input_state_from_source(src, eps_inj)
+    r_ext, eps_inj = np.broadcast_arrays(r_ext, eps_inj)
+    rows = [_input_state(r, e) for r, e in zip(r_ext.ravel().tolist(),
+                                               eps_inj.ravel().tolist())]
+    return InputQuadratureState(
+        v_sq=np.array([row.v_sq for row in rows]).reshape(r_ext.shape),
+        v_anti=np.array([row.v_anti for row in rows]).reshape(r_ext.shape))
 
 
 def synthesize_measurements(true_params: dict[str, float], pump_grid,
@@ -174,17 +197,52 @@ def _starts(model: FitModel) -> list[np.ndarray]:
     return starts
 
 
+def _predict(model: FitModel, x: np.ndarray, pumps) -> np.ndarray | None:
+    """Model variances at the free values x; None where the model rejects
+    them."""
+    try:
+        return forward_variances(model.full_params(x), pumps, omega=model.omega,
+                                 jitter_model=model.jitter_model)
+    except ValueError:
+        return None
+
+
+def _predict_rows(model: FitModel, xs: np.ndarray, pumps) -> np.ndarray:
+    """_predict at each row of xs (shape (k, n_free)) through one broadcast
+    forward call: shape (k, n, 2), NaN in a row that the model rejects.  When
+    that call rejects the batch, each row is evaluated on its own, so exactly
+    the rows that _predict rejects are NaN."""
+    shape = (len(xs), len(pumps), 2)
+    # one contiguous (k, 1) column per free name: numpy's strided loops
+    # would cost more than the arithmetic on these few rows
+    params = model.full_params(np.ascontiguousarray(xs.T)[:, :, None])
+    try:
+        pred = forward_variances(params, pumps, omega=model.omega,
+                                 jitter_model=model.jitter_model)
+    except ValueError:
+        rows = [_predict(model, x, pumps) for x in xs]
+        return np.array([np.full(shape[1:], np.nan) if row is None else row
+                         for row in rows])
+    # a prediction that depends on no row (every jitter weight 0, say) is
+    # every row's
+    return pred if pred.ndim == 3 else np.broadcast_to(pred, shape)
+
+
 def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     """Weighted nonlinear least squares over the free parameters.
 
     Residuals are in variance space with inverse-standard-error weights,
     solved with damped least squares (bounded trust-region) from the
-    deterministic multi-start set.  Raises ValueError when a fixed q_max
-    drives the pump scan to or past the fixed threshold t_c + eps_int,
-    SingularResponseError when the model is not finite at the first start
-    point, IdentifiabilityError when the Jacobian at the best fit is
-    rank-deficient beyond tolerance and ConvergenceError when no start
-    converges.
+    deterministic multi-start set.  least_squares chooses every
+    finite-difference step itself; its workers argument hands the points of
+    each Jacobian to one broadcast forward_variances call, so the fit is bit
+    for bit the one that evaluates each column on its own.
+
+    Raises ValueError when a fixed q_max drives the pump scan to or past the
+    fixed threshold t_c + eps_int, SingularResponseError when the model is
+    not finite at the first start point, IdentifiabilityError when the
+    Jacobian at the best fit is rank-deficient beyond tolerance and
+    ConvergenceError when no start converges.
     """
     if len(model.free) == 0:
         raise ValueError("at least one free parameter required")
@@ -193,7 +251,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
             f"{len(model.free)} free parameters need at least "
             f"{len(model.free) + 2} data points, got {len(data)}"
         )
-    pumps = [d.pump_setting for d in data]
+    pumps = np.array([d.pump_setting for d in data])
     fixed = model.fixed
     if "q_max" not in model.free and "t_c" in fixed and "eps_int" in fixed:
         q_th = fixed["t_c"] + fixed["eps_int"]
@@ -203,29 +261,31 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     meas = np.array([[d.v_sq, d.v_anti] for d in data])
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
 
-    def predict(params: dict[str, float]) -> np.ndarray | None:
-        """Model variances at params; None where the model rejects them."""
-        try:
-            return forward_variances(params, pumps, omega=model.omega,
-                                     jitter_model=model.jitter_model)
-        except ValueError:
-            return None
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        pred = predict(model.full_params(x))
-        if pred is None:
-            return np.full(meas.size, 1e6)
+    def weighted(pred: np.ndarray) -> np.ndarray:
+        """Weighted residuals of predictions of shape (..., n, 2), flattened
+        per prediction; the 1e6 fill where the model is not finite."""
         r = (pred - meas) / errs
         r = np.where(np.isfinite(r), r, 1e6)
-        return r.ravel()
+        return r.reshape(pred.shape[:-2] + (meas.size,))
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        pred = _predict(model, x, pumps)
+        return np.full(meas.size, 1e6) if pred is None else weighted(pred)
+
+    def jacobian_points(fun, points) -> np.ndarray:
+        """least_squares' workers map: fun is its wrapper of residual, and
+        points are the finite-difference points of one Jacobian.  One
+        broadcast forward call evaluates them all, each row bit for bit
+        fun's value; a rejected row gets the same 1e6 fill."""
+        return weighted(_predict_rows(model, np.array(list(points)), pumps))
 
     starts = _starts(model)
     # an input past the float range (omega**2 overflowing, say) leaves the
     # model non-finite at every point; the fit would see a constant residual
     # and end rank-deficient, blaming the data
-    params0 = model.full_params(starts[0])
-    pred0 = predict(params0)
+    pred0 = _predict(model, starts[0], pumps)
     if pred0 is not None and not np.all(np.isfinite(pred0)):
+        params0 = model.full_params(starts[0])
         raise SingularResponseError(
             f"calibration model not finite at the first start point (omega = "
             f"{model.omega}; "
@@ -237,7 +297,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     n_ok = 0
     for x0 in starts:
         res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
-                            max_nfev=_MAX_NFEV)
+                            max_nfev=_MAX_NFEV, workers=jacobian_points)
         if res.status > 0:
             n_ok += 1
             if best is None or res.cost < best.cost:

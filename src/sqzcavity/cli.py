@@ -182,7 +182,9 @@ def load_config(path: str | Path, seed: int | None = None,
     """Read and check a run config, whatever the command.  seed, out_dir and
     formats (comma-separated), when not None, override [run] seed, out_dir
     and format; the seed override is echoed as [run] seed."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: a "%" is a character, not an interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")

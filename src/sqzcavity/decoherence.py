@@ -17,6 +17,7 @@ from .sensor import (
     CavityParams,
     InputQuadratureState,
     PhysicalScale,
+    _holds,
     anti_quadrature_noise_spectrum,
     quadrature_noise_spectrum,
     signal_transfer_power,
@@ -56,7 +57,8 @@ class ExternalSqueezeSource:
 
 @dataclass(frozen=True)
 class DecoherenceChain:
-    """Injection loss, phase-jitter RMS (rad) and readout loss."""
+    """Injection loss, phase-jitter RMS (rad) and readout loss, scalars or
+    per-row arrays."""
 
     eps_inj: float
     theta_rms: float
@@ -65,9 +67,9 @@ class DecoherenceChain:
     def __post_init__(self):
         for name in ("eps_inj", "eps_read"):
             val = getattr(self, name)
-            if not 0.0 <= val < 1.0:
+            if not _holds((0.0 <= val) & (val < 1.0)):
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
-        if not (0.0 <= self.theta_rms < math.inf):
+        if not _holds((0.0 <= self.theta_rms) & (self.theta_rms < math.inf)):
             raise ValueError(f"theta_rms must be finite and >= 0, got {self.theta_rms}")
 
 
@@ -106,6 +108,15 @@ def jittered_signal_factor(theta_rms: float) -> float:
     return math.exp(-theta_rms * theta_rms)
 
 
+def _each(fn, x):
+    """fn at every element of x, or at x itself when it is a scalar.  The
+    per-row scalars go through math as in a scalar call, because np.exp may
+    differ from math.exp in the last bit."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _check_model(model: str):
     if model not in JITTER_MODELS:
         raise ValueError(f"jitter model must be one of {JITTER_MODELS}, got {model!r}")
@@ -114,17 +125,20 @@ def _check_model(model: str):
 def _blend(cav: CavityParams, q, v_main, v_other, chain: DecoherenceChain,
            omega, model: str):
     """Jitter blend of the detected quadrature (gain q, input variance v_main)
-    with its orthogonal partner (gain -q, input variance v_other)."""
+    with its orthogonal partner (gain -q, input variance v_other).  A row
+    whose jitter weight is 0 is its readout spectrum alone."""
     _check_model(model)
-    s = jitter_mixing_weight(chain.theta_rms)
+    s = _each(jitter_mixing_weight, chain.theta_rms)
     if model == "input_frame":
         v_eff = (1.0 - s) * v_main + s * v_other
         return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
     main = quadrature_noise_spectrum(cav, q, v_main, chain.eps_read, omega)
-    if s == 0.0:
+    unmixed = s == 0.0
+    if _holds(unmixed):
         return main
     other = anti_quadrature_noise_spectrum(cav, q, v_other, chain.eps_read, omega)
-    return (1.0 - s) * main + s * other
+    blend = (1.0 - s) * main + s * other
+    return np.where(unmixed, main, blend) if isinstance(s, np.ndarray) else blend
 
 
 def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,

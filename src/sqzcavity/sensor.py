@@ -145,7 +145,7 @@ def _response(cav: CavityParams, q, eps_read, omega):
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
     denom = (cav.t_c + cav.eps_int + q) ** 2 + omega**2
-    if np.any(denom == 0.0):
+    if (denom == 0.0).any():
         raise SingularResponseError(
             "response evaluated at the amplification pole "
             f"(q = {-cav.q_threshold}, omega = 0)"

@@ -1,7 +1,11 @@
 """Calibration: synthetic data, weighted fits, identifiability."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqzcavity import (
     CavityParams,
@@ -25,6 +29,7 @@ TRUE = dict(
     r_ext=ExternalSqueezeSource(10.5).r_ext, q_max=0.08,
 )
 PUMPS = [0.0, 0.25, 0.5, 0.75, 1.0]
+Q_TH = TRUE["t_c"] + TRUE["eps_int"]   # both poles of the response at pump 1
 
 
 class TestSynthesize:
@@ -129,15 +134,19 @@ class TestFit:
 
     def test_rejected_parameters_and_user_bounds(self, monkeypatch):
         # a user box for eps_read reaching past 1: the model rejects the two
-        # starts at eps_read = 1.425, once at each start and once per
-        # Jacobian column, and the fit scores them with the 1e6 fill
+        # starts at eps_read = 1.425, each once as the start point and once
+        # per Jacobian column, and the fit scores those rows with the 1e6
+        # fill.  A Jacobian batch that holds a rejected row is evaluated
+        # again row by row, so each rejected parameter row is one rejected
+        # call with scalar parameters
         rejected = []
 
         def counting(params, *args, **kwargs):
             try:
                 return forward_variances(params, *args, **kwargs)
             except ValueError:
-                rejected.append(params["eps_read"])
+                if np.ndim(params["eps_read"]) == 0:
+                    rejected.append(params["eps_read"])
                 raise
 
         monkeypatch.setattr(calibrate, "forward_variances", counting)
@@ -221,3 +230,105 @@ class TestFit:
             fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
         with pytest.raises(ValueError, match="at least one free"):
             fit_parameters(rows * 2, FitModel(free=(), fixed=TRUE))
+
+
+def _fit_outcome(rows, model):
+    """Every FitResult field as an array, for bit-for-bit comparison, or the
+    error that ends the fit (C8 skips the few seeds that are not
+    identifiable)."""
+    try:
+        res = fit_parameters(rows, model)
+    except (IdentifiabilityError, ConvergenceError) as exc:
+        return (np.array(f"{type(exc).__name__}: {exc}"),)
+    return (np.array([res.params[name] for name in calibrate.PARAM_NAMES]),
+            np.array(list(res.stderr.values())), np.array(res.objective),
+            np.array(res.n_starts_converged), np.array(res.jacobian_condition))
+
+
+def _fit_cases():
+    """(name, rows, model): the C8 fits, then one fit each for input_frame,
+    omega > 0, four free parameters and a user box the model rejects."""
+    def fixed(free):
+        return {k: v for k, v in TRUE.items() if k not in free}
+
+    free2 = ("eps_read", "theta_rms")
+    free3 = ("eps_read", "theta_rms", "q_max")
+    free4 = free3 + ("eps_inj",)
+    yield ("C8 noiseless", synthesize_measurements(TRUE, PUMPS, 0.0, seed=1),
+           FitModel(free=free2, fixed=fixed(free2)))
+    for seed in range(100):
+        yield (f"C8 seed {seed}", synthesize_measurements(TRUE, PUMPS, 0.01, seed=seed),
+               FitModel(free=free3, fixed=fixed(free3)))
+    rows = synthesize_measurements(TRUE, PUMPS, 0.01, seed=11)
+    yield ("input_frame", rows, FitModel(free=free3, fixed=fixed(free3),
+                                         jitter_model="input_frame"))
+    yield ("omega", rows, FitModel(free=free3, fixed=fixed(free3), omega=0.3))
+    yield ("4 free", synthesize_measurements(TRUE, PUMPS + [0.9], 0.01, seed=11),
+           FitModel(free=free4, fixed=fixed(free4)))
+    yield ("bound_eps_read", synthesize_measurements(TRUE, PUMPS, 0.0, seed=1),
+           FitModel(free=free2, fixed=fixed(free2), bounds={"eps_read": (0.0, 1.5)}))
+
+
+class TestBatchedJacobian:
+    def test_fits_match_per_column_reference(self, monkeypatch):
+        # the reference is the per-column path: least_squares without
+        # workers, so that every Jacobian column is its own scalar forward
+        # call; the batched fit must give the same bits in every field
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        def per_column(fun, x0, workers=None, **kwargs):
+            return scipy_least_squares(fun, x0, **kwargs)
+
+        for name, rows, model in _fit_cases():
+            batched = _fit_outcome(rows, model)
+            with monkeypatch.context() as m:
+                m.setattr(calibrate, "least_squares", per_column)
+                reference = _fit_outcome(rows, model)
+            assert len(batched) == len(reference), name
+            for got, want in zip(batched, reference):
+                assert np.array_equal(got, want), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           rejected=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(
+               [(0, -0.1), (0, 1.0), (1, 1.0), (1, -1e-300), (1, math.nan),
+                (2, -0.01), (2, 0.0), (3, -0.1), (3, 400.0), (4, Q_TH),
+                (4, -Q_TH)])), max_size=3),
+           omega=st.sampled_from([0.0, 0.3]),
+           jitter_model=st.sampled_from(["pump_frame", "input_frame"]))
+    def test_rows_match_scalar_calls(self, seed, k, rejected, omega, jitter_model):
+        # k random rows of (eps_inj, eps_read, theta_rms, r_ext, q_max);
+        # some take a value the model rejects (a loss outside [0, 1),
+        # negative jitter or squeezing, a squeezed variance past the float
+        # range, a gain at either pole) or no jitter at all
+        free = ("eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
+        xs = np.random.default_rng(seed).uniform(
+            [0.0, 0.0, 0.0, 0.0, -0.11], [0.9, 0.9, 0.5, 2.5, 0.11], (k, 5))
+        for row, (column, value) in rejected:
+            if row < k:
+                xs[row, column] = value
+        scalar = []
+        for x in xs:
+            try:
+                scalar.append(forward_variances(dict(TRUE, **dict(zip(free, x))),
+                                                PUMPS, omega, jitter_model))
+            except ValueError:
+                scalar.append(None)
+        params = dict(TRUE, **dict(zip(free, np.ascontiguousarray(xs.T)[:, :, None])))
+        try:
+            batch = forward_variances(params, PUMPS, omega, jitter_model)
+        except ValueError:
+            assert any(row is None for row in scalar)
+        else:
+            assert all(row is not None for row in scalar)
+            assert np.array_equal(batch, np.array(scalar), equal_nan=True)
+        # the fit's row evaluator rejects exactly the rows that the scalar
+        # call rejects, and leaves every other row bit for bit as it is
+        model = FitModel(free=free, fixed={name: v for name, v in TRUE.items()
+                                           if name not in free},
+                         omega=omega, jitter_model=jitter_model)
+        for got, want in zip(calibrate._predict_rows(model, xs, PUMPS), scalar):
+            if want is None:
+                assert np.isnan(got).all()
+            else:
+                assert np.array_equal(got, want, equal_nan=True)

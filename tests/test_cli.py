@@ -210,6 +210,15 @@ class TestConfigValidation:
                      "verify"]) == 2
         assert not out.exists()
 
+    def test_percent_in_value_is_literal(self, tmp_path):
+        # no interpolation: "%" is an ordinary character of a value and is
+        # echoed as written
+        out = tmp_path / "out%x"
+        cfg = write_config(tmp_path, extra=f"out_dir = {out}\n")   # in [run]
+        assert main(["--config", str(cfg), "spectrum"]) == 0
+        env = json.loads((out / "spectrum.json").read_text())
+        assert env["config"]["run"]["out_dir"] == str(out)
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         blocker = tmp_path / "blocker"
