@@ -54,7 +54,9 @@ from .errors import (
 )
 from .optimize import (
     BASELINES,
+    baseline_sensitivity,
     fundamental_limit,
+    gain_db,
     gain_formula_reconciliation,
     optimal_sensitivity_analytic,
     optimize_gain_numeric,
@@ -360,12 +362,6 @@ def load_config(path: str | Path, seed: int | None = None,
         sde_specs=sde_specs, fit_model=fit_model, echo=echo)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 class OutputWriter:
     """Collects a command's tables and JSON envelopes; main writes them only
     after the command returns."""
@@ -379,6 +375,8 @@ class OutputWriter:
         self._json: list[tuple[str, dict]] = []
 
     def add_table(self, name: str, header: list[str], rows: list[list]):
+        """rows hold Python values: csv writes a float as its repr, which
+        for a numpy float is "np.float64(...)"."""
         self._csv.append((name, header, rows))
 
     def add_envelope(self, name: str, results: dict, warnings: list[str]):
@@ -406,8 +404,7 @@ class OutputWriter:
                     with open(p, "w", newline="") as fh:
                         w = csv.writer(fh)
                         w.writerow(header)
-                        for row in rows:
-                            w.writerow([_fmt(v) for v in row])
+                        w.writerows(rows)
                     written.append(p)
             if "json" in self.cfg.formats:
                 for name, envelope in self._json:
@@ -450,7 +447,7 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     bad = [h for h, col in zip(header, columns) if not np.all(np.isfinite(col))]
     if bad:
         raise SingularResponseError(f"spectrum columns not finite: {', '.join(bad)}")
-    rows = [list(row) for row in zip(*columns)]
+    rows = np.column_stack(columns).tolist()
     writer.add_table("spectrum", header, rows)
     warnings = _collect_warnings(cfg, q)
     results = {
@@ -458,7 +455,7 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
         "jitter_model": cfg.jitter_model,
         "omega_converted_from_hz": cfg.fsr_hz is not None,
         "columns": header,
-        "table": [[float(v) for v in row] for row in rows],
+        "table": rows,
     }
     writer.add_envelope("spectrum", results, warnings)
     return 0
@@ -491,36 +488,57 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
     return 0
 
 
+def _column(objs, name: str) -> np.ndarray:
+    """An attribute of each object, as one (P, 1) column."""
+    return np.array([[getattr(o, name)] for o in objs])
+
+
 def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     if not cfg.panels:
         raise ConfigError("figure3 requires [analysis] panels")
-    cav, g_grid = cfg.cavity, cfg.g_grid
+    cav, g_grid, omega, model = cfg.cavity, cfg.g_grid, cfg.omega, cfg.jitter_model
     q_grid = -g_grid * cav.q_threshold
+    # every panel at once, each a row of (P, 1) columns; each injected state
+    # goes through math, as in a scalar call
+    chains = [chain for _, chain in cfg.panels]
+    states = [input_state_from_source(source, chain.eps_inj)
+              for source, chain in cfg.panels]
+    state = InputQuadratureState(v_sq=_column(states, "v_sq"),
+                                 v_anti=_column(states, "v_anti"))
+    chain = DecoherenceChain(eps_inj=_column(chains, "eps_inj"),
+                             theta_rms=_column(chains, "theta_rms"),
+                             eps_read=_column(chains, "eps_read"))
+    s_base = {b: baseline_sensitivity(cav, state, chain, omega, b,
+                                      jitter_model=model) for b in BASELINES}
+    s_grid = measured_sensitivity(cav, q_grid, state, chain, omega, model=model)
+    gains = {b: gain_db(base, s_grid) for b, base in s_base.items()}
+    opts = optimize_gain_numeric(cav, state, chain, omega, jitter_model=model)
+
+    shape = s_grid.shape
+    tables = np.stack([np.broadcast_to(g_grid, shape), np.broadcast_to(q_grid, shape),
+                       *gains.values()], axis=-1).tolist()
+    peaks = {b: (g_grid[gain.argmax(axis=1)].tolist(), gain.max(axis=1).tolist())
+             for b, gain in gains.items()}
+    header = ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES]
     summary = []
-    for i, (source, chain) in enumerate(cfg.panels, start=1):
-        state = input_state_from_source(source, chain.eps_inj)
-        gains = {b: snr_gain_db(cav, state, chain, cfg.omega, q_grid,
-                                baseline=b, jitter_model=cfg.jitter_model)
-                 for b in BASELINES}
-        writer.add_table(f"figure3_panel_{i}",
-                         ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES],
-                         np.column_stack([g_grid, q_grid, *gains.values()]
-                                         ).tolist())
-        opt = optimize_gain_numeric(cav, state, chain, cfg.omega,
-                                    jitter_model=cfg.jitter_model)
+    for i, ((source, panel_chain), panel_state, opt) in enumerate(
+            zip(cfg.panels, states, opts)):
+        writer.add_table(f"figure3_panel_{i + 1}", header, tables[i])
+        # q_opt stays a scalar call: a scalar squares through pow, an array
+        # through x*x, and the two differ in the last bit for some inputs
+        s_opt = measured_sensitivity(cav, opt.q_opt, panel_state, panel_chain,
+                                     omega, model=model)
         summary.append({
-            "panel": i,
+            "panel": i + 1,
             "squeeze_db": source.squeeze_db,
-            "theta_rms": chain.theta_rms,
-            "eps_read": chain.eps_read,
-            **{f"grid_peak_{b}": {"g": float(g_grid[np.argmax(gain)]),
-                                  "gain_db": float(gain.max())}
-               for b, gain in gains.items()},
+            "theta_rms": panel_chain.theta_rms,
+            "eps_read": panel_chain.eps_read,
+            **{f"grid_peak_{b}": {"g": g_peak[i], "gain_db": gain_peak[i]}
+               for b, (g_peak, gain_peak) in peaks.items()},
             "optimized": {
                 "g_opt": opt.g_opt, "q_opt": opt.q_opt, "s_opt": opt.s_opt,
-                **{f"gain_db_{b}": float(snr_gain_db(
-                    cav, state, chain, cfg.omega, opt.q_opt, baseline=b,
-                    jitter_model=cfg.jitter_model)) for b in BASELINES},
+                **{f"gain_db_{b}": float(gain_db(base[i, 0], s_opt))
+                   for b, base in s_base.items()},
             },
         })
     results = {
@@ -595,11 +613,9 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
     if not np.all(np.isfinite(pred)):
         raise SingularResponseError("calibration model not finite at the "
                                     "measured pump settings")
-    rows = []
-    for i, d in enumerate(data):
-        rows.append([d.pump_setting, d.v_sq, pred[i, 0],
-                     (pred[i, 0] - d.v_sq) / d.err_sq,
-                     d.v_anti, pred[i, 1], (pred[i, 1] - d.v_anti) / d.err_anti])
+    rows = [[d.pump_setting, d.v_sq, v_sq, (v_sq - d.v_sq) / d.err_sq,
+             d.v_anti, v_anti, (v_anti - d.v_anti) / d.err_anti]
+            for d, (v_sq, v_anti) in zip(data, pred.tolist())]
     writer.add_table("calibrate_residuals",
                      ["pump_setting", "V_sq_meas", "V_sq_model", "res_sq",
                       "V_anti_meas", "V_anti_model", "res_anti"], rows)

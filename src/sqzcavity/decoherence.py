@@ -173,7 +173,8 @@ def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState
                          chain: DecoherenceChain, omega,
                          model: str = "pump_frame",
                          scale: PhysicalScale | None = None):
-    """Full-chain noise-to-signal ratio including the jittered signal factor."""
+    """Full-chain noise-to-signal ratio including the jittered signal factor.
+    Per-row chains and states are (P, 1) columns against q along the rows."""
     s_eff = measured_noise_with_jitter(cav, q, input_state, chain, omega, model=model)
     t2 = signal_transfer_power(cav, q, chain.eps_read, omega, scale=scale)
-    return s_eff / (t2 * jittered_signal_factor(chain.theta_rms))
+    return s_eff / (t2 * _each(jittered_signal_factor, chain.theta_rms))

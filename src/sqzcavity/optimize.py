@@ -86,7 +86,8 @@ class OptimizationResult:
 
 def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
                           chain: DecoherenceChain, omega: float = 0.0,
-                          jitter_model: str = "pump_frame") -> OptimizationResult:
+                          jitter_model: str = "pump_frame"
+                          ) -> OptimizationResult | list[OptimizationResult]:
     """Locate the internal gain minimizing the measured sensitivity.
 
     Exact stationary-point solve on the normalized-gain range
@@ -97,6 +98,10 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
     numerator P'D - PD' of dS/dx.  The jitter-free closed form is attached
     for cross-checking whenever available.  SingularResponseError when the
     sensitivity is not finite at a node or a candidate.
+
+    A state and chain of (P, 1) columns give a list of P results, one per
+    row, from one evaluation at the nodes and one at the candidates; scalars
+    give one result and are the P = 1 case of the same solve.
     """
     q_th = cav.q_threshold
 
@@ -113,24 +118,36 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
     d = np.array([a, -2.0 * a, 1.0])      # D/(1 + c^2): with S/max(S), no overflow
     nodes = np.cos(np.pi * (np.arange(5) + 0.5) / 5.0)
     s = objective(nodes * q_th)
-    p = np.polyfit(nodes, s / np.max(s) * np.polyval(d, nodes), 4)
-    numer = np.polysub(np.polymul(np.polyder(p), d),
-                       np.polymul(p, np.polyder(d)))
-    # real parts of all roots: rounding can split the double root of a flat
-    # minimum into a complex pair
-    x = np.roots(numer).real
-    cand = np.concatenate(([-0.999 * q_th, 0.999 * q_th],
-                           x[np.abs(x) < 0.999] * q_th))
+    per_row = s.ndim == 2
+    s = np.atleast_2d(s)
+    fits = np.polyfit(nodes, (s / s.max(axis=1, keepdims=True)
+                              * np.polyval(d, nodes)).T, 4).T
+    cand = []
+    for p in fits:
+        numer = np.polysub(np.polymul(np.polyder(p), d),
+                           np.polymul(p, np.polyder(d)))
+        # real parts of all roots: rounding can split the double root of a
+        # flat minimum into a complex pair
+        x = np.roots(numer).real
+        cand.append(np.concatenate(([-0.999 * q_th, 0.999 * q_th],
+                                    x[np.abs(x) < 0.999] * q_th)))
+    # pad each row with its first candidate: a padded entry equals entry 0,
+    # so it is never a row's first minimum
+    width = max(row.size for row in cand)
+    cand = np.array([np.concatenate((row, np.full(width - row.size, row[0])))
+                     for row in cand])
     vals = objective(cand)
-    k = int(np.argmin(vals))
-    q_opt, s_opt = cand[k], vals[k]
+    at_min = np.arange(len(cand)), np.argmin(vals, axis=1)
 
-    analytic = None
-    if chain.theta_rms == 0.0:
-        analytic = optimal_gain_for_input(cav, input_state.v_sq, chain.eps_read)
-    return OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),
-                              g_opt=float(-q_opt / q_th),
-                              analytic_q_opt=analytic)
+    v_sq, eps_read, theta_rms = (np.broadcast_to(v, (len(cand), 1)).ravel().tolist()
+                                 for v in (input_state.v_sq, chain.eps_read,
+                                           chain.theta_rms))
+    results = [OptimizationResult(
+        q_opt=float(q_opt), s_opt=float(s_opt), g_opt=float(-q_opt / q_th),
+        analytic_q_opt=optimal_gain_for_input(cav, v, e) if th == 0.0 else None)
+        for q_opt, s_opt, v, e, th in zip(cand[at_min], vals[at_min], v_sq,
+                                          eps_read, theta_rms)]
+    return results if per_row else results[0]
 
 
 def baseline_sensitivity(cav: CavityParams, input_state: InputQuadratureState,
@@ -162,6 +179,12 @@ def snr_gain_db(cav: CavityParams, input_state: InputQuadratureState,
     s_base = baseline_sensitivity(cav, input_state, chain, omega, baseline,
                                   jitter_model=jitter_model)
     s_q = measured_sensitivity(cav, q, input_state, chain, omega, model=jitter_model)
+    return gain_db(s_base, s_q)
+
+
+def gain_db(s_base, s_q):
+    """Decibel improvement 10*log10(s_base/s_q) of sensitivity s_q over
+    s_base; positive means improvement."""
     return 10.0 * np.log10(s_base / s_q)
 
 

@@ -6,8 +6,11 @@ from sqzcavity import (
     DecoherenceChain,
     ExternalSqueezeSource,
     InputQuadratureState,
+    OptimizationResult,
+    SingularResponseError,
     input_state_from_source,
     measured_sensitivity,
+    optimal_gain_for_input,
 )
 
 # working point shared by most tests: 11% coupler, 1.2% internal loss
@@ -71,3 +74,40 @@ def pure_sensitivity(cav, q, input_state, eps_read, omega):
     """Jitter-free sensitivity: the full chain with readout loss only."""
     return measured_sensitivity(cav, q, input_state,
                                 DecoherenceChain(0.0, 0.0, eps_read), omega)
+
+
+def reference_optimize_gain(cav, input_state, chain, omega=0.0,
+                            jitter_model="pump_frame"):
+    """The one-state gain solve as it was before solves took per-row
+    states: the reference that optimize_gain_numeric must equal bit for bit,
+    row by row."""
+    q_th = cav.q_threshold
+
+    def objective(q):
+        s = measured_sensitivity(cav, q, input_state, chain, omega,
+                                 model=jitter_model)
+        if not np.all(np.isfinite(s)):
+            raise SingularResponseError("objective not finite on the search interval")
+        return s
+
+    c = omega / q_th
+    a = 1.0 / (1.0 + c * c)
+    d = np.array([a, -2.0 * a, 1.0])
+    nodes = np.cos(np.pi * (np.arange(5) + 0.5) / 5.0)
+    s = objective(nodes * q_th)
+    p = np.polyfit(nodes, s / np.max(s) * np.polyval(d, nodes), 4)
+    numer = np.polysub(np.polymul(np.polyder(p), d),
+                       np.polymul(p, np.polyder(d)))
+    x = np.roots(numer).real
+    cand = np.concatenate(([-0.999 * q_th, 0.999 * q_th],
+                           x[np.abs(x) < 0.999] * q_th))
+    vals = objective(cand)
+    k = int(np.argmin(vals))
+    q_opt, s_opt = cand[k], vals[k]
+
+    analytic = None
+    if chain.theta_rms == 0.0:
+        analytic = optimal_gain_for_input(cav, input_state.v_sq, chain.eps_read)
+    return OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),
+                              g_opt=float(-q_opt / q_th),
+                              analytic_q_opt=analytic)

@@ -7,11 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzcavity import (
@@ -23,6 +24,7 @@ from sqzcavity import (
     IdentifiabilityError,
     InstabilityError,
     SingularResponseError,
+    SqzCavityError,
     input_state_from_source,
     measured_sensitivity,
     optimal_gain_analytic,
@@ -31,7 +33,18 @@ from sqzcavity import (
     snr_gain_db,
     synthesize_measurements,
 )
-from sqzcavity.cli import main
+import sqzcavity.cli
+import sqzcavity.optimize
+from sqzcavity.cli import (
+    ABSOLUTE_ENHANCEMENT_NOTE,
+    OutputWriter,
+    _collect_warnings,
+    cmd_figure3,
+    load_config,
+    main,
+)
+from sqzcavity.optimize import BASELINES
+from conftest import reference_optimize_gain
 
 BASE = """\
 [cavity]
@@ -447,6 +460,48 @@ class TestOptimize:
             pytest.approx(0.11 - 0.012, abs=1e-8)
 
 
+def _reference_figure3(cfg, writer, args):
+    """figure3 as it was before the panels were evaluated together: one
+    scalar state, chain and gain solve per panel, each baseline recomputed
+    for every curve."""
+    cav, g_grid = cfg.cavity, cfg.g_grid
+    q_grid = -g_grid * cav.q_threshold
+    summary = []
+    for i, (source, chain) in enumerate(cfg.panels, start=1):
+        state = input_state_from_source(source, chain.eps_inj)
+        gains = {b: snr_gain_db(cav, state, chain, cfg.omega, q_grid,
+                                baseline=b, jitter_model=cfg.jitter_model)
+                 for b in BASELINES}
+        writer.add_table(f"figure3_panel_{i}",
+                         ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES],
+                         np.column_stack([g_grid, q_grid, *gains.values()]
+                                         ).tolist())
+        opt = reference_optimize_gain(cav, state, chain, cfg.omega,
+                                      jitter_model=cfg.jitter_model)
+        summary.append({
+            "panel": i,
+            "squeeze_db": source.squeeze_db,
+            "theta_rms": chain.theta_rms,
+            "eps_read": chain.eps_read,
+            **{f"grid_peak_{b}": {"g": float(g_grid[np.argmax(gain)]),
+                                  "gain_db": float(gain.max())}
+               for b, gain in gains.items()},
+            "optimized": {
+                "g_opt": opt.g_opt, "q_opt": opt.q_opt, "s_opt": opt.s_opt,
+                **{f"gain_db_{b}": float(snr_gain_db(
+                    cav, state, chain, cfg.omega, opt.q_opt, baseline=b,
+                    jitter_model=cfg.jitter_model)) for b in BASELINES},
+            },
+        })
+    results = {
+        "panels": summary,
+        "absolute_enhancement_note": ABSOLUTE_ENHANCEMENT_NOTE,
+    }
+    warnings = _collect_warnings(cfg, cav.q_threshold * np.max(np.abs(g_grid)))
+    writer.add_envelope("figure3_summary", results, warnings)
+    return 0
+
+
 class TestFigure3:
     def test_panels_and_summary(self, tmp_path):
         analysis = ("omega = 0.0\ng_grid = -0.995:0.995:99\n"
@@ -463,7 +518,8 @@ class TestFigure3:
             assert len(rows) == 99
             table = np.array(rows)
             assert np.array_equal(table[:, 1], -table[:, 0] * cav.q_threshold)
-            # the vector evaluation matches point-by-point scalar calls
+            # the vector evaluation matches point-by-point scalar calls to the
+            # last bits: numpy squares a scalar through pow, an array through x*x
             chain = DecoherenceChain(0.08, theta, 0.10)
             state = input_state_from_source(ExternalSqueezeSource(db), 0.08)
             scalar = [[snr_gain_db(cav, state, chain, 0.0, q, baseline=b)
@@ -491,6 +547,60 @@ class TestFigure3:
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "figure3"]) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(panels=st.lists(
+               st.tuples(st.floats(0.0, 20.0),
+                         st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+                         st.floats(0.0, 0.6)),
+               min_size=1, max_size=30),
+           n_grid=st.integers(1, 41),
+           omega=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           model=st.sampled_from(["pump_frame", "input_frame"]))
+    # panels whose gains at q_opt change in the last digit when q_opt is
+    # evaluated as a one-element array rather than a scalar (glibc pow)
+    @example(panels=[(12.981, 0.0175, 0.176), (7.847, 0.0377, 0.092),
+                     (5.217, 0.0019, 0.029)],
+             n_grid=41, omega=0.0, model="pump_frame")
+    def test_matches_per_panel_reference(self, tmp_path_factory, panels,
+                                         n_grid, omega, model):
+        work = tmp_path_factory.mktemp("figure3")
+        analysis = (f"omega = {omega!r}\ng_grid = -0.99:0.99:{n_grid}\n"
+                    f"jitter_model = {model}\npanels = "
+                    + ", ".join(":".join(map(repr, p)) for p in panels))
+        cfg = load_config(write_config(work, analysis=analysis))
+        outcomes = {}
+        for name, command in (("batched", cmd_figure3),
+                              ("reference", _reference_figure3)):
+            writer = OutputWriter(replace(cfg, out_dir=str(work / name)),
+                                  "figure3", stamp=False)
+            try:
+                command(writer.cfg, writer, None)
+            except SqzCavityError as exc:
+                outcomes[name] = (type(exc), str(exc))
+                continue
+            outcomes[name] = {p.name: p.read_bytes() for p in writer.flush()}
+        assert outcomes["batched"] == outcomes["reference"]
+
+    def test_closed_form_calls(self, tmp_path, monkeypatch):
+        # one grid call, two baselines, two optimizer stages, one q_opt
+        # call per panel
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return measured_sensitivity(*args, **kwargs)
+
+        monkeypatch.setattr(sqzcavity.cli, "measured_sensitivity", counted)
+        monkeypatch.setattr(sqzcavity.optimize, "measured_sensitivity", counted)
+        panels = ", ".join(f"{4 + k / 3:.3f}:{k / 500:.4f}:{k / 80:.3f}"
+                           for k in range(24))
+        cfg = write_config(tmp_path, analysis=("omega = 0.0\n"
+                                               "g_grid = -0.975:0.975:41\n"
+                                               f"panels = {panels}"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "figure3"]) == 0
+        assert len(calls) == 24 + 5
 
 
 class TestVerify:

@@ -10,6 +10,7 @@ from sqzcavity import (
     DecoherenceChain,
     ExternalSqueezeSource,
     InputQuadratureState,
+    SingularResponseError,
     baseline_sensitivity,
     fundamental_limit,
     gain_formula_reconciliation,
@@ -22,7 +23,7 @@ from sqzcavity import (
     optimize_gain_numeric,
     snr_gain_db,
 )
-from conftest import pure_sensitivity, qcrb
+from conftest import pure_sensitivity, qcrb, reference_optimize_gain
 
 BETA_105 = 11.22  # reference external squeezing strength
 
@@ -176,6 +177,74 @@ class TestNumericOptimizer:
         for dq in (-1e-4, 1e-4):
             assert measured_sensitivity(cav, res.q_opt + dq, state_105,
                                         chain_jitter, 0.0) >= res.s_opt
+
+
+def _panel_rows(draw_rows):
+    """Per-row state and chain, as (P, 1) columns, and the scalar ones of
+    each row, from (squeeze_db, eps_inj, theta_rms, eps_read) tuples."""
+    scalar = []
+    for db, eps_inj, theta, eps_read in draw_rows:
+        scalar.append((input_state_from_source(ExternalSqueezeSource(db), eps_inj),
+                       DecoherenceChain(eps_inj, theta, eps_read)))
+
+    def col(objs, name):
+        return np.array([[getattr(o, name)] for o in objs])
+
+    states, chains = zip(*scalar)
+    state = InputQuadratureState(col(states, "v_sq"), col(states, "v_anti"))
+    chain = DecoherenceChain(col(chains, "eps_inj"), col(chains, "theta_rms"),
+                             col(chains, "eps_read"))
+    return state, chain, scalar
+
+
+panel_rows = st.lists(
+    st.tuples(st.floats(0.0, 20.0),
+              st.floats(0.0, 0.3),
+              st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+              st.floats(0.0, 0.6)),
+    min_size=1, max_size=30)
+
+
+class TestPerRowSolve:
+    """Per-row states and chains against one scalar call per row, with ==."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=panel_rows,
+           t_c=st.floats(0.01, 0.2), eps_int=st.floats(0.0, 0.05),
+           omega=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           model=st.sampled_from(["pump_frame", "input_frame"]))
+    def test_rows_equal_scalar_calls(self, rows, t_c, eps_int, omega, model):
+        cav = CavityParams(t_c, eps_int)
+        state, chain, scalar = _panel_rows(rows)
+        q = np.linspace(-0.99, 0.99, 17) * cav.q_threshold
+        s = measured_sensitivity(cav, q, state, chain, omega, model=model)
+        for b in ("no_internal", "no_squeezing"):
+            base = baseline_sensitivity(cav, state, chain, omega, b,
+                                        jitter_model=model)
+            assert np.array_equal(base[:, 0], [
+                baseline_sensitivity(cav, st_, ch, omega, b, jitter_model=model)
+                for st_, ch in scalar])
+        assert np.array_equal(s, [measured_sensitivity(cav, q, st_, ch, omega,
+                                                       model=model)
+                                  for st_, ch in scalar])
+        try:
+            expected = [reference_optimize_gain(cav, st_, ch, omega,
+                                                jitter_model=model)
+                        for st_, ch in scalar]
+        except SingularResponseError:
+            with pytest.raises(SingularResponseError):
+                optimize_gain_numeric(cav, state, chain, omega, jitter_model=model)
+            return
+        assert optimize_gain_numeric(cav, state, chain, omega,
+                                     jitter_model=model) == expected
+        assert [optimize_gain_numeric(cav, st_, ch, omega, jitter_model=model)
+                for st_, ch in scalar] == expected
+
+    def test_scalar_call_returns_one_result(self, cav, state_105, chain_jitter):
+        res = optimize_gain_numeric(cav, state_105, chain_jitter, 0.0)
+        assert res == reference_optimize_gain(cav, state_105, chain_jitter, 0.0)
+        state, chain, _ = _panel_rows([(10.5, 0.08, 0.05, 0.10)])
+        assert optimize_gain_numeric(cav, state, chain, 0.0) == [res]
 
 
 class TestHierarchy:
