@@ -123,13 +123,13 @@ def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.
     cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
     chain = DecoherenceChain(eps_inj=params["eps_inj"],
                              theta_rms=params["theta_rms"],
-                             eps_read=params["eps_read"])
+                             eps_read=params["eps_read"],
+                             jitter_model=jitter_model)
     state = _input_state(params["r_ext"], chain.eps_inj)
     q = params["q_max"] * np.asarray(pump_settings, dtype=float)
     return np.stack([
-        measured_noise_with_jitter(cav, q, state, chain, omega, model=jitter_model),
-        measured_anti_noise_with_jitter(cav, q, state, chain, omega,
-                                        model=jitter_model),
+        measured_noise_with_jitter(cav, q, state, chain, omega),
+        measured_anti_noise_with_jitter(cav, q, state, chain, omega),
     ], axis=-1)
 
 

@@ -25,7 +25,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .calibrate import (
     forward_variances,
 )
 from .decoherence import (
-    JITTER_MODELS,
     DecoherenceChain,
     ExternalSqueezeSource,
     input_state_from_source,
@@ -62,7 +61,13 @@ from .optimize import (
     optimize_gain_numeric,
     snr_gain_db,
 )
-from .oracle import SDE_Z_LIMIT, SdeRunSpec, compare_oracles, random_compare_grid
+from .oracle import (
+    SDE_Z_LIMIT,
+    SdeRunSpec,
+    check_memory,
+    compare_oracles,
+    random_compare_grid,
+)
 from .sensor import (
     SINGLE_MODE_BUDGET,
     CavityParams,
@@ -97,6 +102,11 @@ _KNOWN_KEYS = {
     "calibrate": {"free", "q_max"} | {f"bound_{n}" for n in PARAM_NAMES},
 }
 
+# peak memory per point of the command a grid drives, measured over 200k
+# points: about 480 bytes for spectrum's omega_grid, 310 for verify's
+# grid_points and 300 for figure3's g_grid (per panel)
+_GRID_POINT_BYTES = 300
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -110,7 +120,6 @@ class RunConfig:
     g: float
     g_grid: np.ndarray
     baseline: str
-    jitter_model: str
     panels: list[tuple[ExternalSqueezeSource, DecoherenceChain]]
     seed: int
     out_dir: str
@@ -136,6 +145,7 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     if npts < 1:
         raise ConfigError(f"{name} needs at least one point")
     _check_finite(name, start, stop)
+    _check_grid_memory(name, npts)
     return np.linspace(start, stop, npts)
 
 
@@ -149,6 +159,11 @@ def _config_errors(prefix: str = ""):
         raise
     except ValueError as exc:
         raise ConfigError(prefix + str(exc)) from exc
+
+
+def _check_grid_memory(name: str, npts: int):
+    with _config_errors():
+        check_memory(f"{name} = {npts} points", _GRID_POINT_BYTES * npts)
 
 
 def _get_float(cp, section, key, required=True, default=None):
@@ -191,8 +206,8 @@ def load_config(path: str | Path, seed: int | None = None,
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     for section in cp.sections():
@@ -212,6 +227,7 @@ def load_config(path: str | Path, seed: int | None = None,
             eps_inj=_get_float(cp, "source", "eps_inj"),
             theta_rms=_get_float(cp, "source", "theta_rms"),
             eps_read=_get_float(cp, "readout", "eps_read"),
+            jitter_model=cp.get("analysis", "jitter_model", fallback="pump_frame"),
         )
         wavelength = _get_float(cp, "cavity", "wavelength_m", required=False)
         power = _get_float(cp, "cavity", "power_w", required=False)
@@ -239,9 +255,6 @@ def load_config(path: str | Path, seed: int | None = None,
     baseline = cp.get("analysis", "baseline", fallback="no_squeezing")
     if baseline not in BASELINES:
         raise ConfigError(f"baseline must be one of {BASELINES}, got {baseline!r}")
-    jitter_model = cp.get("analysis", "jitter_model", fallback="pump_frame")
-    if jitter_model not in JITTER_MODELS:
-        raise ConfigError(f"jitter_model must be one of {JITTER_MODELS}")
 
     panels = []
     if cp.has_option("analysis", "panels"):
@@ -260,9 +273,8 @@ def load_config(path: str | Path, seed: int | None = None,
             _check_finite(f"panel {chunk!r}", squeeze_db, theta_rms, eps_read)
             with _config_errors(f"panel {chunk!r}: "):
                 panels.append((ExternalSqueezeSource(squeeze_db),
-                               DecoherenceChain(eps_inj=chain.eps_inj,
-                                                theta_rms=theta_rms,
-                                                eps_read=eps_read)))
+                               replace(chain, theta_rms=theta_rms,
+                                       eps_read=eps_read)))
 
     free = tuple(
         name.strip()
@@ -290,6 +302,7 @@ def load_config(path: str | Path, seed: int | None = None,
     grid_points = _get_int(cp, "verify", "grid_points", 64)
     if grid_points < 1:
         raise ConfigError(f"[verify] grid_points must be >= 1, got {grid_points}")
+    _check_grid_memory("[verify] grid_points", grid_points)
 
     g = _get_float(cp, "analysis", "g", required=False, default=0.0)
     config_seed = _get_int(cp, "run", "seed", 0)
@@ -352,12 +365,12 @@ def load_config(path: str | Path, seed: int | None = None,
         with _config_errors():
             fit_model = FitModel(
                 free=free, fixed={k: v for k, v in fixed.items() if k not in free},
-                bounds=cal_bounds, omega=omega, jitter_model=jitter_model)
+                bounds=cal_bounds, omega=omega, jitter_model=chain.jitter_model)
 
     return RunConfig(
         cavity=cavity, scale=scale, fsr_hz=fsr_hz, source=source, chain=chain,
         omega=omega, omega_grid=omega_grid, g=g, g_grid=g_grid,
-        baseline=baseline, jitter_model=jitter_model, panels=panels, seed=seed,
+        baseline=baseline, panels=panels, seed=seed,
         out_dir=out_dir, formats=formats, verify_grid_points=grid_points,
         sde_specs=sde_specs, fit_model=fit_model, echo=echo)
 
@@ -435,13 +448,10 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     s_sn = quadrature_noise_spectrum(cav, q, state.v_sq, chain.eps_read, omega)
     s_anti = anti_quadrature_noise_spectrum(cav, q, state.v_anti, chain.eps_read,
                                             omega)
-    s_eff = measured_noise_with_jitter(cav, q, state, chain, omega,
-                                       model=cfg.jitter_model)
+    s_eff = measured_noise_with_jitter(cav, q, state, chain, omega)
     t2 = signal_transfer_power(cav, q, chain.eps_read, omega, scale=cfg.scale)
-    s_x = measured_sensitivity(cav, q, state, chain, omega,
-                               model=cfg.jitter_model, scale=cfg.scale)
-    gain = snr_gain_db(cav, state, chain, omega, q, baseline=cfg.baseline,
-                       jitter_model=cfg.jitter_model)
+    s_x = measured_sensitivity(cav, q, state, chain, omega, scale=cfg.scale)
+    gain = snr_gain_db(cav, state, chain, omega, q, baseline=cfg.baseline)
     header = ["omega", "S_sn", "S_anti", "S_eff", "T2", "S_x", "snr_gain_db"]
     columns = [omega, s_sn, s_anti, s_eff, t2, s_x, gain]
     bad = [h for h, col in zip(header, columns) if not np.all(np.isfinite(col))]
@@ -452,7 +462,7 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     warnings = _collect_warnings(cfg, q)
     results = {
         "q": q, "g": cfg.g, "baseline": cfg.baseline,
-        "jitter_model": cfg.jitter_model,
+        "jitter_model": chain.jitter_model,
         "omega_converted_from_hz": cfg.fsr_hz is not None,
         "columns": header,
         "table": rows,
@@ -464,8 +474,7 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
 def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
     cav, chain = cfg.cavity, cfg.chain
     state = input_state_from_source(cfg.source, chain.eps_inj)
-    res = optimize_gain_numeric(cav, state, chain, cfg.omega,
-                                jitter_model=cfg.jitter_model)
+    res = optimize_gain_numeric(cav, state, chain, cfg.omega)
     beta = cfg.source.beta
     recon = gain_formula_reconciliation(cav, beta, chain.eps_read)
     s_analytic = optimal_sensitivity_analytic(cav, beta, chain.eps_read)
@@ -496,7 +505,7 @@ def _column(objs, name: str) -> np.ndarray:
 def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     if not cfg.panels:
         raise ConfigError("figure3 requires [analysis] panels")
-    cav, g_grid, omega, model = cfg.cavity, cfg.g_grid, cfg.omega, cfg.jitter_model
+    cav, g_grid, omega = cfg.cavity, cfg.g_grid, cfg.omega
     q_grid = -g_grid * cav.q_threshold
     # every panel at once, each a row of (P, 1) columns; each injected state
     # goes through math, as in a scalar call
@@ -507,12 +516,13 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
                                  v_anti=_column(states, "v_anti"))
     chain = DecoherenceChain(eps_inj=_column(chains, "eps_inj"),
                              theta_rms=_column(chains, "theta_rms"),
-                             eps_read=_column(chains, "eps_read"))
-    s_base = {b: baseline_sensitivity(cav, state, chain, omega, b,
-                                      jitter_model=model) for b in BASELINES}
-    s_grid = measured_sensitivity(cav, q_grid, state, chain, omega, model=model)
+                             eps_read=_column(chains, "eps_read"),
+                             jitter_model=cfg.chain.jitter_model)
+    s_base = {b: baseline_sensitivity(cav, state, chain, omega, b)
+              for b in BASELINES}
+    s_grid = measured_sensitivity(cav, q_grid, state, chain, omega)
     gains = {b: gain_db(base, s_grid) for b, base in s_base.items()}
-    opts = optimize_gain_numeric(cav, state, chain, omega, jitter_model=model)
+    opts = optimize_gain_numeric(cav, state, chain, omega)
 
     shape = s_grid.shape
     tables = np.stack([np.broadcast_to(g_grid, shape), np.broadcast_to(q_grid, shape),
@@ -527,7 +537,7 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
         # q_opt stays a scalar call: a scalar squares through pow, an array
         # through x*x, and the two differ in the last bit for some inputs
         s_opt = measured_sensitivity(cav, opt.q_opt, panel_state, panel_chain,
-                                     omega, model=model)
+                                     omega)
         summary.append({
             "panel": i + 1,
             "squeeze_db": source.squeeze_db,
@@ -579,8 +589,12 @@ def _load_measurements(path: str | Path) -> list[VariancePair]:
         raise ConfigError(f"measurement file not found: {path}")
     expected = ["pump_setting", "V_sq", "V_anti", "err_sq", "err_anti"]
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read measurement file: {exc}") from exc
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
@@ -609,7 +623,7 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
         result = fit_parameters(data, model)
 
     pred = forward_variances(result.params, [d.pump_setting for d in data],
-                             omega=cfg.omega, jitter_model=cfg.jitter_model)
+                             omega=model.omega, jitter_model=model.jitter_model)
     if not np.all(np.isfinite(pred)):
         raise SingularResponseError("calibration model not finite at the "
                                     "measured pump settings")

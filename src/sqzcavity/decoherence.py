@@ -58,11 +58,12 @@ class ExternalSqueezeSource:
 @dataclass(frozen=True)
 class DecoherenceChain:
     """Injection loss, phase-jitter RMS (rad) and readout loss, scalars or
-    per-row arrays."""
+    per-row arrays, and the jitter model (see measured_noise_with_jitter)."""
 
     eps_inj: float
     theta_rms: float
     eps_read: float
+    jitter_model: str = "pump_frame"
 
     def __post_init__(self):
         for name in ("eps_inj", "eps_read"):
@@ -71,6 +72,8 @@ class DecoherenceChain:
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
         if not _holds((0.0 <= self.theta_rms) & (self.theta_rms < math.inf)):
             raise ValueError(f"theta_rms must be finite and >= 0, got {self.theta_rms}")
+        if self.jitter_model not in JITTER_MODELS:
+            raise ValueError(f"jitter_model must be one of {JITTER_MODELS}")
 
 
 def input_state_from_source(src: ExternalSqueezeSource, eps_inj: float
@@ -117,19 +120,13 @@ def _each(fn, x):
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _check_model(model: str):
-    if model not in JITTER_MODELS:
-        raise ValueError(f"jitter model must be one of {JITTER_MODELS}, got {model!r}")
-
-
 def _blend(cav: CavityParams, q, v_main, v_other, chain: DecoherenceChain,
-           omega, model: str):
+           omega):
     """Jitter blend of the detected quadrature (gain q, input variance v_main)
     with its orthogonal partner (gain -q, input variance v_other).  A row
     whose jitter weight is 0 is its readout spectrum alone."""
-    _check_model(model)
     s = _each(jitter_mixing_weight, chain.theta_rms)
-    if model == "input_frame":
+    if chain.jitter_model == "input_frame":
         v_eff = (1.0 - s) * v_main + s * v_other
         return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
     main = quadrature_noise_spectrum(cav, q, v_main, chain.eps_read, omega)
@@ -142,12 +139,11 @@ def _blend(cav: CavityParams, q, v_main, v_other, chain: DecoherenceChain,
 
 
 def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
-                               chain: DecoherenceChain, omega,
-                               model: str = "pump_frame"):
+                               chain: DecoherenceChain, omega):
     """Effective detected noise with phase jitter mixing in the anti-quadrature.
 
     input_state is the post-injection-loss state at the coupler; only the
-    chain's theta_rms and eps_read act here.
+    chain's theta_rms, eps_read and jitter_model act here.
 
     pump_frame (default): the jitter rotates the detected frame relative to the
     cavity eigenbasis, blending the two cavity OUTPUT spectra,
@@ -156,25 +152,23 @@ def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratur
     input_frame (alternative): the jitter scrambles the INPUT state only,
     V_eff = (1-s)*v_sq + s*v_anti fed through the readout-quadrature response.
     """
-    return _blend(cav, q, input_state.v_sq, input_state.v_anti, chain, omega, model)
+    return _blend(cav, q, input_state.v_sq, input_state.v_anti, chain, omega)
 
 
 def measured_anti_noise_with_jitter(cav: CavityParams, q,
                                     input_state: InputQuadratureState,
-                                    chain: DecoherenceChain, omega,
-                                    model: str = "pump_frame"):
+                                    chain: DecoherenceChain, omega):
     """Detected noise of the orthogonal quadrature: the readout blend with
     q -> -q and the two input variances swapped."""
     return _blend(cav, -np.asarray(q, dtype=float), input_state.v_anti,
-                  input_state.v_sq, chain, omega, model)
+                  input_state.v_sq, chain, omega)
 
 
 def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState,
                          chain: DecoherenceChain, omega,
-                         model: str = "pump_frame",
                          scale: PhysicalScale | None = None):
     """Full-chain noise-to-signal ratio including the jittered signal factor.
     Per-row chains and states are (P, 1) columns against q along the rows."""
-    s_eff = measured_noise_with_jitter(cav, q, input_state, chain, omega, model=model)
+    s_eff = measured_noise_with_jitter(cav, q, input_state, chain, omega)
     t2 = signal_transfer_power(cav, q, chain.eps_read, omega, scale=scale)
     return s_eff / (t2 * _each(jittered_signal_factor, chain.theta_rms))

@@ -85,8 +85,7 @@ class OptimizationResult:
 
 
 def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
-                          chain: DecoherenceChain, omega: float = 0.0,
-                          jitter_model: str = "pump_frame"
+                          chain: DecoherenceChain, omega: float = 0.0
                           ) -> OptimizationResult | list[OptimizationResult]:
     """Locate the internal gain minimizing the measured sensitivity.
 
@@ -106,8 +105,7 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
     q_th = cav.q_threshold
 
     def objective(q):
-        s = measured_sensitivity(cav, q, input_state, chain, omega,
-                                 model=jitter_model)
+        s = measured_sensitivity(cav, q, input_state, chain, omega)
         if not np.all(np.isfinite(s)):
             raise SingularResponseError("objective not finite on the search interval")
         return s
@@ -116,6 +114,7 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
     c = omega / q_th
     a = 1.0 / (1.0 + c * c)
     d = np.array([a, -2.0 * a, 1.0])      # D/(1 + c^2): with S/max(S), no overflow
+    dd = np.polyder(d)
     nodes = np.cos(np.pi * (np.arange(5) + 0.5) / 5.0)
     s = objective(nodes * q_th)
     per_row = s.ndim == 2
@@ -124,8 +123,7 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
                               * np.polyval(d, nodes)).T, 4).T
     cand = []
     for p in fits:
-        numer = np.polysub(np.polymul(np.polyder(p), d),
-                           np.polymul(p, np.polyder(d)))
+        numer = np.convolve(np.polyder(p), d) - np.convolve(p, dd)
         # real parts of all roots: rounding can split the double root of a
         # flat minimum into a complex pair
         x = np.roots(numer).real
@@ -151,8 +149,7 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
 
 
 def baseline_sensitivity(cav: CavityParams, input_state: InputQuadratureState,
-                         chain: DecoherenceChain, omega, baseline: str,
-                         jitter_model: str = "pump_frame"):
+                         chain: DecoherenceChain, omega, baseline: str):
     """Reference sensitivity for SNR-gain quotes.
 
     no_internal: the same injected state and chain with the pump off (q = 0).
@@ -163,22 +160,19 @@ def baseline_sensitivity(cav: CavityParams, input_state: InputQuadratureState,
     if baseline not in BASELINES:
         raise ValueError(f"baseline must be one of {BASELINES}, got {baseline!r}")
     if baseline == "no_internal":
-        return measured_sensitivity(cav, 0.0, input_state, chain, omega,
-                                    model=jitter_model)
+        return measured_sensitivity(cav, 0.0, input_state, chain, omega)
     clean = DecoherenceChain(eps_inj=0.0, theta_rms=0.0, eps_read=chain.eps_read)
     return measured_sensitivity(cav, 0.0, InputQuadratureState.vacuum(), clean, omega)
 
 
 def snr_gain_db(cav: CavityParams, input_state: InputQuadratureState,
-                chain: DecoherenceChain, omega, q, baseline: str = "no_internal",
-                jitter_model: str = "pump_frame"):
+                chain: DecoherenceChain, omega, q, baseline: str = "no_internal"):
     """Decibel improvement of the sensitivity over the chosen baseline.
 
     10*log10(S_x(baseline)/S_x(q)); positive means improvement.
     """
-    s_base = baseline_sensitivity(cav, input_state, chain, omega, baseline,
-                                  jitter_model=jitter_model)
-    s_q = measured_sensitivity(cav, q, input_state, chain, omega, model=jitter_model)
+    s_base = baseline_sensitivity(cav, input_state, chain, omega, baseline)
+    s_q = measured_sensitivity(cav, q, input_state, chain, omega)
     return gain_db(s_base, s_q)
 
 

@@ -114,6 +114,15 @@ def assemble_transfer(cav: CavityParams, q, eps_read, omega
                               readout=readout, signal=signal)
 
 
+def check_memory(what: str, nbytes: float):
+    """ValueError when what, needing about nbytes, exceeds the physical
+    memory of the machine."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ValueError(f"{what} need about {nbytes:.3g} bytes, above the "
+                         f"{memory:.3g} bytes of physical memory")
+
+
 @dataclass(frozen=True)
 class SdeRunSpec:
     """Parameters of one stochastic verification run.
@@ -180,11 +189,7 @@ class SdeRunSpec:
             raise ValueError(f"duration/dt = {steps:.3g} exceeds the largest "
                              "array length")
         # the kernel holds about six float64 arrays of duration/dt at once
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 48.0 * steps > memory:
-            raise ValueError(f"duration/dt = {steps:.3g} steps need about "
-                             f"{48.0 * steps:.3g} bytes, above the "
-                             f"{memory:.3g} bytes of physical memory")
+        check_memory(f"duration/dt = {steps:.3g} steps", 48.0 * steps)
         n_seg = self.n_trajectories * (self.steps_per_trajectory
                                        // self.segment_length)
         if n_seg < 2:

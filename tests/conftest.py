@@ -76,16 +76,14 @@ def pure_sensitivity(cav, q, input_state, eps_read, omega):
                                 DecoherenceChain(0.0, 0.0, eps_read), omega)
 
 
-def reference_optimize_gain(cav, input_state, chain, omega=0.0,
-                            jitter_model="pump_frame"):
+def reference_optimize_gain(cav, input_state, chain, omega=0.0):
     """The one-state gain solve as it was before solves took per-row
     states: the reference that optimize_gain_numeric must equal bit for bit,
     row by row."""
     q_th = cav.q_threshold
 
     def objective(q):
-        s = measured_sensitivity(cav, q, input_state, chain, omega,
-                                 model=jitter_model)
+        s = measured_sensitivity(cav, q, input_state, chain, omega)
         if not np.all(np.isfinite(s)):
             raise SingularResponseError("objective not finite on the search interval")
         return s

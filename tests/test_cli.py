@@ -25,6 +25,7 @@ from sqzcavity import (
     InstabilityError,
     SingularResponseError,
     SqzCavityError,
+    forward_variances,
     input_state_from_source,
     measured_sensitivity,
     optimal_gain_analytic,
@@ -284,6 +285,43 @@ class TestConfigValidation:
             assert one_line_stderr(capsys).startswith("config error: " + prefix)
             assert not out.exists()
 
+    def test_unknown_jitter_model_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, analysis="jitter_model = sideways")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
+        assert one_line_stderr(capsys) == ("config error: jitter_model must be "
+                                           "one of ('pump_frame', 'input_frame')\n")
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff\xfe[cavity]\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
+        assert one_line_stderr(capsys).startswith(
+            "config error: cannot parse config: 'utf-8' codec can't decode "
+            "byte 0xff in position 0")
+        assert not out.exists()
+
+    def test_oversized_grid_exit_2(self, tmp_path, capsys):
+        # a point count far beyond physical memory is rejected for every
+        # command before any grid is allocated
+        n = 10**13
+        for analysis, extra, name in (
+                (f"omega_grid = 0:1:{n}", "", "omega_grid"),
+                (f"g_grid = -0.5:0.5:{n}", "", "g_grid"),
+                ("omega = 0.0", f"\n[verify]\ngrid_points = {n}\n",
+                 "[verify] grid_points")):
+            cfg = write_config(tmp_path, analysis=analysis, extra=extra)
+            for command in ("spectrum", "optimize", "figure3", "verify"):
+                out = tmp_path / "o"
+                assert main(["--config", str(cfg), "--out", str(out),
+                             command]) == 2
+                assert one_line_stderr(capsys).startswith(
+                    f"config error: {name} = {n} points need about 3e+15 "
+                    "bytes, above the ")
+                assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         cfg.write_text(cfg.read_text().replace("t_c = 0.11",
@@ -469,15 +507,13 @@ def _reference_figure3(cfg, writer, args):
     summary = []
     for i, (source, chain) in enumerate(cfg.panels, start=1):
         state = input_state_from_source(source, chain.eps_inj)
-        gains = {b: snr_gain_db(cav, state, chain, cfg.omega, q_grid,
-                                baseline=b, jitter_model=cfg.jitter_model)
+        gains = {b: snr_gain_db(cav, state, chain, cfg.omega, q_grid, baseline=b)
                  for b in BASELINES}
         writer.add_table(f"figure3_panel_{i}",
                          ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES],
                          np.column_stack([g_grid, q_grid, *gains.values()]
                                          ).tolist())
-        opt = reference_optimize_gain(cav, state, chain, cfg.omega,
-                                      jitter_model=cfg.jitter_model)
+        opt = reference_optimize_gain(cav, state, chain, cfg.omega)
         summary.append({
             "panel": i,
             "squeeze_db": source.squeeze_db,
@@ -489,8 +525,8 @@ def _reference_figure3(cfg, writer, args):
             "optimized": {
                 "g_opt": opt.g_opt, "q_opt": opt.q_opt, "s_opt": opt.s_opt,
                 **{f"gain_db_{b}": float(snr_gain_db(
-                    cav, state, chain, cfg.omega, opt.q_opt, baseline=b,
-                    jitter_model=cfg.jitter_model)) for b in BASELINES},
+                    cav, state, chain, cfg.omega, opt.q_opt, baseline=b))
+                   for b in BASELINES},
             },
         })
     results = {
@@ -690,6 +726,23 @@ class TestCalibrate:
         header, rows = read_csv(out / "calibrate_residuals.csv")
         assert header[0] == "pump_setting" and len(rows) == 5
 
+    def test_residuals_use_the_fit_model(self, tmp_path):
+        # the residual table is the fitted model at the fit's omega and
+        # jitter model
+        cfg = write_config(tmp_path, extra=self.CAL,
+                           analysis="omega = 0.3\njitter_model = input_frame")
+        data = tmp_path / "meas.csv"
+        _write_measurements(data, noise=0.01)
+        out = tmp_path / "outc"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 0
+        env = json.loads((out / "calibrate_fit.json").read_text())
+        _, rows = read_csv(out / "calibrate_residuals.csv")
+        table = np.array(rows)
+        pred = forward_variances(env["results"]["all_params"], table[:, 0],
+                                 omega=0.3, jitter_model="input_frame")
+        assert np.array_equal(table[:, [2, 5]], pred)
+
     def test_truncated_file_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=self.CAL)
         data = tmp_path / "broken.csv"
@@ -704,6 +757,18 @@ class TestCalibrate:
             assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                          "calibrate", "--data", str(data)]) == 2
             assert one_line_stderr(capsys).startswith(f"config error: {message}")
+
+    def test_non_utf8_data_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=self.CAL)
+        data = tmp_path / "meas.csv"
+        data.write_bytes(b"\xffpump_setting,V_sq,V_anti,err_sq,err_anti\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 2
+        assert one_line_stderr(capsys).startswith(
+            "config error: cannot read measurement file: 'utf-8' codec can't "
+            "decode byte 0xff in position 0")
+        assert not out.exists()
 
     def test_nan_variance_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.CAL)

@@ -155,25 +155,22 @@ class TestNoiseBlend:
         assert s_noisy > 1e6          # blows up through the anti channel
 
     def test_input_frame_alternative(self, cav, state_105):
-        chain = DecoherenceChain(0.08, 0.05, 0.10)
+        chain = DecoherenceChain(0.08, 0.05, 0.10, jitter_model="input_frame")
         s = jitter_mixing_weight(0.05)
         v_eff = (1.0 - s) * state_105.v_sq + s * state_105.v_anti
         expected = quadrature_noise_spectrum(cav, 0.02, v_eff, 0.10, 0.0)
-        got = measured_noise_with_jitter(cav, 0.02, state_105, chain, 0.0,
-                                         model="input_frame")
+        got = measured_noise_with_jitter(cav, 0.02, state_105, chain, 0.0)
         assert got == pytest.approx(expected, rel=1e-14)
         # input-frame model stays finite at threshold, unlike the default
         assert measured_noise_with_jitter(cav, 0.9999 * cav.q_threshold,
-                                          state_105, chain, 0.0,
-                                          model="input_frame") < 10.0
+                                          state_105, chain, 0.0) < 10.0
 
-    def test_unknown_model_rejected(self, cav, state_105, chain_jitter):
-        with pytest.raises(ValueError):
-            measured_noise_with_jitter(cav, 0.0, state_105, chain_jitter, 0.0,
-                                       model="sideways")
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match=r"^jitter_model must be one of "
+                           r"\('pump_frame', 'input_frame'\)$"):
+            DecoherenceChain(0.08, 0.05, 0.10, jitter_model="sideways")
 
     def test_anti_blend_mirrors(self, cav, state_105):
-        chain = DecoherenceChain(0.08, 0.05, 0.10)
         s = jitter_mixing_weight(0.05)
         q = np.array([-0.1, -0.02, 0.0, 0.02, 0.1])
         pump = ((1.0 - s) * anti_quadrature_noise_spectrum(
@@ -182,8 +179,8 @@ class TestNoiseBlend:
         v_eff = (1.0 - s) * state_105.v_anti + s * state_105.v_sq
         inp = anti_quadrature_noise_spectrum(cav, q, v_eff, 0.10, 0.0)
         for model, expected in (("pump_frame", pump), ("input_frame", inp)):
-            got = measured_anti_noise_with_jitter(cav, q, state_105, chain, 0.0,
-                                                  model=model)
+            chain = DecoherenceChain(0.08, 0.05, 0.10, jitter_model=model)
+            got = measured_anti_noise_with_jitter(cav, q, state_105, chain, 0.0)
             assert np.array_equal(got, expected)
 
 

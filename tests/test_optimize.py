@@ -157,16 +157,14 @@ class TestNumericOptimizer:
             cav = CavityParams(rng.uniform(0.01, 0.2), rng.uniform(0.0, 0.05))
             eps_inj = rng.uniform(0.0, 0.3)
             chain = DecoherenceChain(eps_inj, rng.uniform(0.005, 1.0),
-                                     rng.uniform(0.0, 0.6))
+                                     rng.uniform(0.0, 0.6),
+                                     ("pump_frame", "input_frame")[i % 2])
             state = input_state_from_source(
                 ExternalSqueezeSource(rng.uniform(0.0, 20.0)), eps_inj)
             omega = 0.0 if i % 4 < 2 else rng.uniform(0.0, 1.0)
-            model = ("pump_frame", "input_frame")[i % 2]
-            res = optimize_gain_numeric(cav, state, chain, omega,
-                                        jitter_model=model)
+            res = optimize_gain_numeric(cav, state, chain, omega)
             grid = np.linspace(-0.999, 0.999, 20001) * cav.q_threshold
-            s_grid = measured_sensitivity(cav, grid, state, chain, omega,
-                                          model=model)
+            s_grid = measured_sensitivity(cav, grid, state, chain, omega)
             assert res.s_opt <= s_grid.min() * (1.0 + 1e-14)
 
     def test_full_jitter_model_optimum(self, cav, state_105, chain_jitter):
@@ -179,13 +177,13 @@ class TestNumericOptimizer:
                                         chain_jitter, 0.0) >= res.s_opt
 
 
-def _panel_rows(draw_rows):
+def _panel_rows(draw_rows, jitter_model="pump_frame"):
     """Per-row state and chain, as (P, 1) columns, and the scalar ones of
     each row, from (squeeze_db, eps_inj, theta_rms, eps_read) tuples."""
     scalar = []
     for db, eps_inj, theta, eps_read in draw_rows:
         scalar.append((input_state_from_source(ExternalSqueezeSource(db), eps_inj),
-                       DecoherenceChain(eps_inj, theta, eps_read)))
+                       DecoherenceChain(eps_inj, theta, eps_read, jitter_model)))
 
     def col(objs, name):
         return np.array([[getattr(o, name)] for o in objs])
@@ -193,7 +191,7 @@ def _panel_rows(draw_rows):
     states, chains = zip(*scalar)
     state = InputQuadratureState(col(states, "v_sq"), col(states, "v_anti"))
     chain = DecoherenceChain(col(chains, "eps_inj"), col(chains, "theta_rms"),
-                             col(chains, "eps_read"))
+                             col(chains, "eps_read"), jitter_model)
     return state, chain, scalar
 
 
@@ -215,29 +213,24 @@ class TestPerRowSolve:
            model=st.sampled_from(["pump_frame", "input_frame"]))
     def test_rows_equal_scalar_calls(self, rows, t_c, eps_int, omega, model):
         cav = CavityParams(t_c, eps_int)
-        state, chain, scalar = _panel_rows(rows)
+        state, chain, scalar = _panel_rows(rows, model)
         q = np.linspace(-0.99, 0.99, 17) * cav.q_threshold
-        s = measured_sensitivity(cav, q, state, chain, omega, model=model)
+        s = measured_sensitivity(cav, q, state, chain, omega)
         for b in ("no_internal", "no_squeezing"):
-            base = baseline_sensitivity(cav, state, chain, omega, b,
-                                        jitter_model=model)
+            base = baseline_sensitivity(cav, state, chain, omega, b)
             assert np.array_equal(base[:, 0], [
-                baseline_sensitivity(cav, st_, ch, omega, b, jitter_model=model)
-                for st_, ch in scalar])
-        assert np.array_equal(s, [measured_sensitivity(cav, q, st_, ch, omega,
-                                                       model=model)
+                baseline_sensitivity(cav, st_, ch, omega, b) for st_, ch in scalar])
+        assert np.array_equal(s, [measured_sensitivity(cav, q, st_, ch, omega)
                                   for st_, ch in scalar])
         try:
-            expected = [reference_optimize_gain(cav, st_, ch, omega,
-                                                jitter_model=model)
+            expected = [reference_optimize_gain(cav, st_, ch, omega)
                         for st_, ch in scalar]
         except SingularResponseError:
             with pytest.raises(SingularResponseError):
-                optimize_gain_numeric(cav, state, chain, omega, jitter_model=model)
+                optimize_gain_numeric(cav, state, chain, omega)
             return
-        assert optimize_gain_numeric(cav, state, chain, omega,
-                                     jitter_model=model) == expected
-        assert [optimize_gain_numeric(cav, st_, ch, omega, jitter_model=model)
+        assert optimize_gain_numeric(cav, state, chain, omega) == expected
+        assert [optimize_gain_numeric(cav, st_, ch, omega)
                 for st_, ch in scalar] == expected
 
     def test_scalar_call_returns_one_result(self, cav, state_105, chain_jitter):
