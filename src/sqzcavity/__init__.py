@@ -19,6 +19,7 @@ from .decoherence import (
     jitter_mixing_weight,
     jittered_signal_factor,
     measured_anti_noise_with_jitter,
+    measured_noise_pair,
     measured_noise_with_jitter,
     measured_sensitivity,
 )

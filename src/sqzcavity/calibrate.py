@@ -17,10 +17,12 @@ import numpy as np
 from .decoherence import (
     DecoherenceChain,
     ExternalSqueezeSource,
+    check_jitter_model,
     input_state_from_source,
-    measured_anti_noise_with_jitter,
-    measured_noise_with_jitter,
+    measured_noise_pair,
 )
+# not called here; perfbench/tracing.py binds these names in this module
+from .decoherence import measured_anti_noise_with_jitter, measured_noise_with_jitter  # noqa: F401
 from .errors import ConvergenceError, IdentifiabilityError, SingularResponseError
 from .sensor import CavityParams, InputQuadratureState
 
@@ -67,6 +69,7 @@ class FitModel:
     free:  names fitted; everything else is pinned to fixed[name].
     bounds: per-parameter boxes for the free names (defaults above).
     omega: sideband frequency of the variance measurement.
+    jitter_model: one of decoherence.JITTER_MODELS.
     """
 
     free: tuple[str, ...]
@@ -84,6 +87,7 @@ class FitModel:
         for name in PARAM_NAMES:
             if name not in self.free and name not in self.fixed:
                 raise ValueError(f"parameter {name!r} neither free nor fixed")
+        check_jitter_model(self.jitter_model)
         merged = dict(DEFAULT_BOUNDS)
         if "t_c" in self.fixed and "eps_int" in self.fixed:
             # the pump scan stays below the parametric threshold; boxes beyond
@@ -127,10 +131,7 @@ def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.
                              jitter_model=jitter_model)
     state = _input_state(params["r_ext"], chain.eps_inj)
     q = params["q_max"] * np.asarray(pump_settings, dtype=float)
-    return np.stack([
-        measured_noise_with_jitter(cav, q, state, chain, omega),
-        measured_anti_noise_with_jitter(cav, q, state, chain, omega),
-    ], axis=-1)
+    return measured_noise_pair(cav, q, state, chain, omega)
 
 
 def _input_state(r_ext, eps_inj) -> InputQuadratureState:

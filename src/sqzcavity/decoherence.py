@@ -18,7 +18,6 @@ from .sensor import (
     InputQuadratureState,
     PhysicalScale,
     _holds,
-    anti_quadrature_noise_spectrum,
     quadrature_noise_spectrum,
     signal_transfer_power,
 )
@@ -58,7 +57,7 @@ class ExternalSqueezeSource:
 @dataclass(frozen=True)
 class DecoherenceChain:
     """Injection loss, phase-jitter RMS (rad) and readout loss, scalars or
-    per-row arrays, and the jitter model (see measured_noise_with_jitter)."""
+    per-row arrays, and the jitter model (see measured_noise_pair)."""
 
     eps_inj: float
     theta_rms: float
@@ -72,8 +71,13 @@ class DecoherenceChain:
                 raise ValueError(f"{name} must be in [0, 1), got {val}")
         if not _holds((0.0 <= self.theta_rms) & (self.theta_rms < math.inf)):
             raise ValueError(f"theta_rms must be finite and >= 0, got {self.theta_rms}")
-        if self.jitter_model not in JITTER_MODELS:
-            raise ValueError(f"jitter_model must be one of {JITTER_MODELS}")
+        check_jitter_model(self.jitter_model)
+
+
+def check_jitter_model(jitter_model: str) -> None:
+    """ValueError unless jitter_model names one of JITTER_MODELS."""
+    if jitter_model not in JITTER_MODELS:
+        raise ValueError(f"jitter_model must be one of {JITTER_MODELS}")
 
 
 def input_state_from_source(src: ExternalSqueezeSource, eps_inj: float
@@ -120,48 +124,68 @@ def _each(fn, x):
     return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _blend(cav: CavityParams, q, v_main, v_other, chain: DecoherenceChain,
-           omega):
-    """Jitter blend of the detected quadrature (gain q, input variance v_main)
-    with its orthogonal partner (gain -q, input variance v_other).  A row
-    whose jitter weight is 0 is its readout spectrum alone."""
+def _mix(s, main, other):
+    """Jitter mix (1-s)*main + s*other of a quadrature's input variance or
+    detected spectrum with its orthogonal partner's.  A row whose per-row
+    weight is 0 keeps main as it is, even where other is not finite."""
+    mixed = (1.0 - s) * main + s * other
+    return np.where(s == 0.0, main, mixed) if isinstance(s, np.ndarray) else mixed
+
+
+def _detected(cav: CavityParams, q, input_state: InputQuadratureState,
+              chain: DecoherenceChain, omega, quadratures):
+    """Detected noise of each quadrature in quadratures (0: readout, 1: anti),
+    in that order.  The anti quadrature is the readout formula with q -> -q
+    and the two input variances swapped.  A quadrature's output spectrum is
+    evaluated at most once, and only when a result needs it."""
     s = _each(jitter_mixing_weight, chain.theta_rms)
+    v = (input_state.v_sq, input_state.v_anti)
+    gain = (q, -np.asarray(q, dtype=float))
     if chain.jitter_model == "input_frame":
-        v_eff = (1.0 - s) * v_main + s * v_other
-        return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
-    main = quadrature_noise_spectrum(cav, q, v_main, chain.eps_read, omega)
-    unmixed = s == 0.0
-    if _holds(unmixed):
-        return main
-    other = anti_quadrature_noise_spectrum(cav, q, v_other, chain.eps_read, omega)
-    blend = (1.0 - s) * main + s * other
-    return np.where(unmixed, main, blend) if isinstance(s, np.ndarray) else blend
+        return [quadrature_noise_spectrum(cav, gain[k], _mix(s, v[k], v[1 - k]),
+                                          chain.eps_read, omega)
+                for k in quadratures]
+    unmixed = _holds(s == 0.0)
+    own = {k: quadrature_noise_spectrum(cav, gain[k], v[k], chain.eps_read, omega)
+           for k in (quadratures if unmixed else (0, 1))}
+    if unmixed:
+        return [own[k] for k in quadratures]
+    return [_mix(s, own[k], own[1 - k]) for k in quadratures]
 
 
-def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
-                               chain: DecoherenceChain, omega):
-    """Effective detected noise with phase jitter mixing in the anti-quadrature.
+def measured_noise_pair(cav: CavityParams, q, input_state: InputQuadratureState,
+                        chain: DecoherenceChain, omega):
+    """Effective detected noise of both quadratures under phase jitter,
+    stacked on a last axis: (readout, anti).
 
     input_state is the post-injection-loss state at the coupler; only the
     chain's theta_rms, eps_read and jitter_model act here.
 
     pump_frame (default): the jitter rotates the detected frame relative to the
     cavity eigenbasis, blending the two cavity OUTPUT spectra,
-    S_eff = (1-s)*S_readout(q) + s*S_anti(q).  This reproduces the unbounded
-    noise growth as q approaches threshold.
+    S_eff = (1-s)*S_readout(q) + s*S_anti(q), and the anti quadrature the other
+    way round; each output spectrum is evaluated once.  This reproduces the
+    unbounded noise growth as q approaches threshold.
     input_frame (alternative): the jitter scrambles the INPUT state only,
     V_eff = (1-s)*v_sq + s*v_anti fed through the readout-quadrature response.
     """
-    return _blend(cav, q, input_state.v_sq, input_state.v_anti, chain, omega)
+    return np.stack(_detected(cav, q, input_state, chain, omega, (0, 1)), axis=-1)
+
+
+def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
+                               chain: DecoherenceChain, omega):
+    """Readout column of measured_noise_pair.  Without jitter mixing (theta_rms
+    = 0 or input_frame) only the readout spectrum is evaluated, so it stays
+    finite at the anti quadrature's pole q = +q_threshold."""
+    return _detected(cav, q, input_state, chain, omega, (0,))[0]
 
 
 def measured_anti_noise_with_jitter(cav: CavityParams, q,
                                     input_state: InputQuadratureState,
                                     chain: DecoherenceChain, omega):
-    """Detected noise of the orthogonal quadrature: the readout blend with
-    q -> -q and the two input variances swapped."""
-    return _blend(cav, -np.asarray(q, dtype=float), input_state.v_anti,
-                  input_state.v_sq, chain, omega)
+    """Anti column of measured_noise_pair, evaluated as measured_noise_with_jitter
+    is: finite at the readout's pole q = -q_threshold without jitter mixing."""
+    return _detected(cav, q, input_state, chain, omega, (1,))[0]
 
 
 def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState,

@@ -18,11 +18,14 @@ from sqzcavity import (
     fit_parameters,
     forward_variances,
     input_state_from_source,
+    anti_quadrature_noise_spectrum,
+    jitter_mixing_weight,
     measured_anti_noise_with_jitter,
     measured_noise_with_jitter,
+    quadrature_noise_spectrum,
     synthesize_measurements,
 )
-from sqzcavity import calibrate
+from sqzcavity import calibrate, decoherence, sensor
 
 TRUE = dict(
     t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10, theta_rms=0.05,
@@ -109,6 +112,84 @@ class TestFitModel:
                      bounds={"eps_read": (0.0, 0.2)})
         assert m.bounds["eps_read"] == (0.0, 0.2)
         assert m.bounds["t_c"][1] == 0.5  # untouched default
+
+    def test_unknown_jitter_model(self):
+        # the chain's message, not a fit that blames the data
+        with pytest.raises(ValueError, match=r"^jitter_model must be one of "
+                           r"\('pump_frame', 'input_frame'\)$"):
+            FitModel(free=("eps_read", "theta_rms"), fixed=TRUE,
+                     jitter_model="sideways")
+
+
+def _blend_reference(cav, q, v_main, v_other, chain, omega):
+    """One quadrature as its own jitter blend (gain q, input variance v_main)
+    with its orthogonal partner (gain -q, input variance v_other)."""
+    s = decoherence._each(jitter_mixing_weight, chain.theta_rms)
+    if chain.jitter_model == "input_frame":
+        v_eff = (1.0 - s) * v_main + s * v_other
+        return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
+    main = quadrature_noise_spectrum(cav, q, v_main, chain.eps_read, omega)
+    unmixed = s == 0.0
+    if np.all(unmixed):
+        return main
+    other = anti_quadrature_noise_spectrum(cav, q, v_other, chain.eps_read, omega)
+    blend = (1.0 - s) * main + s * other
+    return np.where(unmixed, main, blend) if isinstance(s, np.ndarray) else blend
+
+
+def _two_blend_reference(params, pumps, omega, jitter_model):
+    """forward_variances with the readout and the anti quadrature as two
+    separate blends, four spectrum evaluations under pump_frame."""
+    cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
+    chain = DecoherenceChain(params["eps_inj"], params["theta_rms"],
+                             params["eps_read"], jitter_model)
+    state = calibrate._input_state(params["r_ext"], chain.eps_inj)
+    q = params["q_max"] * np.asarray(pumps, dtype=float)
+    return np.stack([
+        _blend_reference(cav, q, state.v_sq, state.v_anti, chain, omega),
+        _blend_reference(cav, -q, state.v_anti, state.v_sq, chain, omega),
+    ], axis=-1)
+
+
+class TestForwardPair:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           unmixed=st.lists(st.integers(0, 5), max_size=6),
+           omega=st.sampled_from([0.0, 0.3, 2.0]),
+           jitter_model=st.sampled_from(["pump_frame", "input_frame"]))
+    def test_matches_two_blends(self, seed, k, unmixed, omega, jitter_model):
+        # k random rows of (eps_inj, eps_read, theta_rms, r_ext, q_max),
+        # some or all of them without jitter; each row on its own and all
+        # of them as one (k, 1) batch
+        free = ("eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
+        xs = np.random.default_rng(seed).uniform(
+            [0.0, 0.0, 0.0, 0.0, -0.11], [0.9, 0.9, 0.5, 2.5, 0.11], (k, 5))
+        xs[[row for row in unmixed if row < k], 2] = 0.0
+        cases = [dict(TRUE, **dict(zip(free, x))) for x in xs]
+        cases.append(dict(TRUE, **dict(zip(free, np.ascontiguousarray(xs.T)[:, :, None]))))
+        for params in cases:
+            got = forward_variances(params, PUMPS, omega, jitter_model)
+            want = _two_blend_reference(params, PUMPS, omega, jitter_model)
+            assert got.shape == want.shape
+            assert (got == want).all()
+
+    def test_two_spectra_per_call(self, monkeypatch):
+        # counted where decoherence calls it and where
+        # anti_quadrature_noise_spectrum does
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quadrature_noise_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(decoherence, "quadrature_noise_spectrum", counted)
+        monkeypatch.setattr(sensor, "quadrature_noise_spectrum", counted)
+        batch = dict(TRUE, theta_rms=np.array([[0.0], [0.05], [0.2]]))
+        for params in (TRUE, dict(TRUE, theta_rms=0.0), batch):
+            for jitter_model in ("pump_frame", "input_frame"):
+                calls.clear()
+                forward_variances(params, PUMPS, 0.3, jitter_model)
+                assert len(calls) == 2
 
 
 class TestFit:

@@ -12,15 +12,18 @@ from sqzcavity import (
     DecoherenceChain,
     ExternalSqueezeSource,
     InputQuadratureState,
+    SingularResponseError,
     anti_quadrature_noise_spectrum,
     input_state_from_source,
     jitter_mixing_weight,
     jittered_signal_factor,
     measured_anti_noise_with_jitter,
+    measured_noise_pair,
     measured_noise_with_jitter,
     measured_sensitivity,
     quadrature_noise_spectrum,
 )
+from sqzcavity import decoherence
 
 
 class TestSource:
@@ -182,6 +185,57 @@ class TestNoiseBlend:
             chain = DecoherenceChain(0.08, 0.05, 0.10, jitter_model=model)
             got = measured_anti_noise_with_jitter(cav, q, state_105, chain, 0.0)
             assert np.array_equal(got, expected)
+
+
+class TestNoisePair:
+    MODELS = (("pump_frame", 0.05), ("pump_frame", 0.0), ("input_frame", 0.05))
+
+    def test_columns_are_the_single_quadratures(self, cav, state_105):
+        q = np.linspace(-0.1, 0.1, 7)
+        theta = np.array([[0.0], [0.05], [0.3]])
+        for model in ("pump_frame", "input_frame"):
+            chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
+            pair = measured_noise_pair(cav, q, state_105, chain, 0.3)
+            assert pair.shape == (3, 7, 2)
+            assert np.array_equal(pair[..., 0], measured_noise_with_jitter(
+                cav, q, state_105, chain, 0.3))
+            assert np.array_equal(pair[..., 1], measured_anti_noise_with_jitter(
+                cav, q, state_105, chain, 0.3))
+
+    def test_spectrum_calls(self, cav, state_105, monkeypatch):
+        # a single quadrature evaluates its partner's spectrum only to mix it
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quadrature_noise_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(decoherence, "quadrature_noise_spectrum", counted)
+        for model, theta in self.MODELS:
+            chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
+            mixed = model == "pump_frame" and theta > 0.0
+            for fn, want in ((measured_noise_with_jitter, 2 if mixed else 1),
+                             (measured_anti_noise_with_jitter, 2 if mixed else 1),
+                             (measured_noise_pair, 2)):
+                calls.clear()
+                fn(cav, 0.02, state_105, chain, 0.0)
+                assert len(calls) == want, (fn.__name__, model, theta)
+
+    def test_poles(self, cav, state_105):
+        # the readout spectrum is singular at q = -q_th, the anti one at
+        # +q_th; the pair and any jitter-mixed column raise at both
+        for model, theta in self.MODELS:
+            chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
+            mixed = model == "pump_frame" and theta > 0.0
+            for fn, pole in ((measured_noise_with_jitter, cav.q_threshold),
+                             (measured_anti_noise_with_jitter, -cav.q_threshold)):
+                if mixed:
+                    with pytest.raises(SingularResponseError):
+                        fn(cav, pole, state_105, chain, 0.0)
+                else:
+                    assert np.isfinite(fn(cav, pole, state_105, chain, 0.0))
+                with pytest.raises(SingularResponseError):
+                    measured_noise_pair(cav, pole, state_105, chain, 0.0)
 
 
 class TestMeasuredSensitivity:
