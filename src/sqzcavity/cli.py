@@ -375,22 +375,44 @@ def load_config(path: str | Path, seed: int | None = None,
         sde_specs=sde_specs, fit_model=fit_model, echo=echo)
 
 
+def _csv_cells(column) -> list[str]:
+    """A column's cells as csv.writer writes them: a str as it is and any
+    other value as its str (a float's shortest repr); an ndarray column
+    through tolist.  A cell csv would quote or write blank is rejected: no
+    table holds one, and this writer does not quote."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return [str(v) if isinstance(v, float) else _text_cell(v) for v in column]
+
+
+def _text_cell(value) -> str:
+    """A cell that is not a float; floats never need quoting."""
+    text = value if isinstance(value, str) else str(value)
+    if value is None or not text or any(c in text for c in ',"\r\n'):
+        raise ValueError(f"csv cell {value!r} would be quoted or blank")
+    return text
+
+
 class OutputWriter:
     """Collects a command's tables and JSON envelopes; main writes them only
-    after the command returns."""
+    after the command returns, each file in one write."""
 
     def __init__(self, cfg: RunConfig, command: str, stamp: bool):
         self.cfg = cfg
         self.command = command
         self.stamp = stamp
         self.out_dir = Path(cfg.out_dir)
-        self._csv: list[tuple[str, list[str], list[list]]] = []
+        self._csv: list[tuple[str, list[str], list]] = []
         self._json: list[tuple[str, dict]] = []
 
-    def add_table(self, name: str, header: list[str], rows: list[list]):
-        """rows hold Python values: csv writes a float as its repr, which
-        for a numpy float is "np.float64(...)"."""
-        self._csv.append((name, header, rows))
+    def add_table(self, name: str, header: list[str], columns: list):
+        """columns hold one sequence per header entry.  flush formats each
+        distinct column object once, so tables that share a column object
+        share its text."""
+        if len(columns) != len(header):
+            raise ValueError(f"table {name}: {len(header)} header entries, "
+                             f"{len(columns)} columns")
+        self._csv.append((name, header, columns))
 
     def add_envelope(self, name: str, results: dict, warnings: list[str]):
         ts = None
@@ -412,19 +434,25 @@ class OutputWriter:
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             if "csv" in self.cfg.formats:
-                for name, header, rows in self._csv:
+                # keyed on identity, never on value: 0.0 == -0.0, nan != nan;
+                # every column stays alive in self._csv, so no id is reused
+                texts: dict[int, list[str]] = {}
+                for name, header, columns in self._csv:
+                    for obj in (header, *columns):
+                        if id(obj) not in texts:
+                            texts[id(obj)] = _csv_cells(obj)
+                    cells = [texts[id(col)] for col in columns]
+                    if len({len(c) for c in cells}) > 1:
+                        raise ValueError(f"table {name}: columns differ in length")
+                    lines = map(",".join, [texts[id(header)], *zip(*cells)])
                     p = self.out_dir / f"{name}.csv"
-                    with open(p, "w", newline="") as fh:
-                        w = csv.writer(fh)
-                        w.writerow(header)
-                        w.writerows(rows)
+                    # csv.writer's excel dialect ends every row with \r\n
+                    p.write_text("\r\n".join(lines) + "\r\n", newline="")
                     written.append(p)
             if "json" in self.cfg.formats:
                 for name, envelope in self._json:
                     p = self.out_dir / f"{name}.json"
-                    with open(p, "w") as fh:
-                        json.dump(envelope, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
+                    p.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
                     written.append(p)
         except OSError as exc:
             raise ConfigError(f"cannot write outputs to {self.out_dir}: "
@@ -457,15 +485,14 @@ def cmd_spectrum(cfg: RunConfig, writer: OutputWriter, args) -> int:
     bad = [h for h, col in zip(header, columns) if not np.all(np.isfinite(col))]
     if bad:
         raise SingularResponseError(f"spectrum columns not finite: {', '.join(bad)}")
-    rows = np.column_stack(columns).tolist()
-    writer.add_table("spectrum", header, rows)
+    writer.add_table("spectrum", header, columns)
     warnings = _collect_warnings(cfg, q)
     results = {
         "q": q, "g": cfg.g, "baseline": cfg.baseline,
         "jitter_model": chain.jitter_model,
         "omega_converted_from_hz": cfg.fsr_hz is not None,
         "columns": header,
-        "table": rows,
+        "table": np.column_stack(columns).tolist(),
     }
     writer.add_envelope("spectrum", results, warnings)
     return 0
@@ -487,11 +514,11 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
     }
     header = ["q_opt", "s_opt", "g_opt", "analytic_q_opt", "analytic_s_opt_pure",
               "fundamental_limit"]
-    writer.add_table("optimize", header, [[
+    writer.add_table("optimize", header, [[v] for v in (
         res.q_opt, res.s_opt, res.g_opt,
         res.analytic_q_opt if res.analytic_q_opt is not None else float("nan"),
         s_analytic, fundamental_limit(cav),
-    ]])
+    )])
     warnings = _collect_warnings(cfg, res.q_opt)
     writer.add_envelope("optimize", results, warnings)
     return 0
@@ -524,16 +551,18 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     gains = {b: gain_db(base, s_grid) for b, base in s_base.items()}
     opts = optimize_gain_numeric(cav, state, chain, omega)
 
-    shape = s_grid.shape
-    tables = np.stack([np.broadcast_to(g_grid, shape), np.broadcast_to(q_grid, shape),
-                       *gains.values()], axis=-1).tolist()
+    # every panel's table holds the same g and q list objects, so the writer
+    # formats them once
+    g_col, q_col = g_grid.tolist(), q_grid.tolist()
+    gain_rows = [gain.tolist() for gain in gains.values()]
     peaks = {b: (g_grid[gain.argmax(axis=1)].tolist(), gain.max(axis=1).tolist())
              for b, gain in gains.items()}
     header = ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES]
     summary = []
     for i, ((source, panel_chain), panel_state, opt) in enumerate(
             zip(cfg.panels, states, opts)):
-        writer.add_table(f"figure3_panel_{i + 1}", header, tables[i])
+        writer.add_table(f"figure3_panel_{i + 1}", header,
+                         [g_col, q_col, *(rows[i] for rows in gain_rows)])
         # q_opt stays a scalar call: a scalar squares through pow, an array
         # through x*x, and the two differ in the last bit for some inputs
         s_opt = measured_sensitivity(cav, opt.q_opt, panel_state, panel_chain,
@@ -565,12 +594,12 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
     fault = 1e-9 if args.inject_fault else 0.0
     report = compare_oracles(grid, sde_specs=cfg.sde_specs, fault_offset=fault)
 
-    rows = [["analytic_grid", report.max_analytic_diff,
-             report.analytic_tolerance, report.analytic_passed]]
-    for s in report.sde:
-        rows.append([f"sde_{s.label}", s.z_zero, SDE_Z_LIMIT, s.passed])
-    writer.add_table("verify_report", ["check", "value", "threshold", "passed"],
-                     rows)
+    writer.add_table("verify_report", ["check", "value", "threshold", "passed"], [
+        ["analytic_grid", *(f"sde_{s.label}" for s in report.sde)],
+        [report.max_analytic_diff, *(s.z_zero for s in report.sde)],
+        [report.analytic_tolerance, *(SDE_Z_LIMIT for _ in report.sde)],
+        [report.analytic_passed, *(s.passed for s in report.sde)],
+    ])
     results = {
         "passed": report.passed,
         "n_grid_points": report.analytic.size,
@@ -627,12 +656,16 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
     if not np.all(np.isfinite(pred)):
         raise SingularResponseError("calibration model not finite at the "
                                     "measured pump settings")
-    rows = [[d.pump_setting, d.v_sq, v_sq, (v_sq - d.v_sq) / d.err_sq,
-             d.v_anti, v_anti, (v_anti - d.v_anti) / d.err_anti]
-            for d, (v_sq, v_anti) in zip(data, pred.tolist())]
+    v_sq, v_anti = pred.T.tolist()
     writer.add_table("calibrate_residuals",
                      ["pump_setting", "V_sq_meas", "V_sq_model", "res_sq",
-                      "V_anti_meas", "V_anti_model", "res_anti"], rows)
+                      "V_anti_meas", "V_anti_model", "res_anti"], [
+        [d.pump_setting for d in data],
+        [d.v_sq for d in data], v_sq,
+        [(m - d.v_sq) / d.err_sq for d, m in zip(data, v_sq)],
+        [d.v_anti for d in data], v_anti,
+        [(m - d.v_anti) / d.err_anti for d, m in zip(data, v_anti)],
+    ])
     results = {
         "free": list(model.free),
         "fitted": {k: result.params[k] for k in model.free},

@@ -285,11 +285,12 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
     detected power spectrum with per-bin standard errors from Hann-windowed
     consecutive segments.
 
-    Trajectories use independent child streams spawned from the master seed
-    and are reduced in trajectory order, so any order-preserving concurrent
-    map_fn yields results identical to the serial run.  Each stream draws the
-    readout quadrature's noise first, so a quadrature's estimate does not
-    depend on which one a run selects.
+    Trajectories use independent child streams spawned from the master seed,
+    each built only when map_fn draws it, and are reduced in trajectory
+    order, so any order-preserving concurrent map_fn yields results
+    identical to the serial run.  Each stream draws the readout quadrature's
+    noise first, so a quadrature's estimate does not depend on which one a
+    run selects.
     """
     cav = spec.cavity
     kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
@@ -298,7 +299,12 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
     n = spec.steps_per_trajectory
     length = spec.segment_length
     win = np.hanning(length)
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_trajectories)
+    # spawn's i-th child, built when the map reaches it: a list of every
+    # child would grow with n_trajectories, by about 370 bytes each
+    root = np.random.SeedSequence(spec.seed)
+    seeds = (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
+                                    pool_size=root.pool_size)
+             for i in range(spec.n_trajectories))
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import datetime
+import io
 import json
 import os
 import subprocess
@@ -511,8 +512,7 @@ def _reference_figure3(cfg, writer, args):
                  for b in BASELINES}
         writer.add_table(f"figure3_panel_{i}",
                          ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES],
-                         np.column_stack([g_grid, q_grid, *gains.values()]
-                                         ).tolist())
+                         [g_grid, q_grid, *gains.values()])
         opt = reference_optimize_gain(cav, state, chain, cfg.omega)
         summary.append({
             "panel": i,
@@ -617,6 +617,30 @@ class TestFigure3:
                 continue
             outcomes[name] = {p.name: p.read_bytes() for p in writer.flush()}
         assert outcomes["batched"] == outcomes["reference"]
+
+    def test_shared_columns_formatted_once(self, tmp_path, monkeypatch):
+        # every panel table holds the same g and q objects, so flush formats
+        # them once: one header, g, q and a gain row per baseline and panel
+        analysis = ("omega = 0.0\ng_grid = -0.9:0.9:7\n"
+                    "panels = 5.4:0.015:0.10, 8.6:0.040:0.10, 10.5:0.050:0.10")
+        cfg = load_config(write_config(tmp_path, analysis=analysis))
+        writer = OutputWriter(replace(cfg, out_dir=str(tmp_path / "o")),
+                              "figure3", stamp=False)
+        assert cmd_figure3(writer.cfg, writer, None) == 0
+        tables = writer._csv
+        assert len(tables) == 3
+        for index in (0, 1):
+            assert len({id(columns[index]) for _, _, columns in tables}) == 1
+        cells = sqzcavity.cli._csv_cells
+        formatted = []
+
+        def counted(column):
+            formatted.append(column)
+            return cells(column)
+
+        monkeypatch.setattr(sqzcavity.cli, "_csv_cells", counted)
+        writer.flush()
+        assert len(formatted) == 1 + 2 + 3 * len(BASELINES)
 
     def test_closed_form_calls(self, tmp_path, monkeypatch):
         # one grid call, two baselines, two optimizer stages, one q_opt
@@ -877,6 +901,94 @@ class TestCalibrate:
             line = one_line_stderr(capsys)
             assert line.startswith("domain error: ") and "omega" in line
             assert not out.exists()
+
+
+def _table_writer(tmp_path) -> OutputWriter:
+    """A csv-only writer into tmp_path/out."""
+    cfg = load_config(write_config(tmp_path))
+    return OutputWriter(replace(cfg, out_dir=str(tmp_path / "out"),
+                                formats=("csv",)), "spectrum", stamp=False)
+
+
+def _csv_writer_text(header, columns) -> str:
+    """The table as csv.writer wrote it from rows, an ndarray column as its
+    tolist."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns)))
+    return fh.getvalue()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+                -1e300, float("inf"), float("-inf"), float("nan")]
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats().map(np.float64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(max_size=8),
+    st.sampled_from(["sde_anti_with_gain", "a,b", 'say "x"', "two\nlines",
+                     "cr\r", ""]),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 6))
+    column = st.one_of(
+        st.lists(_CELLS, min_size=n_rows, max_size=n_rows),
+        st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                 min_size=n_rows, max_size=n_rows).map(np.array))
+    columns = draw(st.lists(column, min_size=1, max_size=5))
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+def _csv_would_quote_or_blank(value) -> bool:
+    """Whether csv.writer quotes the cell, or writes it blank, in a row of
+    two cells."""
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerow([value, "x"])
+    text = fh.getvalue()[:-len(",x\r\n")]
+    return text == "" or text.startswith('"')
+
+
+class TestOutputWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(table=_tables())
+    def test_matches_csv_writer(self, tmp_path_factory, table):
+        # csv.writer's rule: a str as it is, any other cell as its str, so a
+        # numpy float64 reads as a float does.  A cell csv would quote or leave
+        # blank is rejected, and no table of the commands holds one
+        header, columns = table
+        writer = _table_writer(tmp_path_factory.mktemp("table"))
+        writer.add_table("t", header, columns)
+        cells = [v for c in columns if not isinstance(c, np.ndarray) for v in c]
+        if any(_csv_would_quote_or_blank(v) for v in cells):
+            with pytest.raises(ValueError, match="would be quoted or blank"):
+                writer.flush()
+            return
+        (path,) = writer.flush()
+        assert path.read_bytes().decode() == _csv_writer_text(header, columns)
+
+    def test_columns_keyed_on_identity(self, tmp_path):
+        # equal values, distinct objects: a value-keyed cache would write
+        # the first column's text for both
+        writer = _table_writer(tmp_path)
+        writer.add_table("zeros", ["a", "b"], [[0.0], [-0.0]])
+        (path,) = writer.flush()
+        assert path.read_bytes() == b"a,b\r\n0.0,-0.0\r\n"
+
+    def test_table_shape_checked(self, tmp_path):
+        writer = _table_writer(tmp_path)
+        with pytest.raises(ValueError, match="2 header entries, 1 columns"):
+            writer.add_table("t", ["a", "b"], [[1.0]])
+        writer.add_table("t", ["a", "b"], [[1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="columns differ in length"):
+            writer.flush()
 
 
 class TestReproducibility:

@@ -1,5 +1,8 @@
 """Transfer-matrix and stochastic oracles against the closed forms."""
 
+import contextlib
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -150,6 +153,29 @@ def _reference_sde(spec):
             "n_segments": n_seg}
 
 
+@contextlib.contextmanager
+def _address_space_headroom(extra_bytes: int):
+    """Cap this process's address space at its current size plus extra_bytes
+    for the duration of the block (Linux; elsewhere no cap)."""
+    try:
+        import resource
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra_bytes
+    for limit in (soft, hard):
+        if limit != resource.RLIM_INFINITY:
+            cap = min(cap, limit)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 class TestSde:
     def test_vacuum_flat(self, cav):
         res = run_sde(_small_spec(cav))
@@ -211,6 +237,29 @@ class TestSde:
                 threaded = run_sde(spec, map_fn=ex.map)
             assert np.array_equal(serial.psd, threaded.psd)
             assert np.array_equal(serial.stderr, threaded.stderr)
+
+    def test_children_built_on_demand(self, cav):
+        # a list of 10**12 children would need hundreds of terabytes; the map
+        # takes two, and they are spawn's first two.  The address-space cap
+        # turns a regression into a MemoryError rather than a host-wide OOM
+        spec = _small_spec(cav, seed=23, duration=0.5 * 4096 * 2,
+                           n_trajectories=10**12)
+        taken = []
+
+        def first_two(fn, children):
+            taken.extend(itertools.islice(children, 2))
+            return map(fn, taken)
+
+        with _address_space_headroom(1 << 30):
+            res = run_sde(spec, map_fn=first_two)
+        spawned = np.random.SeedSequence(23).spawn(2)
+        assert [(c.entropy, c.spawn_key, c.pool_size) for c in taken] == \
+            [(c.entropy, c.spawn_key, c.pool_size) for c in spawned]
+        for child, ref in zip(taken, spawned):
+            assert np.array_equal(child.generate_state(8), ref.generate_state(8))
+        two = run_sde(dataclasses.replace(spec, n_trajectories=2))
+        assert np.array_equal(res.psd, two.psd)
+        assert np.array_equal(res.stderr, two.stderr)
 
     def test_instability_rejection(self, cav):
         with pytest.raises(InstabilityError):
