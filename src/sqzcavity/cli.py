@@ -90,18 +90,6 @@ ABSOLUTE_ENHANCEMENT_NOTE = (
     "absolute level, is the reproducible prediction."
 )
 
-_KNOWN_KEYS = {
-    "cavity": {"t_c", "eps_int", "fsr_hz", "wavelength_m", "power_w"},
-    "source": {"squeeze_db", "eps_inj", "theta_rms"},
-    "readout": {"eps_read"},
-    "analysis": {"omega", "omega_grid", "g", "g_grid", "baseline",
-                 "jitter_model", "panels"},
-    "run": {"seed", "out_dir", "format"},
-    "verify": {"grid_points", "sde", "probe_q", "sde_trajectories",
-               "sde_duration", "sde_segment_length", "sde_dt"},
-    "calibrate": {"free", "q_max"} | {f"bound_{n}" for n in PARAM_NAMES},
-}
-
 # peak memory per point of the command a grid drives, measured over 200k
 # points: about 480 bytes for spectrum's omega_grid, 310 for verify's
 # grid_points and 300 for figure3's g_grid (per panel)
@@ -136,19 +124,6 @@ def _check_finite(name: str, *values: float):
                           f"{', '.join(map(repr, values))}")
 
 
-def _parse_grid(text: str, name: str) -> np.ndarray:
-    try:
-        start, stop, npts = text.split(":")
-        start, stop, npts = float(start), float(stop), int(npts)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be start:stop:npoints, got {text!r}") from exc
-    if npts < 1:
-        raise ConfigError(f"{name} needs at least one point")
-    _check_finite(name, start, stop)
-    _check_grid_memory(name, npts)
-    return np.linspace(start, stop, npts)
-
-
 @contextlib.contextmanager
 def _config_errors(prefix: str = ""):
     """Report a ValueError from building domain objects out of config values
@@ -166,31 +141,86 @@ def _check_grid_memory(name: str, npts: int):
         check_memory(f"{name} = {npts} points", _GRID_POINT_BYTES * npts)
 
 
-def _get_float(cp, section, key, required=True, default=None):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
+def _number(text: str, section: str, key: str) -> float:
     try:
-        value = cp.getfloat(section, key)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} is not a number") from exc
     _check_finite(f"[{section}] {key}", value)
     return value
 
 
-def _get_int(cp, section, key, default):
+def _integer(text: str, section: str, key: str) -> int:
     try:
-        return cp.getint(section, key, fallback=default)
+        return int(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} must be an integer") from exc
 
 
-def _get_bool(cp, section, key, default):
+def _boolean(text: str, section: str, key: str) -> bool:
     try:
-        return cp.getboolean(section, key, fallback=default)
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConfigError(f"[{section}] {key} must be a boolean") from None
+
+
+def _text(text: str, section: str, key: str) -> str:
+    return text
+
+
+def _parse_grid(text: str, section: str, key: str) -> np.ndarray:
+    try:
+        start, stop, npts = text.split(":")
+        start, stop, npts = float(start), float(stop), int(npts)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be a boolean") from exc
+        raise ConfigError(f"{key} must be start:stop:npoints, got {text!r}") from exc
+    if npts < 1:
+        raise ConfigError(f"{key} needs at least one point")
+    _check_finite(key, start, stop)
+    _check_grid_memory(key, npts)
+    return np.linspace(start, stop, npts)
+
+
+def _parse_bounds(text: str, section: str, key: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"{key} must be two comma-separated numbers, got {text!r}") from None
+    _check_finite(key, lo, hi)
+    if lo >= hi:
+        raise ConfigError(f"{key}: lower bound must be below upper")
+    return lo, hi
+
+
+_REQUIRED = object()
+
+# section -> key -> (parser, default); each parser takes (text, section, key).
+# A default is config text and goes through its parser like a written value;
+# None: optional, with no default.  Keys are read in this order, and no two
+# sections share a key name.
+_KEYS = {
+    "cavity": {"t_c": (_number, _REQUIRED), "eps_int": (_number, _REQUIRED),
+               "fsr_hz": (_number, None), "wavelength_m": (_number, None),
+               "power_w": (_number, None)},
+    "source": {"squeeze_db": (_number, _REQUIRED), "eps_inj": (_number, _REQUIRED),
+               "theta_rms": (_number, _REQUIRED)},
+    "readout": {"eps_read": (_number, _REQUIRED)},
+    "analysis": {"omega": (_number, "0.0"), "omega_grid": (_parse_grid, None),
+                 "g": (_number, "0.0"), "g_grid": (_parse_grid, "-0.99:0.99:199"),
+                 "baseline": (_text, "no_squeezing"),
+                 "jitter_model": (_text, "pump_frame"),
+                 # absent is no panels; an empty value is a malformed entry
+                 "panels": (_text, None)},
+    "run": {"seed": (_integer, "0"), "out_dir": (_text, "out"),
+            "format": (_text, "csv,json")},
+    "verify": {"grid_points": (_integer, "64"), "sde": (_boolean, "false"),
+               "probe_q": (_number, "0.0085"), "sde_trajectories": (_integer, None),
+               "sde_duration": (_number, None),
+               "sde_segment_length": (_integer, None), "sde_dt": (_number, None)},
+    "calibrate": {"free": (_text, ""), "q_max": (_number, None),
+                  **{f"bound_{n}": (_parse_bounds, None) for n in PARAM_NAMES}},
+}
 
 
 def load_config(path: str | Path, seed: int | None = None,
@@ -198,7 +228,8 @@ def load_config(path: str | Path, seed: int | None = None,
                 formats: str | None = None) -> RunConfig:
     """Read and check a run config, whatever the command.  seed, out_dir and
     formats (comma-separated), when not None, override [run] seed, out_dir
-    and format; the seed override is echoed as [run] seed."""
+    and format; the seed override is echoed as [run] seed.  Every value is
+    parsed, in _KEYS order, before any object is built."""
     # values are literal: a "%" is a character, not an interpolation
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
@@ -210,37 +241,34 @@ def load_config(path: str | Path, seed: int | None = None,
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+    echo = {s: dict(cp[s]) for s in cp.sections()}
+    for section, given in echo.items():
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key in given:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    v = {}                          # key -> its parsed value or None
+    for section, keys in _KEYS.items():
+        given = echo.get(section, {})
+        for key, (parse, default) in keys.items():
+            text = given.get(key, default)
+            if text is _REQUIRED:
+                raise ConfigError(f"missing required key [{section}] {key}")
+            v[key] = None if text is None else parse(text, section, key)
 
     with _config_errors():
-        cavity = CavityParams(
-            t_c=_get_float(cp, "cavity", "t_c"),
-            eps_int=_get_float(cp, "cavity", "eps_int"),
-        )
-        source = ExternalSqueezeSource(_get_float(cp, "source", "squeeze_db"))
-        chain = DecoherenceChain(
-            eps_inj=_get_float(cp, "source", "eps_inj"),
-            theta_rms=_get_float(cp, "source", "theta_rms"),
-            eps_read=_get_float(cp, "readout", "eps_read"),
-            jitter_model=cp.get("analysis", "jitter_model", fallback="pump_frame"),
-        )
-        wavelength = _get_float(cp, "cavity", "wavelength_m", required=False)
-        power = _get_float(cp, "cavity", "power_w", required=False)
+        cavity = CavityParams(t_c=v["t_c"], eps_int=v["eps_int"])
+        source = ExternalSqueezeSource(v["squeeze_db"])
+        chain = DecoherenceChain(eps_inj=v["eps_inj"], theta_rms=v["theta_rms"],
+                                 eps_read=v["eps_read"],
+                                 jitter_model=v["jitter_model"])
+        wavelength, power = v["wavelength_m"], v["power_w"]
         if (wavelength is None) != (power is None):
             raise ConfigError("wavelength_m and power_w must be given together")
         scale = None if wavelength is None else PhysicalScale(
             wavelength=wavelength, intracavity_power=power)
-        fsr_hz = _get_float(cp, "cavity", "fsr_hz", required=False)
-        omega = _get_float(cp, "analysis", "omega", required=False, default=0.0)
-        omega_grid = None
-        if cp.has_option("analysis", "omega_grid"):
-            omega_grid = _parse_grid(cp.get("analysis", "omega_grid"),
-                                     "omega_grid")
+        fsr_hz, omega, omega_grid = v["fsr_hz"], v["omega"], v["omega_grid"]
         if fsr_hz is not None:
             # with a free spectral range configured, analysis frequencies are
             # given in Hz and mapped onto the normalized coordinate
@@ -248,81 +276,51 @@ def load_config(path: str | Path, seed: int | None = None,
             if omega_grid is not None:
                 omega_grid = omega_from_hz(omega_grid, fsr_hz)
 
-    g_grid = np.linspace(-0.99, 0.99, 199)
-    if cp.has_option("analysis", "g_grid"):
-        g_grid = _parse_grid(cp.get("analysis", "g_grid"), "g_grid")
-
-    baseline = cp.get("analysis", "baseline", fallback="no_squeezing")
+    g_grid, baseline = v["g_grid"], v["baseline"]
     if baseline not in BASELINES:
         raise ConfigError(f"baseline must be one of {BASELINES}, got {baseline!r}")
 
     panels = []
-    if cp.has_option("analysis", "panels"):
-        for chunk in cp.get("analysis", "panels").split(","):
-            chunk = chunk.strip()
-            parts = chunk.split(":")
-            try:
-                if len(parts) != 3:
-                    raise ValueError
-                squeeze_db, theta_rms, eps_read = (float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(
-                    "panels entries must be squeeze_db:theta_rms:eps_read, "
-                    f"got {chunk!r}"
-                ) from None
-            _check_finite(f"panel {chunk!r}", squeeze_db, theta_rms, eps_read)
-            with _config_errors(f"panel {chunk!r}: "):
-                panels.append((ExternalSqueezeSource(squeeze_db),
-                               replace(chain, theta_rms=theta_rms,
-                                       eps_read=eps_read)))
+    for chunk in [] if v["panels"] is None else v["panels"].split(","):
+        chunk = chunk.strip()
+        parts = chunk.split(":")
+        try:
+            if len(parts) != 3:
+                raise ValueError
+            squeeze_db, theta_rms, eps_read = (float(p) for p in parts)
+        except ValueError:
+            raise ConfigError(
+                "panels entries must be squeeze_db:theta_rms:eps_read, "
+                f"got {chunk!r}"
+            ) from None
+        _check_finite(f"panel {chunk!r}", squeeze_db, theta_rms, eps_read)
+        with _config_errors(f"panel {chunk!r}: "):
+            panels.append((ExternalSqueezeSource(squeeze_db),
+                           replace(chain, theta_rms=theta_rms,
+                                   eps_read=eps_read)))
+    # figure3 holds (panels, g_grid) arrays; g_grid alone passed its parse
+    _check_grid_memory(f"g_grid x {len(panels)} panels",
+                       g_grid.size * max(len(panels), 1))
 
-    free = tuple(
-        name.strip()
-        for name in cp.get("calibrate", "free", fallback="").split(",")
-        if name.strip()
-    )
-    cal_bounds = {}
-    if cp.has_section("calibrate"):
-        for name in PARAM_NAMES:
-            key = f"bound_{name}"
-            if cp.has_option("calibrate", key):
-                raw = cp.get("calibrate", key)
-                try:
-                    lo, hi = (float(v) for v in raw.split(","))
-                except ValueError:
-                    raise ConfigError(
-                        f"{key} must be two comma-separated numbers, got {raw!r}"
-                    ) from None
-                _check_finite(key, lo, hi)
-                if lo >= hi:
-                    raise ConfigError(f"{key}: lower bound must be below upper")
-                cal_bounds[name] = (lo, hi)
+    free = tuple(name.strip() for name in v["free"].split(",") if name.strip())
+    cal_bounds = {name: v[f"bound_{name}"] for name in PARAM_NAMES
+                  if v[f"bound_{name}"] is not None}
 
     # an empty analytic grid would let verify pass after checking nothing
-    grid_points = _get_int(cp, "verify", "grid_points", 64)
+    grid_points = v["grid_points"]
     if grid_points < 1:
         raise ConfigError(f"[verify] grid_points must be >= 1, got {grid_points}")
     _check_grid_memory("[verify] grid_points", grid_points)
 
-    g = _get_float(cp, "analysis", "g", required=False, default=0.0)
-    config_seed = _get_int(cp, "run", "seed", 0)
-    if out_dir is None:
-        out_dir = cp.get("run", "out_dir", fallback="out")
-    if formats is None:
-        formats = cp.get("run", "format", fallback="csv,json")
-    sde = _get_bool(cp, "verify", "sde", False)
-    probe_q = _get_float(cp, "verify", "probe_q", required=False, default=0.0085)
-    sde_options = {name: value for name, value in (
-        ("n_trajectories", _get_int(cp, "verify", "sde_trajectories", None)),
-        ("duration", _get_float(cp, "verify", "sde_duration", required=False)),
-        ("segment_length", _get_int(cp, "verify", "sde_segment_length", None)),
-        ("dt", _get_float(cp, "verify", "sde_dt", required=False)),
-    ) if value is not None}
-    q_max = _get_float(cp, "calibrate", "q_max", required=False)
+    out_dir = v["out_dir"] if out_dir is None else out_dir
+    formats = v["format"] if formats is None else formats
+    sde_options = {name: v[key] for name, key in (
+        ("n_trajectories", "sde_trajectories"), ("duration", "sde_duration"),
+        ("segment_length", "sde_segment_length"), ("dt", "sde_dt"),
+    ) if v[key] is not None}
 
-    echo = {s: dict(cp[s]) for s in cp.sections()}
     if seed is None:
-        seed = config_seed
+        seed = v["seed"]
     else:
         echo.setdefault("run", {})["seed"] = str(seed)
     if seed < 0:
@@ -332,6 +330,7 @@ def load_config(path: str | Path, seed: int | None = None,
         if f not in ("csv", "json"):
             raise ConfigError(f"unknown output format {f!r}")
 
+    g = v["g"]
     if not abs(g) < 1.0:
         raise InstabilityError(
             f"g = {g} puts the gain at or above the parametric threshold "
@@ -340,12 +339,12 @@ def load_config(path: str | Path, seed: int | None = None,
         raise ConfigError("figure3 gain grid must lie strictly inside (-1, 1)")
 
     sde_specs = []
-    if sde:
+    if v["sde"]:
         state = input_state_from_source(source, chain.eps_inj)
         checks = (  # label, q, input state, eps_read, quadrature
             ("vacuum_passive", 0.0, InputQuadratureState.vacuum(), 0.0, "sq"),
             ("squeezed_passive", 0.0, state, chain.eps_read, "sq"),
-            ("anti_with_gain", probe_q, state, chain.eps_read, "anti"))
+            ("anti_with_gain", v["probe_q"], state, chain.eps_read, "anti"))
         with _config_errors("[verify] "):
             sde_specs = [
                 (label, SdeRunSpec(cavity=cavity, q=q, input_state=in_state,
@@ -359,12 +358,12 @@ def load_config(path: str | Path, seed: int | None = None,
                  "eps_inj": chain.eps_inj, "eps_read": chain.eps_read,
                  "theta_rms": chain.theta_rms, "r_ext": source.r_ext}
         if "q_max" not in free:
-            if q_max is None:
+            if v["q_max"] is None:
                 raise ConfigError("q_max must be fixed in [calibrate] or listed free")
-            fixed["q_max"] = q_max
+            fixed["q_max"] = v["q_max"]
         with _config_errors():
             fit_model = FitModel(
-                free=free, fixed={k: v for k, v in fixed.items() if k not in free},
+                free=free, fixed={k: x for k, x in fixed.items() if k not in free},
                 bounds=cal_bounds, omega=omega, jitter_model=chain.jitter_model)
 
     return RunConfig(

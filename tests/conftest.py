@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,26 @@ def reference_optimize_gain(cav, input_state, chain, omega=0.0):
     return OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),
                               g_opt=float(-q_opt / q_th),
                               analytic_q_opt=analytic)
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra_bytes: int):
+    """Cap this process's address space at its current size plus extra_bytes
+    for the duration of the block (Linux; elsewhere no cap)."""
+    try:
+        import resource
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra_bytes
+    for limit in (soft, hard):
+        if limit != resource.RLIM_INFINITY:
+            cap = min(cap, limit)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -6,6 +6,7 @@ import datetime
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -46,7 +47,7 @@ from sqzcavity.cli import (
     main,
 )
 from sqzcavity.optimize import BASELINES
-from conftest import reference_optimize_gain
+from conftest import address_space_headroom, reference_optimize_gain
 
 BASE = """\
 [cavity]
@@ -194,6 +195,67 @@ class TestSpectrum:
             assert not out.exists()
 
 
+_VERIFY, _CALIBRATE = "\n[verify]\n", "\n[calibrate]\n"
+_PANEL_FORMAT = "config error: panels entries must be squeeze_db:theta_rms:eps_read"
+
+# a fault in a valid config: (write_config keywords, where "drop" is text cut
+# from the file; extra CLI arguments; exit code; stderr line).  One case per
+# value parser, then one per check that builds objects
+SINGLE_FAULTS = {
+    "number": (dict(eps_read="abc"), [], 2,
+               "config error: [readout] eps_read is not a number"),
+    "number_empty": (dict(eps_read=""), [], 2,
+                     "config error: [readout] eps_read is not a number"),
+    "non_finite": (dict(theta_rms="nan"), [], 2,
+                   "config error: [source] theta_rms must be finite, got nan"),
+    "integer": (dict(extra=_VERIFY + "grid_points = abc\n"), [], 2,
+                "config error: [verify] grid_points must be an integer"),
+    "boolean": (dict(extra=_VERIFY + "sde = maybe\n"), [], 2,
+                "config error: [verify] sde must be a boolean"),
+    "grid": (dict(analysis="omega_grid = 0:2"), [], 2,
+             "config error: omega_grid must be start:stop:npoints, got '0:2'"),
+    "grid_empty": (dict(analysis="omega_grid ="), [], 2,
+                   "config error: omega_grid must be start:stop:npoints, got ''"),
+    "grid_no_points": (dict(analysis="g_grid = -0.5:0.5:0"), [], 2,
+                       "config error: g_grid needs at least one point"),
+    "grid_non_finite": (dict(analysis="omega_grid = 0:inf:3"), [], 2,
+                        "config error: omega_grid must be finite, got 0.0, inf"),
+    "bounds": (dict(extra=_CALIBRATE + "bound_eps_read = 0.5\n"), [], 2,
+               "config error: bound_eps_read must be two comma-separated "
+               "numbers, got '0.5'"),
+    "bounds_order": (dict(extra=_CALIBRATE + "bound_eps_read = 0.5, 0.1\n"),
+                     [], 2, "config error: bound_eps_read: lower bound must be "
+                            "below upper"),
+    "missing_key": (dict(drop="eps_int = 0.012\n"), [], 2,
+                    "config error: missing required key [cavity] eps_int"),
+    "unknown_key": (dict(extra="whatever = 2\n"), [], 2,     # lands in [run]
+                    "config error: unknown key 'whatever' in section [run]"),
+    "unknown_section": (dict(extra="\n[bogus]\nwhatever = 2\n"), [], 2,
+                        "config error: unknown config section [bogus]"),
+    "loss_range": (dict(eps_read=1.2), [], 2,
+                   "config error: eps_read must be in [0, 1), got 1.2"),
+    "panels": (dict(analysis="panels = 5.4:0.015"), [], 2,
+               _PANEL_FORMAT + ", got '5.4:0.015'"),
+    "panels_empty": (dict(analysis="panels ="), [], 2,
+                     _PANEL_FORMAT + ", got ''"),
+    "baseline": (dict(analysis="baseline = none"), [], 2,
+                 "config error: baseline must be one of ('no_internal', "
+                 "'no_squeezing'), got 'none'"),
+    "format": (dict(), ["--format", "xml"], 2,
+               "config error: unknown output format 'xml'"),
+    "seed": (dict(seed=-1), [], 2, "config error: seed must be >= 0, got -1"),
+    "seed_override": (dict(), ["--seed", "-1"], 2,
+                      "config error: seed must be >= 0, got -1"),
+    "grid_points": (dict(extra=_VERIFY + "grid_points = 0\n"), [], 2,
+                    "config error: [verify] grid_points must be >= 1, got 0"),
+    "q_max": (dict(extra=_CALIBRATE + "free = eps_read\n"), [], 2,
+              "config error: q_max must be fixed in [calibrate] or listed free"),
+    "gain": (dict(analysis="g = 1.5"), [], 3,
+             "domain error: g = 1.5 puts the gain at or above the parametric "
+             "threshold q_th = 0.122: the cavity oscillates"),
+}
+
+
 class TestConfigValidation:
     def test_loss_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path, eps_read=1.2)
@@ -323,6 +385,26 @@ class TestConfigValidation:
                     "bytes, above the ")
                 assert not out.exists()
 
+    def test_grid_times_panels_exit_2(self, tmp_path, capsys):
+        # figure3 holds (panels, g_grid) arrays: a g_grid that fits once but
+        # not once per panel is rejected for every command before anything
+        # is allocated.  Under the cap, a regression ends in a MemoryError
+        npts = 2_000_000
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n_panels = memory // (300 * npts) + 2           # 300 bytes a point
+        cfg = write_config(tmp_path, analysis=(
+            f"g_grid = -0.99:0.99:{npts}\n"
+            f"panels = {', '.join(['10.5:0.05:0.1'] * n_panels)}"))
+        out = tmp_path / "o"
+        for command in ("spectrum", "optimize", "figure3", "verify"):
+            with address_space_headroom(1 << 30):
+                code = main(["--config", str(cfg), "--out", str(out), command])
+            assert code == 2
+            assert one_line_stderr(capsys).startswith(
+                f"config error: g_grid x {n_panels} panels = "
+                f"{npts * n_panels} points need about ")
+            assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         cfg.write_text(cfg.read_text().replace("t_c = 0.11",
@@ -337,11 +419,47 @@ class TestConfigValidation:
         assert one_line_stderr(capsys) == \
             "config error: unknown config section [bogus]\n"
 
-    def test_missing_required_key(self, tmp_path):
-        cfg = write_config(tmp_path)
-        cfg.write_text(cfg.read_text().replace("eps_int = 0.012\n", ""))
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "spectrum"]) == 2
+    @pytest.mark.parametrize("fault", SINGLE_FAULTS.values(),
+                             ids=SINGLE_FAULTS.keys())
+    def test_single_fault_message(self, tmp_path, capsys, fault):
+        # one fault in a valid config: its exit code and its exact line,
+        # whatever the command
+        edit, argv, code, line = fault
+        edit = dict(edit)
+        drop = edit.pop("drop", "")
+        cfg = write_config(tmp_path, **edit)
+        cfg.write_text(cfg.read_text().replace(drop, ""))
+        out = tmp_path / "o"
+        for command in ("spectrum", "verify"):
+            assert main(["--config", str(cfg), "--out", str(out), *argv,
+                         command]) == code
+            assert one_line_stderr(capsys) == line + "\n"
+            assert not out.exists()
+
+    def test_readme_lists_every_key_in_table_order(self, tmp_path):
+        # README's config block names each key of the table once, commented
+        # or not, in the order they are read; bound_<name> is one family.
+        # Its uncommented lines are a valid config
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Config format", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+
+        def family(key):
+            return "bound_<name>" if key.startswith("bound_") else key
+
+        listed, section = [], None
+        for line in block.splitlines():
+            if m := re.match(r"#?\s*\[(\w+)\]", line):
+                section = m[1]
+            elif m := re.match(r"#?\s*(\w+)\s*=", line):
+                listed.append((section, family(m[1])))
+        table = [(s, family(k)) for s, keys in sqzcavity.cli._KEYS.items()
+                 for k in keys]
+        assert listed == list(dict.fromkeys(table))
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text("".join(line + "\n" for line in block.splitlines()
+                               if not line.lstrip().startswith("#")))
+        assert load_config(cfg).fit_model is not None
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.ini"), "spectrum"]) == 2

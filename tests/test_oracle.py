@@ -1,6 +1,5 @@
 """Transfer-matrix and stochastic oracles against the closed forms."""
 
-import contextlib
 import dataclasses
 import itertools
 import math
@@ -25,6 +24,7 @@ from sqzcavity import (
     signal_transfer_power,
 )
 from sqzcavity.oracle import SDE_Z_LIMIT, compare_sde
+from conftest import address_space_headroom
 
 
 class TestTransferMatrix:
@@ -153,29 +153,6 @@ def _reference_sde(spec):
             "n_segments": n_seg}
 
 
-@contextlib.contextmanager
-def _address_space_headroom(extra_bytes: int):
-    """Cap this process's address space at its current size plus extra_bytes
-    for the duration of the block (Linux; elsewhere no cap)."""
-    try:
-        import resource
-        with open("/proc/self/statm") as fh:
-            size = int(fh.read().split()[0]) * resource.getpagesize()
-    except (ImportError, OSError):
-        yield
-        return
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = size + extra_bytes
-    for limit in (soft, hard):
-        if limit != resource.RLIM_INFINITY:
-            cap = min(cap, limit)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 class TestSde:
     def test_vacuum_flat(self, cav):
         res = run_sde(_small_spec(cav))
@@ -250,7 +227,7 @@ class TestSde:
             taken.extend(itertools.islice(children, 2))
             return map(fn, taken)
 
-        with _address_space_headroom(1 << 30):
+        with address_space_headroom(1 << 30):
             res = run_sde(spec, map_fn=first_two)
         spawned = np.random.SeedSequence(23).spawn(2)
         assert [(c.entropy, c.spawn_key, c.pool_size) for c in taken] == \
