@@ -152,22 +152,18 @@ def synthesize_measurements(true_params: dict[str, float], pump_grid,
                             noise_level: float, seed: int) -> list[VariancePair]:
     """Forward-model variance pairs at omega = 0 under the pump_frame jitter
     model, optionally perturbed with relative Gaussian noise of the given
-    level.  Deterministic under seed."""
+    level.  Deterministic under seed: the noise is one row-major draw, the
+    stream of one pair of draws per pump setting in order."""
     pump_grid = list(pump_grid)
     model = forward_variances(true_params, pump_grid)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i, a in enumerate(pump_grid):
-        v = model[i].copy()
-        if noise_level > 0.0:
-            v = v * (1.0 + noise_level * rng.standard_normal(2))
-            err = noise_level * model[i]
-        else:
-            err = np.ones(2)
-        rows.append(VariancePair(pump_setting=float(a), v_sq=float(v[0]),
-                                 v_anti=float(v[1]), err_sq=float(err[0]),
-                                 err_anti=float(err[1])))
-    return rows
+    v, err = model, np.ones_like(model)
+    if noise_level > 0.0:
+        rng = np.random.default_rng(seed)
+        v = model * (1.0 + noise_level * rng.standard_normal(model.shape))
+        err = noise_level * model
+    return [VariancePair(pump_setting=float(a), v_sq=vs, v_anti=va,
+                         err_sq=es, err_anti=ea)
+            for a, (vs, va), (es, ea) in zip(pump_grid, v.tolist(), err.tolist())]
 
 
 @dataclass(frozen=True)
@@ -240,10 +236,11 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     for bit the one that evaluates each column on its own.
 
     Raises ValueError when a fixed q_max drives the pump scan to or past the
-    fixed threshold t_c + eps_int, SingularResponseError when the model is
-    not finite at the first start point, IdentifiabilityError when the
-    Jacobian at the best fit is rank-deficient beyond tolerance and
-    ConvergenceError when no start converges.
+    fixed threshold t_c + eps_int or when the model rejects every start
+    point, SingularResponseError when the model is not finite at the first
+    start point, IdentifiabilityError when the Jacobian at the best fit is
+    rank-deficient beyond tolerance and ConvergenceError when no start
+    converges.
     """
     if len(model.free) == 0:
         raise ValueError("at least one free parameter required")
@@ -281,10 +278,17 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
         return weighted(_predict_rows(model, np.array(list(points)), pumps))
 
     starts = _starts(model)
-    # an input past the float range (omega**2 overflowing, say) leaves the
-    # model non-finite at every point; the fit would see a constant residual
-    # and end rank-deficient, blaming the data
+    # a box where the model rejects every start, or an input past the float
+    # range (omega**2 overflowing, say) that leaves the model non-finite at
+    # every point: the fit would see a constant residual and end
+    # rank-deficient, blaming the data
     pred0 = _predict(model, starts[0], pumps)
+    if pred0 is None and all(_predict(model, x, pumps) is None
+                             for x in starts[1:]):
+        box = (f"{name} in [{model.bounds[name][0]}, {model.bounds[name][1]}]"
+               for name in model.free)
+        raise ValueError("the model rejects every start point of the bounds "
+                         "box " + ", ".join(box))
     if pred0 is not None and not np.all(np.isfinite(pred0)):
         params0 = model.full_params(starts[0])
         raise SingularResponseError(

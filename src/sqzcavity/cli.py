@@ -57,6 +57,7 @@ from .optimize import (
     fundamental_limit,
     gain_db,
     gain_formula_reconciliation,
+    optimal_gain_for_input,
     optimal_sensitivity_analytic,
     optimize_gain_numeric,
     snr_gain_db,
@@ -501,11 +502,14 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
     cav, chain = cfg.cavity, cfg.chain
     state = input_state_from_source(cfg.source, chain.eps_inj)
     res = optimize_gain_numeric(cav, state, chain, cfg.omega)
+    # the closed form where it holds, a jitter-free chain, to check against
+    analytic_q = (optimal_gain_for_input(cav, state.v_sq, chain.eps_read)
+                  if chain.theta_rms == 0.0 else None)
     beta = cfg.source.beta
     recon = gain_formula_reconciliation(cav, beta, chain.eps_read)
     s_analytic = optimal_sensitivity_analytic(cav, beta, chain.eps_read)
     results = {
-        "optimization": asdict(res),
+        "optimization": {**asdict(res), "analytic_q_opt": analytic_q},
         "q_threshold": cav.q_threshold,
         "analytic_s_opt_pure": s_analytic,
         "fundamental_limit": fundamental_limit(cav),
@@ -515,7 +519,7 @@ def cmd_optimize(cfg: RunConfig, writer: OutputWriter, args) -> int:
               "fundamental_limit"]
     writer.add_table("optimize", header, [[v] for v in (
         res.q_opt, res.s_opt, res.g_opt,
-        res.analytic_q_opt if res.analytic_q_opt is not None else float("nan"),
+        float("nan") if analytic_q is None else analytic_q,
         s_analytic, fundamental_limit(cav),
     )])
     warnings = _collect_warnings(cfg, res.q_opt)
@@ -533,17 +537,15 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
         raise ConfigError("figure3 requires [analysis] panels")
     cav, g_grid, omega = cfg.cavity, cfg.g_grid, cfg.omega
     q_grid = -g_grid * cav.q_threshold
-    # every panel at once, each a row of (P, 1) columns; each injected state
-    # goes through math, as in a scalar call
+    # every panel at once, as (P, 1) columns over the config's chain; each
+    # injected state goes through math, as in a scalar call
     chains = [chain for _, chain in cfg.panels]
     states = [input_state_from_source(source, chain.eps_inj)
               for source, chain in cfg.panels]
     state = InputQuadratureState(v_sq=_column(states, "v_sq"),
                                  v_anti=_column(states, "v_anti"))
-    chain = DecoherenceChain(eps_inj=_column(chains, "eps_inj"),
-                             theta_rms=_column(chains, "theta_rms"),
-                             eps_read=_column(chains, "eps_read"),
-                             jitter_model=cfg.chain.jitter_model)
+    chain = replace(cfg.chain, theta_rms=_column(chains, "theta_rms"),
+                    eps_read=_column(chains, "eps_read"))
     s_base = {b: baseline_sensitivity(cav, state, chain, omega, b)
               for b in BASELINES}
     s_grid = measured_sensitivity(cav, q_grid, state, chain, omega)

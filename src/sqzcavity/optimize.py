@@ -81,7 +81,6 @@ class OptimizationResult:
     q_opt: float
     s_opt: float
     g_opt: float                       # normalized-gain coordinate -q_opt/q_th
-    analytic_q_opt: float | None       # closed form when the chain is jitter-free
 
 
 def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
@@ -94,8 +93,7 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
     D(x) = (1 - x)^2 + (omega/q_th)^2 and P a polynomial of degree <= 4,
     recovered by interpolation at 5 Chebyshev nodes.  The minimum is the
     smallest sensitivity among the range endpoints and the roots of the
-    numerator P'D - PD' of dS/dx.  The jitter-free closed form is attached
-    for cross-checking whenever available.  SingularResponseError when the
+    numerator P'D - PD' of dS/dx.  SingularResponseError when the
     sensitivity is not finite at a node or a candidate.
 
     A state and chain of (P, 1) columns give a list of P results, one per
@@ -136,15 +134,9 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
                      for row in cand])
     vals = objective(cand)
     at_min = np.arange(len(cand)), np.argmin(vals, axis=1)
-
-    v_sq, eps_read, theta_rms = (np.broadcast_to(v, (len(cand), 1)).ravel().tolist()
-                                 for v in (input_state.v_sq, chain.eps_read,
-                                           chain.theta_rms))
-    results = [OptimizationResult(
-        q_opt=float(q_opt), s_opt=float(s_opt), g_opt=float(-q_opt / q_th),
-        analytic_q_opt=optimal_gain_for_input(cav, v, e) if th == 0.0 else None)
-        for q_opt, s_opt, v, e, th in zip(cand[at_min], vals[at_min], v_sq,
-                                          eps_read, theta_rms)]
+    results = [OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),
+                                  g_opt=float(-q_opt / q_th))
+               for q_opt, s_opt in zip(cand[at_min], vals[at_min])]
     return results if per_row else results[0]
 
 

@@ -12,7 +12,6 @@ from sqzcavity import (
     SingularResponseError,
     input_state_from_source,
     measured_sensitivity,
-    optimal_gain_for_input,
 )
 
 # working point shared by most tests: 11% coupler, 1.2% internal loss
@@ -104,13 +103,8 @@ def reference_optimize_gain(cav, input_state, chain, omega=0.0):
     vals = objective(cand)
     k = int(np.argmin(vals))
     q_opt, s_opt = cand[k], vals[k]
-
-    analytic = None
-    if chain.theta_rms == 0.0:
-        analytic = optimal_gain_for_input(cav, input_state.v_sq, chain.eps_read)
     return OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),
-                              g_opt=float(-q_opt / q_th),
-                              analytic_q_opt=analytic)
+                              g_opt=float(-q_opt / q_th))
 
 
 @contextlib.contextmanager

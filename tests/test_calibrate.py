@@ -35,7 +35,34 @@ PUMPS = [0.0, 0.25, 0.5, 0.75, 1.0]
 Q_TH = TRUE["t_c"] + TRUE["eps_int"]   # both poles of the response at pump 1
 
 
+def _reference_synthesize(true_params, pump_grid, noise_level, seed):
+    """synthesize_measurements as it was with one draw of two normals per
+    pump setting: the reference that the one-call draw must equal."""
+    pump_grid = list(pump_grid)
+    model = forward_variances(true_params, pump_grid)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, a in enumerate(pump_grid):
+        v = model[i].copy()
+        if noise_level > 0.0:
+            v = v * (1.0 + noise_level * rng.standard_normal(2))
+            err = noise_level * model[i]
+        else:
+            err = np.ones(2)
+        rows.append(VariancePair(pump_setting=float(a), v_sq=float(v[0]),
+                                 v_anti=float(v[1]), err_sq=float(err[0]),
+                                 err_anti=float(err[1])))
+    return rows
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("pumps", [[0.6], PUMPS], ids=["one_pump", "five_pumps"])
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    @pytest.mark.parametrize("noise_level", [0.0, 0.01])
+    def test_one_draw_equals_per_row_draws(self, pumps, seed, noise_level):
+        assert synthesize_measurements(TRUE, pumps, noise_level, seed) == \
+            _reference_synthesize(TRUE, pumps, noise_level, seed)
+
     def test_vacuum_zero_pump(self):
         params = dict(TRUE, r_ext=0.0, theta_rms=0.0, q_max=0.0, eps_inj=0.0)
         rows = synthesize_measurements(params, [0.0], 0.0, seed=1)
@@ -240,6 +267,32 @@ class TestFit:
         assert len(rejected) == 6 and min(rejected) == 1.425
         assert abs(res.params["eps_read"] - TRUE["eps_read"]) <= 1e-15
         assert abs(res.params["theta_rms"] - TRUE["theta_rms"]) <= 1e-15
+
+    def test_no_admitted_start(self, monkeypatch):
+        # eps_read must be below 1: the model rejects every start of this box,
+        # each once, and no fit starts
+        calls = []
+
+        def counting(params, *args, **kwargs):
+            calls.append(params["eps_read"])
+            return forward_variances(params, *args, **kwargs)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("least_squares called")
+
+        rows = synthesize_measurements(TRUE, PUMPS, 0.01, seed=11)
+        fixed = {k: v for k, v in TRUE.items()
+                 if k not in ("eps_read", "theta_rms")}
+        model = FitModel(free=("eps_read", "theta_rms"), fixed=fixed,
+                         bounds={"eps_read": (1.0, 2.0)})
+        monkeypatch.setattr(calibrate, "forward_variances", counting)
+        monkeypatch.setattr(calibrate, "least_squares", no_fit)
+        with pytest.raises(ValueError) as info:
+            fit_parameters(rows, model)
+        assert str(info.value) == (
+            "the model rejects every start point of the bounds box "
+            "eps_read in [1.0, 2.0], theta_rms in [0.0, 0.5]")
+        assert calls == [x[0] for x in calibrate._starts(model)]
 
     def test_no_start_converges(self, monkeypatch):
         monkeypatch.setattr(calibrate, "_MAX_NFEV", 1)

@@ -592,6 +592,8 @@ class TestOptimize:
         env = json.loads((out / "optimize.json").read_text())
         opt = env["results"]["optimization"]
         assert opt["analytic_q_opt"] == pytest.approx(opt["q_opt"], abs=1e-8)
+        _, rows = read_csv(out / "optimize.csv")
+        assert rows[0][3] == opt["analytic_q_opt"]
         cav = CavityParams(0.11, 0.012)
         beta = 10 ** 1.05
         assert opt["q_opt"] == pytest.approx(
@@ -599,6 +601,13 @@ class TestOptimize:
         rec = env["results"]["reconciliation"]
         assert rec["corrected_matches_numeric"] is True
         assert rec["legacy_matches_numeric"] is False
+        # with jitter the closed form does not hold: null, and nan in the table
+        cfg = write_config(tmp_path, name="jitter.ini")
+        assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 0
+        env = json.loads((out / "optimize.json").read_text())
+        assert env["results"]["optimization"]["analytic_q_opt"] is None
+        _, rows = read_csv(out / "optimize.csv")
+        assert np.isnan(rows[0][3])
 
     def test_huge_squeezing_approaches_limit(self, tmp_path):
         cfg = write_config(tmp_path, squeeze_db=80.0, eps_inj=0.0, theta_rms=0.0)
@@ -964,6 +973,20 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "calibrate", "--data", str(data)]) == 2
 
+    def test_box_without_admitted_start_exit_2(self, tmp_path, capsys):
+        # eps_read must be below 1: no start of this box can run a fit, and
+        # the box is at fault, not the data
+        cfg = write_config(tmp_path, extra=self.CAL + "bound_eps_read = 1, 2\n")
+        data = tmp_path / "meas.csv"
+        _write_measurements(data, noise=0.01)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 2
+        assert one_line_stderr(capsys) == (
+            "config error: the model rejects every start point of the bounds "
+            "box eps_read in [1.0, 2.0], theta_rms in [0.0, 0.5]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, kind, code", ERROR_KINDS,
                              ids=[e.__name__ for e, _, _ in ERROR_KINDS])
     def test_error_kind_and_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -1177,6 +1200,14 @@ class TestReproducibility:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (out / "spectrum.csv").exists()
+
+    def test_version_in_one_place(self):
+        # the envelopes record the package version; the project metadata
+        # must name the same one
+        tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+        path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(path, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == sqzcavity.__version__
 
 
 def _scipy_modules_after(code: str) -> list[str]:
