@@ -238,9 +238,9 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     Raises ValueError when a fixed q_max drives the pump scan to or past the
     fixed threshold t_c + eps_int or when the model rejects every start
     point, SingularResponseError when the model is not finite at the first
-    start point, IdentifiabilityError when the Jacobian at the best fit is
-    rank-deficient beyond tolerance and ConvergenceError when no start
-    converges.
+    start point it admits, IdentifiabilityError when the Jacobian at the
+    best fit is rank-deficient beyond tolerance and ConvergenceError when no
+    start converges.
     """
     if len(model.free) == 0:
         raise ValueError("at least one free parameter required")
@@ -280,21 +280,22 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     starts = _starts(model)
     # a box where the model rejects every start, or an input past the float
     # range (omega**2 overflowing, say) that leaves the model non-finite at
-    # every point: the fit would see a constant residual and end
-    # rank-deficient, blaming the data
-    pred0 = _predict(model, starts[0], pumps)
-    if pred0 is None and all(_predict(model, x, pumps) is None
-                             for x in starts[1:]):
+    # the first start it admits: the fit would see a constant residual and
+    # end rank-deficient, blaming the data
+    first = next(((x, pred) for x in starts
+                  if (pred := _predict(model, x, pumps)) is not None), None)
+    if first is None:
         box = (f"{name} in [{model.bounds[name][0]}, {model.bounds[name][1]}]"
                for name in model.free)
         raise ValueError("the model rejects every start point of the bounds "
                          "box " + ", ".join(box))
-    if pred0 is not None and not np.all(np.isfinite(pred0)):
-        params0 = model.full_params(starts[0])
+    x_first, pred_first = first
+    if not np.all(np.isfinite(pred_first)):
+        params = model.full_params(x_first)
         raise SingularResponseError(
             f"calibration model not finite at the first start point (omega = "
             f"{model.omega}; "
-            + ", ".join(f"{k} = {v}" for k, v in params0.items()) + ")")
+            + ", ".join(f"{k} = {v}" for k, v in params.items()) + ")")
 
     lo = np.array([model.bounds[name][0] for name in model.free])
     hi = np.array([model.bounds[name][1] for name in model.free])

@@ -15,10 +15,12 @@ composed response denominator reads (t_c + eps_int + q)^2 + Omega^2 exactly.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,25 @@ _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 # a**k is exactly 0.0 once k*ln(a) < -745.2, below half the smallest
 # subnormal (2**-1075 = e**-745.13)
 _UNDERFLOW_LOG = 745.2
+
+# the SDE kernel walks a trajectory in blocks of whole segments of about this
+# many samples, so that a block's float64 buffers stay in cache
+_BLOCK_SAMPLES = 1 << 16
+# bytes of a block's buffers at their peak, per block sample: tracemalloc
+# measured 32 to 59 over segment lengths of 8 to 2**19
+_BLOCK_BYTES_PER_SAMPLE = 64
+# normals per chunk of the anti check's discarded draws
+_DISCARD_CHUNK = 1 << 16
+
+
+def _block_samples(segment_length: int) -> int:
+    """Samples of one kernel block: whole segments, at least one."""
+    return max(1, _BLOCK_SAMPLES // segment_length) * segment_length
+
+
+def _start_length(a: float, n: int) -> int:
+    """Samples of n over which the start term x0*a**k, k >= 1, is not 0.0."""
+    return min(n, int(_UNDERFLOW_LOG / -math.log(a)) + 2)
 
 
 @dataclass(frozen=True)
@@ -114,10 +135,14 @@ def assemble_transfer(cav: CavityParams, q, eps_read, omega
                               readout=readout, signal=signal)
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_memory(what: str, nbytes: float):
     """ValueError when what, needing about nbytes, exceeds the physical
     memory of the machine."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     if nbytes > memory:
         raise ValueError(f"{what} need about {nbytes:.3g} bytes, above the "
                          f"{memory:.3g} bytes of physical memory")
@@ -167,7 +192,8 @@ class SdeRunSpec:
                 f"dt = {self.dt} is too fine: the passive cavity does not "
                 "decay within one step"
             )
-        if not 1.0 - (kc + kl - abs(self.q) / 2.0) * self.dt < 1.0:
+        a_slow = 1.0 - (kc + kl - abs(self.q) / 2.0) * self.dt
+        if not a_slow < 1.0:
             raise InstabilityError(
                 f"q = {self.q} is within rounding of threshold "
                 f"{self.cavity.q_threshold}: the slower quadrature does not "
@@ -188,8 +214,9 @@ class SdeRunSpec:
         if not steps <= np.iinfo(np.intp).max:
             raise ValueError(f"duration/dt = {steps:.3g} exceeds the largest "
                              "array length")
-        # the kernel holds about six float64 arrays of duration/dt at once
-        check_memory(f"duration/dt = {steps:.3g} steps", 48.0 * steps)
+        # one trajectory, and the start term's powers of the slower quadrature
+        check_memory(f"duration/dt = {steps:.3g} steps", self.trajectory_bytes
+                     + 8.0 * _start_length(a_slow, self.steps_per_trajectory))
         n_seg = self.n_trajectories * (self.steps_per_trajectory
                                        // self.segment_length)
         if n_seg < 2:
@@ -199,6 +226,13 @@ class SdeRunSpec:
     @property
     def steps_per_trajectory(self) -> int:
         return int(round(self.duration / self.dt))
+
+    @property
+    def trajectory_bytes(self) -> int:
+        """Peak bytes of one trajectory of run_sde: its noise draws, three
+        float64 a step, and one block's buffers."""
+        return (24 * self.steps_per_trajectory + _BLOCK_BYTES_PER_SAMPLE
+                * _block_samples(self.segment_length))
 
     @property
     def scored(self) -> tuple[float, float]:
@@ -219,113 +253,164 @@ class SdeResult:
     n_segments: int
 
 
-def lfilter(b, a, x):
+def lfilter(b, a, x, zi=None):
     """scipy.signal.lfilter, imported on first use so that importing the
     package, and every command but verify, does not load scipy.signal."""
     from scipy.signal import lfilter
-    return lfilter(b, a, x)
+    return lfilter(b, a, x, zi=zi)
 
 
-def _simulate_quadrature(rng: np.random.Generator, n: int, dt: float, kc: float,
-                         kl: float, lam: float, v_in: float, eps_read: float
-                         ) -> np.ndarray:
-    """One quadrature of the detected output field, sampled at dt.
-
-    Trapezoidal output sampling: the state update is Euler-Maruyama
-    X_{k+1} = (1 - lam*dt) X_k + w_k and the output uses the interval-averaged
-    state (X_k + X_{k+1})/2 together with the reflected input increment.  This
-    combination makes the all-vacuum passive output exactly white and the
-    zero-frequency bin exactly unbiased for any stable dt.
-    """
-    xi = rng.standard_normal(n)
-    eta = rng.standard_normal(n)
-    zeta = rng.standard_normal(n)
-    a = 1.0 - lam * dt
-    # in place, so that few arrays of n are live at once; every product and
-    # sum keeps the operand order of the reference kernel in the tests
-    w = math.sqrt(2.0 * kc * dt * v_in) * xi
-    eta *= math.sqrt(2.0 * kl * dt)
-    w += eta
-    del eta
-    x_next = lfilter([1.0], [1.0, -a], w)          # X_1 .. X_n with X_0 = 0
-    del w
-    # stationary start: add the homogeneous solution for X_0 drawn from the
-    # discrete stationary distribution
-    sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
-    x0 = math.sqrt(sig2) * rng.standard_normal()
-    m = min(n, int(_UNDERFLOW_LOG / -math.log(a)) + 2)
-    x_next[:m] += x0 * a ** np.arange(1, m + 1)    # beyond m the term is 0.0
-    x = np.empty(n)
-    x[0] = x0
-    x[1:] = x_next[:-1]
-    x += x_next                                    # x_mid = (x + x_next)/2
-    del x_next
-    x *= 0.5
-    x *= math.sqrt(2.0 * kc)                       # b_out
-    xi *= math.sqrt(v_in / dt)
-    x -= xi
-    x *= math.sqrt(1.0 - eps_read)                 # readout mix
-    zeta *= math.sqrt(eps_read / dt)
-    x += zeta
-    return x
+def _discard_normals(rng: np.random.Generator, count: int):
+    """Advance rng past count standard normals, drawn in chunks into one
+    buffer: the stream is the same as one draw of count."""
+    buf = np.empty(min(count, _DISCARD_CHUNK))
+    for start in range(0, count, buf.size):
+        rng.standard_normal(out=buf[:count - start])
 
 
-def _segment_periodograms(x: np.ndarray, win: np.ndarray, dt: float
-                          ) -> np.ndarray:
-    """Two-sided-normalized windowed periodograms of consecutive
-    non-overlapping segments, vacuum = 1 per bin."""
-    length = win.size
-    segs = x[:x.size - x.size % length].reshape(-1, length) * win
-    spec = np.fft.rfft(segs, axis=1)
-    return (np.abs(spec) ** 2) * dt / (win * win).sum()
+def _windowed_map(workers: int, fn: Callable, items: Iterable) -> Iterator:
+    """fn over items on a pool of worker threads, yielding the results in
+    item order.  At most 2*workers items are submitted and not yet yielded,
+    so the futures stay bounded however many items there are."""
+    from concurrent.futures import ThreadPoolExecutor
+    window = collections.deque()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for item in items:
+                window.append(pool.submit(fn, item))
+                if len(window) == 2 * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            # after an error or an early close, queued items do not run
+            for future in window:
+                future.cancel()
 
 
-def run_sde(spec: SdeRunSpec, map_fn: Callable = map) -> SdeResult:
+def _trajectory_map(spec: SdeRunSpec) -> Callable:
+    """run_sde's map over trajectories: one worker per usable CPU, no more
+    than there are trajectories or than physical memory holds.  One worker
+    is the builtin map, which starts no thread (a worker thread gets its own
+    malloc arena, which raises the peak resident memory)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, spec.n_trajectories,
+                  _physical_memory() // spec.trajectory_bytes)
+    if workers <= 1:
+        return map
+    return functools.partial(_windowed_map, workers)
+
+
+def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
     """Integrate the Langevin equation of spec.quadrature and estimate its
     detected power spectrum with per-bin standard errors from Hann-windowed
     consecutive segments.
 
+    The state update is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k, and
+    the output uses the interval-averaged state (X_k + X_{k+1})/2 together
+    with the reflected input increment.  This trapezoidal output sampling
+    makes the all-vacuum passive output exactly white and the zero-frequency
+    bin exactly unbiased for any stable dt.
+
+    Each trajectory draws its noise at once, then walks its whole segments
+    in blocks of about 2**16 samples, carrying the filter state and the last
+    state from block to block; every product and sum keeps the operand order
+    of the whole-trajectory reference kernel in the tests, so blocking does
+    not change a bit.
+
     Trajectories use independent child streams spawned from the master seed,
-    each built only when map_fn draws it, and are reduced in trajectory
-    order, so any order-preserving concurrent map_fn yields results
-    identical to the serial run.  Each stream draws the readout quadrature's
-    noise first, so a quadrature's estimate does not depend on which one a
-    run selects.
+    each built only when the map draws it, and are reduced in trajectory
+    order, so any order-preserving map yields the same result.  map_fn
+    defaults to one thread per usable CPU (restrict the CPUs with taskset)
+    and to the builtin map on one.  Each stream draws the readout
+    quadrature's noise first, so a quadrature's estimate does not depend on
+    which one a run selects.
     """
     cav = spec.cavity
     kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
     gain, v_in = spec.scored
     lam = kc + kl + gain / 2.0
+    dt, eps_read = spec.dt, spec.eps_read
     n = spec.steps_per_trajectory
     length = spec.segment_length
+    n_used = n - n % length            # the tail is neither filtered nor formed
+    block = _block_samples(length)
     win = np.hanning(length)
+    win_power = (win * win).sum()
+    a = 1.0 - lam * dt
+    # stationary start: the homogeneous solution x0*a**k, k >= 1, for X_0
+    # drawn from the discrete stationary distribution; the powers end where
+    # they underflow to 0.0
+    sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
+    powers = a ** np.arange(1, _start_length(a, n) + 1)
     # spawn's i-th child, built when the map reaches it: a list of every
     # child would grow with n_trajectories, by about 370 bytes each
     root = np.random.SeedSequence(spec.seed)
     seeds = (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
                                     pool_size=root.pool_size)
              for i in range(spec.n_trajectories))
+    n_bins = length // 2 + 1
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
         if spec.quadrature == "anti":
-            rng.standard_normal(3 * n + 1)    # the readout quadrature's draws
-        b = _simulate_quadrature(rng, n, spec.dt, kc, kl, lam, v_in,
-                                 spec.eps_read)
-        p = _segment_periodograms(b, win, spec.dt)
-        return p.sum(axis=0), (p**2).sum(axis=0), p.shape[0]
+            _discard_normals(rng, 3 * n + 1)   # the readout quadrature's draws
+        xi, eta, zeta = rng.standard_normal((3, n))
+        x0 = math.sqrt(sig2) * rng.standard_normal()
+        s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
+        z = np.zeros(1)                        # filter state, X_0 = 0
+        x_last = x0
+        for k0 in range(0, n_used, block):
+            k1 = min(k0 + block, n_used)
+            # no later block reads this block's draws: they are scaled in place
+            w = math.sqrt(2.0 * kc * dt * v_in) * xi[k0:k1]
+            eta_b = eta[k0:k1]
+            eta_b *= math.sqrt(2.0 * kl * dt)
+            w += eta_b
+            x_next, z = lfilter([1.0], [1.0, -a], w, zi=z)   # X_{k0+1} ..
+            start = powers[k0:k1]
+            x_next[:start.size] += x0 * start
+            x = w                              # w is spent: x_mid in its place
+            # a block starts a segment, whose first sample the Hann window
+            # weighs by 0.0: the carried state keeps x_mid right there, but
+            # no spectrum bin can show it
+            x[0] = x_last
+            x[1:] = x_next[:-1]
+            x_last = x_next[-1]
+            x += x_next                        # x_mid = (x + x_next)/2
+            del x_next
+            x *= 0.5
+            x *= math.sqrt(2.0 * kc)           # b_out
+            xi_b = xi[k0:k1]
+            xi_b *= math.sqrt(v_in / dt)
+            x -= xi_b
+            x *= math.sqrt(1.0 - eps_read)     # readout mix
+            zeta_b = zeta[k0:k1]
+            zeta_b *= math.sqrt(eps_read / dt)
+            x += zeta_b
+            segs = x.reshape(-1, length)
+            segs *= win
+            p = (np.abs(np.fft.rfft(segs, axis=1)) ** 2) * dt / win_power
+            # each segment added in order: the association of one axis-0 sum
+            # over all of the trajectory's segments
+            s1 = np.add.reduce(np.concatenate((s1[None], p)), axis=0)
+            s2 = np.add.reduce(np.concatenate((s2[None], p**2)), axis=0)
+        return s1, s2, n_used // length
 
-    n_bins = length // 2 + 1
     s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
     n_seg = 0
-    for p_sum, p2_sum, p_seg in map_fn(one_trajectory, seeds):
+    for p_sum, p2_sum, p_seg in (map_fn or _trajectory_map(spec))(
+            one_trajectory, seeds):
         s1 += p_sum
         s2 += p2_sum
         n_seg += p_seg
 
     psd = s1 / n_seg
     var = (s2 - n_seg * psd**2) / (n_seg - 1)
-    omega = 4.0 * math.pi * np.fft.rfftfreq(length, spec.dt)
+    omega = 4.0 * math.pi * np.fft.rfftfreq(length, dt)
     return SdeResult(omega=omega, psd=psd,
                      stderr=np.sqrt(np.maximum(var, 0.0) / n_seg),
                      n_segments=n_seg)

@@ -36,6 +36,7 @@ from sqzcavity import (
     snr_gain_db,
     synthesize_measurements,
 )
+import sqzcavity.calibrate
 import sqzcavity.cli
 import sqzcavity.optimize
 from sqzcavity.cli import (
@@ -935,22 +936,28 @@ class TestCalibrate:
                      "--data", str(data)]) == 2
         assert not out.exists()
 
-    def test_non_finite_model_exit_3(self, tmp_path, capsys):
+    def test_non_finite_model_exit_3(self, tmp_path, capsys, monkeypatch):
         # a fixed q_max far past threshold leaves the model nan at pump > 0;
         # with t_c free the threshold is not fixed, so the fit runs.  With a
-        # t_c box whose first start (t_c < 0) the model rejects, the first
-        # start is not checked, and the fitted model is caught instead
+        # t_c box whose first start (t_c = -0.925) the model rejects, the
+        # check falls to the first start it admits (t_c = 0.425), and no
+        # start is fitted
+        def no_fit(*args, **kwargs):
+            raise AssertionError("least_squares called")
+
+        monkeypatch.setattr(sqzcavity.calibrate, "least_squares", no_fit)
         data = tmp_path / "meas.csv"
         _write_measurements(data)
         out = tmp_path / "o"
-        for bound, message in (("", "at the first start point"),
-                               ("bound_t_c = -1, 0.5\n",
-                                "at the measured pump settings")):
+        for bound, t_c in (("", "t_c = 0.025095"),
+                           ("bound_t_c = -1, 0.5\n", "t_c = 0.425")):
             cfg = write_config(tmp_path, extra="\n[calibrate]\nfree = t_c\n"
                                                 f"q_max = 1e300\n{bound}")
             assert main(["--config", str(cfg), "--out", str(out), "calibrate",
                          "--data", str(data)]) == 3
-            assert message in one_line_stderr(capsys)
+            message = one_line_stderr(capsys)
+            assert "at the first start point" in message
+            assert t_c in message
             assert not out.exists()
 
     def test_fixed_q_max_past_threshold_exit_2(self, tmp_path, capsys):
@@ -1210,16 +1217,16 @@ class TestReproducibility:
             assert tomllib.load(fh)["project"]["version"] == sqzcavity.__version__
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """Names of the scipy modules loaded after running code in a fresh
-    interpreter that imports the package from this checkout."""
+def _modules_after(code: str, package: str) -> list[str]:
+    """Names of the modules of package loaded after running code in a fresh
+    interpreter that imports sqzcavity from this checkout."""
     import sqzcavity
 
     src = str(Path(sqzcavity.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.'))))")
+             f" if m == {package!r} or m.startswith({package + '.'!r}))))")
     proc = subprocess.run([sys.executable, "-c", code + probe], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -1232,10 +1239,14 @@ class TestColdStart:
     scipy.signal."""
 
     def test_cli_import_loads_no_scipy(self):
-        assert _scipy_modules_after("import sqzcavity.cli") == []
+        assert _modules_after("import sqzcavity.cli", "scipy") == []
+
+    def test_cli_import_loads_no_thread_pool(self):
+        # the SDE oracle imports concurrent.futures only to start its pool
+        assert _modules_after("import sqzcavity.cli", "concurrent.futures") == []
 
     def test_fit_loads_scipy_optimize_only(self):
-        mods = _scipy_modules_after("""
+        mods = _modules_after("""
 from sqzcavity import (ExternalSqueezeSource, FitModel, fit_parameters,
                        synthesize_measurements)
 true = dict(t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10,
@@ -1244,7 +1255,7 @@ true = dict(t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10,
 rows = synthesize_measurements(true, [0.0, 0.5, 1.0, 0.75], 0.0, seed=1)
 fixed = {k: v for k, v in true.items() if k != "eps_read"}
 fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
-""")
+""", "scipy")
         assert "scipy.optimize" in mods
         assert "scipy.signal" not in mods
 

@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from sqzcavity import (
     run_sde,
     signal_transfer_power,
 )
-from sqzcavity.oracle import SDE_Z_LIMIT, compare_sde
+from sqzcavity import oracle
+from sqzcavity.oracle import (SDE_Z_LIMIT, _DISCARD_CHUNK, _block_samples,
+                              compare_sde)
 from conftest import address_space_headroom
 
 
@@ -177,16 +182,26 @@ class TestSde:
 
     # kappa_total*dt runs from no start-term underflow (the term spans the
     # whole trajectory) up to just below the 0.05 stability bound; at 0.03
-    # and 0.0499 the term underflows to 0.0 within the 32 768 steps; ids name
-    # the Hann window and zero overlap of run_sde's segmentation
-    @pytest.mark.parametrize("kappa_dt", [1e-6, 1e-3, 0.03, 0.0499],
-                             ids=lambda k: f"hann-0.0-{k}")
-    def test_matches_reference_kernel(self, cav, kappa_dt):
+    # and 0.0499 the term underflows to 0.0 within the 32 768 steps, which
+    # fit in one kernel block.  The "blocks" case spans three blocks and a
+    # partial fourth, with a tail after the last segment, a start term
+    # through all of them and discarded anti draws that end mid-chunk.  ids
+    # name the Hann window and zero overlap of run_sde's segmentation
+    @pytest.mark.parametrize("kappa_dt, steps", [
+        *(pytest.param(k, 32768, id=f"hann-0.0-{k}")
+          for k in (1e-6, 1e-3, 0.03, 0.0499)),
+        pytest.param(1e-6, 3 * 65536 + 5 * 512 + 100, id="hann-0.0-1e-06-blocks"),
+    ])
+    def test_matches_reference_kernel(self, cav, kappa_dt, steps):
         q = 0.3 * cav.q_threshold
         dt = kappa_dt / ((cav.t_c + cav.eps_int + q) / 2.0)
         common = dict(q=q, v=(0.162, 10.40), eps_read=0.10, seed=41,
-                      dt=dt, duration=dt * 32768, n_trajectories=2,
+                      dt=dt, duration=dt * steps, n_trajectories=2,
                       segment_length=512)
+        if steps > 32768:
+            block = _block_samples(512)
+            assert steps > 3 * block and steps % block > 0 and steps % 512 > 0
+            assert (3 * steps + 1) % _DISCARD_CHUNK > 0
         ref = _reference_sde(_small_spec(cav, **common))
         for quadrature in ("sq", "anti"):
             res = run_sde(_small_spec(cav, quadrature=quadrature, **common))
@@ -209,11 +224,67 @@ class TestSde:
         for quadrature in ("sq", "anti"):
             spec = _small_spec(cav, seed=18, duration=0.5 * 4096 * 10,
                                n_trajectories=4, quadrature=quadrature)
-            serial = run_sde(spec)
+            serial = run_sde(spec, map_fn=map)
             with ThreadPoolExecutor(4) as ex:
                 threaded = run_sde(spec, map_fn=ex.map)
             assert np.array_equal(serial.psd, threaded.psd)
             assert np.array_equal(serial.stderr, threaded.stderr)
+
+    def test_default_map_matches_builtin(self, cav, monkeypatch):
+        # more trajectories than the pool's window of 2 per usable CPU
+        workers = len(os.sched_getaffinity(0))
+        for quadrature in ("sq", "anti"):
+            spec = _small_spec(cav, seed=19, duration=0.5 * 4096 * 2,
+                               n_trajectories=2 * workers + 3,
+                               quadrature=quadrature)
+            pooled = run_sde(spec)
+            serial = run_sde(spec, map_fn=map)
+            assert np.array_equal(pooled.psd, serial.psd)
+            assert np.array_equal(pooled.stderr, serial.stderr)
+
+        # on one usable CPU no thread starts
+        def no_thread(self):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        one = run_sde(spec)
+        assert np.array_equal(one.psd, serial.psd)
+
+    def test_window_bounded(self):
+        # an endless iterator: the pool never holds more than 2 items per
+        # worker that it has taken and not yet yielded
+        workers = 3
+        taken = 0
+
+        def endless():
+            nonlocal taken
+            while True:
+                taken += 1
+                yield taken
+
+        results = oracle._windowed_map(workers, lambda i: i * i, endless())
+        for yielded, result in enumerate(itertools.islice(results, 50), 1):
+            assert result == yielded ** 2
+            assert taken - yielded <= 2 * workers
+        results.close()
+
+    @pytest.mark.parametrize("quadrature", ["sq", "anti"])
+    def test_trajectory_memory(self, cav, quadrature):
+        # one trajectory of 2**20 steps: the three noise draws, 24 bytes a
+        # step, and one block's buffers, 4 bytes a step at this length; the
+        # kernel that held whole-trajectory arrays peaked at 32 bytes a step
+        steps = 1 << 20
+        spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
+                           seed=29, duration=0.5 * steps, n_trajectories=1,
+                           quadrature=quadrature)
+        tracemalloc.start()
+        try:
+            run_sde(spec, map_fn=map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spec.trajectory_bytes <= 28 * steps
 
     def test_children_built_on_demand(self, cav):
         # a list of 10**12 children would need hundreds of terabytes; the map
