@@ -60,6 +60,11 @@ class VariancePair:
             raise ValueError("measured variances must be positive and finite")
         if not (0.0 < self.err_sq < math.inf and 0.0 < self.err_anti < math.inf):
             raise ValueError("standard errors must be positive and finite")
+        for err in (self.err_sq, self.err_anti):
+            # the fit weighs each squared residual by 1/err**2
+            if err * err == 0.0 or math.isinf(1.0 / (err * err)):
+                raise ValueError(f"standard error {err!r} is too small: its "
+                                 "fit weight 1/err**2 overflows")
 
 
 @dataclass(frozen=True)

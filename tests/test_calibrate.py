@@ -122,6 +122,11 @@ class TestVariancePair:
             with pytest.raises(ValueError):
                 VariancePair(**{"pump_setting": 0.5, "v_sq": 1.0,
                                 "v_anti": 1.0, **bad})
+        # the fit weight 1/err**2 must be a finite float
+        for tiny in (dict(err_sq=5e-324), dict(err_anti=1e-160)):
+            with pytest.raises(ValueError, match="fit weight"):
+                VariancePair(pump_setting=0.5, v_sq=1.0, v_anti=1.0, **tiny)
+        VariancePair(pump_setting=0.5, v_sq=1.0, v_anti=1.0, err_sq=1e-150)
 
 
 class TestFitModel:
