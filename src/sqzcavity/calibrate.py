@@ -24,7 +24,7 @@ from .decoherence import (
 # not called here; perfbench/tracing.py binds these names in this module
 from .decoherence import measured_anti_noise_with_jitter, measured_noise_with_jitter  # noqa: F401
 from .errors import ConvergenceError, IdentifiabilityError, SingularResponseError
-from .sensor import CavityParams, InputQuadratureState
+from .sensor import CavityParams
 
 PARAM_NAMES = ("t_c", "eps_int", "eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
 
@@ -124,33 +124,19 @@ def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.
 
     Parameter values may also be (k, 1) arrays, one row per parameter set.
     The result then broadcasts to (k, n, 2), and each row is bit for bit the
-    scalar call at that row's values: the per-row scalars (the jitter weight
-    and the injected state) go through math row by row, as a scalar call
-    does.  A ValueError (SingularResponseError included) means that at least
-    one row is rejected; it does not say which.
+    scalar call at that row's values: scalars and rows go through the same
+    numpy code.  A ValueError (SingularResponseError included) means that at
+    least one row is rejected; it does not say which.
     """
     cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
     chain = DecoherenceChain(eps_inj=params["eps_inj"],
                              theta_rms=params["theta_rms"],
                              eps_read=params["eps_read"],
                              jitter_model=jitter_model)
-    state = _input_state(params["r_ext"], chain.eps_inj)
+    state = input_state_from_source(
+        ExternalSqueezeSource.from_squeeze_parameter(params["r_ext"]), chain.eps_inj)
     q = params["q_max"] * np.asarray(pump_settings, dtype=float)
     return measured_noise_pair(cav, q, state, chain, omega)
-
-
-def _input_state(r_ext, eps_inj) -> InputQuadratureState:
-    """Injected state of a squeeze parameter after the injection loss; for
-    per-row arrays, the scalar state of each row, as it goes through math."""
-    if not (isinstance(r_ext, np.ndarray) or isinstance(eps_inj, np.ndarray)):
-        src = ExternalSqueezeSource.from_squeeze_parameter(r_ext)
-        return input_state_from_source(src, eps_inj)
-    r_ext, eps_inj = np.broadcast_arrays(r_ext, eps_inj)
-    rows = [_input_state(r, e) for r, e in zip(r_ext.ravel().tolist(),
-                                               eps_inj.ravel().tolist())]
-    return InputQuadratureState(
-        v_sq=np.array([row.v_sq for row in rows]).reshape(r_ext.shape),
-        v_anti=np.array([row.v_anti for row in rows]).reshape(r_ext.shape))
 
 
 def synthesize_measurements(true_params: dict[str, float], pump_grid,

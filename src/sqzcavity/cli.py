@@ -537,20 +537,19 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
         raise ConfigError("figure3 requires [analysis] panels")
     cav, g_grid, omega = cfg.cavity, cfg.g_grid, cfg.omega
     q_grid = -g_grid * cav.q_threshold
-    # every panel at once, as (P, 1) columns over the config's chain; each
-    # injected state goes through math, as in a scalar call
-    chains = [chain for _, chain in cfg.panels]
-    states = [input_state_from_source(source, chain.eps_inj)
-              for source, chain in cfg.panels]
-    state = InputQuadratureState(v_sq=_column(states, "v_sq"),
-                                 v_anti=_column(states, "v_anti"))
+    # every panel at once, as (P, 1) columns over the config's chain
+    sources, chains = zip(*cfg.panels)
     chain = replace(cfg.chain, theta_rms=_column(chains, "theta_rms"),
                     eps_read=_column(chains, "eps_read"))
+    state = input_state_from_source(
+        ExternalSqueezeSource(_column(sources, "squeeze_db")), chain.eps_inj)
     s_base = {b: baseline_sensitivity(cav, state, chain, omega, b)
               for b in BASELINES}
     s_grid = measured_sensitivity(cav, q_grid, state, chain, omega)
     gains = {b: gain_db(base, s_grid) for b, base in s_base.items()}
     opts = optimize_gain_numeric(cav, state, chain, omega)
+    s_opt = measured_sensitivity(cav, _column(opts, "q_opt"), state, chain, omega)
+    opt_gains = {b: gain_db(base, s_opt)[:, 0].tolist() for b, base in s_base.items()}
 
     # every panel's table holds the same g and q list objects, so the writer
     # formats them once
@@ -560,14 +559,9 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
              for b, gain in gains.items()}
     header = ["g", "q"] + [f"snr_gain_db_{b}" for b in BASELINES]
     summary = []
-    for i, ((source, panel_chain), panel_state, opt) in enumerate(
-            zip(cfg.panels, states, opts)):
+    for i, (source, panel_chain, opt) in enumerate(zip(sources, chains, opts)):
         writer.add_table(f"figure3_panel_{i + 1}", header,
                          [g_col, q_col, *(rows[i] for rows in gain_rows)])
-        # q_opt stays a scalar call: a scalar squares through pow, an array
-        # through x*x, and the two differ in the last bit for some inputs
-        s_opt = measured_sensitivity(cav, opt.q_opt, panel_state, panel_chain,
-                                     omega)
         summary.append({
             "panel": i + 1,
             "squeeze_db": source.squeeze_db,
@@ -577,8 +571,8 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
                for b, (g_peak, gain_peak) in peaks.items()},
             "optimized": {
                 "g_opt": opt.g_opt, "q_opt": opt.q_opt, "s_opt": opt.s_opt,
-                **{f"gain_db_{b}": float(gain_db(base[i, 0], s_opt))
-                   for b, base in s_base.items()},
+                **{f"gain_db_{b}": gains_at_opt[i]
+                   for b, gains_at_opt in opt_gains.items()},
             },
         })
     results = {

@@ -2,7 +2,8 @@
 
 Covers the squeeze source, the injection loss ahead of the cavity, the slow
 relative phase jitter between the pump-defined cavity eigenbasis and the
-squeeze/LO frame, and the readout loss folded into the closed forms.
+squeeze/LO frame, and the readout loss folded into the closed forms.  Every
+parameter may be a scalar or a per-row array; both take the same numpy code.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .sensor import (
 )
 
 JITTER_MODELS = ("pump_frame", "input_frame")
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)   # e^x is normal for x at or above it
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,10 @@ class ExternalSqueezeSource:
     squeeze_db: float
 
     def __post_init__(self):
-        if not (0.0 <= self.squeeze_db < math.inf):
+        if not _holds((0.0 <= self.squeeze_db) & (self.squeeze_db < math.inf)):
             raise ValueError(f"squeeze_db must be finite and >= 0, got {self.squeeze_db}")
         # a normal e^(-2 r_ext) keeps beta and both injected variances finite
-        if math.exp(-2.0 * self.r_ext) < sys.float_info.min:
+        if not _holds(-2.0 * self.r_ext >= _LOG_FLOAT_MIN):
             raise ValueError(f"squeeze_db = {self.squeeze_db} is too large: the "
                              "squeezed variance leaves the float range")
 
@@ -86,9 +88,9 @@ def input_state_from_source(src: ExternalSqueezeSource, eps_inj: float
 
     Standard loss map: V -> (1-eps)V + eps applied to both quadratures.
     """
-    if not 0.0 <= eps_inj < 1.0:
+    if not _holds((0.0 <= eps_inj) & (eps_inj < 1.0)):
         raise ValueError(f"eps_inj must be in [0, 1), got {eps_inj}")
-    e2r = math.exp(-2.0 * src.r_ext)
+    e2r = np.exp(-2.0 * src.r_ext)
     v_sq = (1.0 - eps_inj) * e2r + eps_inj
     v_anti = (1.0 - eps_inj) / e2r + eps_inj
     return InputQuadratureState(v_sq=v_sq, v_anti=v_anti)
@@ -99,9 +101,9 @@ def jitter_mixing_weight(theta_rms: float) -> float:
 
     Small-angle limit s ~ theta_rms^2; fully dephased limit 1/2.
     """
-    if theta_rms < 0.0:
+    if not _holds(theta_rms >= 0.0):
         raise ValueError("theta_rms must be >= 0")
-    return 0.5 * (1.0 - math.exp(-2.0 * theta_rms * theta_rms))
+    return 0.5 * (1.0 - np.exp(-2.0 * theta_rms * theta_rms))
 
 
 def jittered_signal_factor(theta_rms: float) -> float:
@@ -110,18 +112,9 @@ def jittered_signal_factor(theta_rms: float) -> float:
     The coherent signal amplitude averages as <cos theta> = e^(-theta^2/2);
     the detected power carries its square.
     """
-    if theta_rms < 0.0:
+    if not _holds(theta_rms >= 0.0):
         raise ValueError("theta_rms must be >= 0")
-    return math.exp(-theta_rms * theta_rms)
-
-
-def _each(fn, x):
-    """fn at every element of x, or at x itself when it is a scalar.  The
-    per-row scalars go through math as in a scalar call, because np.exp may
-    differ from math.exp in the last bit."""
-    if not isinstance(x, np.ndarray):
-        return fn(x)
-    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.exp(-theta_rms * theta_rms)
 
 
 def _mix(s, main, other):
@@ -138,7 +131,7 @@ def _detected(cav: CavityParams, q, input_state: InputQuadratureState,
     in that order.  The anti quadrature is the readout formula with q -> -q
     and the two input variances swapped.  A quadrature's output spectrum is
     evaluated at most once, and only when a result needs it."""
-    s = _each(jitter_mixing_weight, chain.theta_rms)
+    s = jitter_mixing_weight(chain.theta_rms)
     v = (input_state.v_sq, input_state.v_anti)
     gain = (q, -np.asarray(q, dtype=float))
     if chain.jitter_model == "input_frame":
@@ -195,4 +188,4 @@ def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState
     Per-row chains and states are (P, 1) columns against q along the rows."""
     s_eff = measured_noise_with_jitter(cav, q, input_state, chain, omega)
     t2 = signal_transfer_power(cav, q, chain.eps_read, omega, scale=scale)
-    return s_eff / (t2 * _each(jittered_signal_factor, chain.theta_rms))
+    return s_eff / (t2 * jittered_signal_factor(chain.theta_rms))

@@ -5,7 +5,7 @@ field quadratures: roundtrip power gain ``q > 0`` deamplifies (squeezes) the
 signal quadrature, ``q < 0`` amplifies it.  All spectra are vacuum-normalized
 (shot noise = 1) and the sideband frequency ``omega`` is dimensionless, in the
 units where the cavity response denominator reads
-``(t_c + eps_int + q)**2 + omega**2``.
+``(t_c + eps_int + q)^2 + omega^2``.
 
 The closed forms broadcast over ``q``, ``omega``, ``eps_read`` and the input
 variances, and over per-point cavities whose constants are arrays.
@@ -144,7 +144,8 @@ def _response(cav: CavityParams, q, eps_read, omega):
     _check_eps_read(eps_read)
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    denom = (cav.t_c + cav.eps_int + q) ** 2 + omega**2
+    u = cav.t_c + cav.eps_int + q
+    denom = u * u + omega * omega
     if (denom == 0.0).any():
         raise SingularResponseError(
             "response evaluated at the amplification pole "
@@ -164,7 +165,8 @@ def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read, omega):
     """
     q, omega, denom = _response(cav, q, eps_read, omega)
     v_in = np.asarray(v_in, dtype=float)
-    numer = (cav.t_c - cav.eps_int - q) ** 2 + omega**2
+    w = cav.t_c - cav.eps_int - q
+    numer = w * w + omega * omega
     return 1.0 - (1.0 - eps_read) / denom * (4.0 * cav.t_c * q + (1.0 - v_in) * numer)
 
 

@@ -12,6 +12,14 @@ OUT, every case's exit code and the environment the digests hold for.
 tests/test_golden.py compares an in-process run with the committed
 tests/golden.json; copying OUT/golden.json over that file updates the
 digests, which is a version bump.
+
+    python tests/golden.py compare OLD NEW
+
+reports how two such trees differ, for a version bump that moves bytes:
+per moved file and per CSV column or JSON path, the number of moved cells,
+the largest |d| and the largest |d|/max(|a|, |b|), and each text change on
+its own line.  It exits 1 on a missing or extra file, a changed exit code
+or a table or envelope whose shape changed.
 """
 
 import contextlib
@@ -207,7 +215,98 @@ def run(root, out) -> dict:
     return {"environment": environment(), "exit_codes": codes, "files": files}
 
 
+def _leaves(path: Path) -> list[tuple[str, object]]:
+    """(key, value) of every cell of a CSV table or JSON envelope in order:
+    a CSV cell's key is its column, a JSON leaf's its path with list indices
+    as []."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        return [("header", header)] + [(column, cell) for row in rows
+                                       for column, cell in zip(header, row)]
+    leaves = []
+
+    def walk(key, value):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                walk(f"{key}.{name}" if key else name, item)
+        elif isinstance(value, list):
+            leaves.append((key + "[]", len(value)))
+            for item in value:
+                walk(key + "[]", item)
+        else:
+            leaves.append((key, value))
+
+    walk("", json.loads(path.read_text()))
+    return leaves
+
+
+def _number(value) -> float | None:
+    """value as a finite float, or None (text, a bool, nan or inf)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    return number if np.isfinite(number) else None
+
+
+def compare(old, new) -> int:
+    """Print how the output tree new differs from old; 1 on a missing or
+    extra file, a changed exit code or a changed shape, else 0."""
+    old, new = Path(old), Path(new)
+
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*")
+                if p.is_file() and p.name != "golden.json"}
+
+    names_old, names_new = files(old), files(new)
+    failed = False
+    differing = 0
+    for name in sorted(names_old | names_new):
+        if name not in names_new or name not in names_old:
+            print(f"{name}: {'missing' if name in names_old else 'extra'}")
+            failed = True
+            continue
+        text_old, text_new = (old / name).read_text(), (new / name).read_text()
+        if text_old == text_new:
+            continue
+        differing += 1
+        print(name)
+        if not name.endswith((".csv", ".json")):
+            # a stderr line or an exit code
+            print(f"  {text_old!r} -> {text_new!r}")
+            failed = failed or name.endswith(".code")
+            continue
+        a, b = _leaves(old / name), _leaves(new / name)
+        if [key for key, _ in a] != [key for key, _ in b]:
+            print("  shape changed")
+            failed = True
+            continue
+        stats = {}   # key -> [cells, max |d|, max |d|/max(|a|, |b|)]
+        for (key, va), (_, vb) in zip(a, b):
+            if va == vb:
+                continue
+            x, y = _number(va), _number(vb)
+            if x is None or y is None:
+                print(f"  {key}: {va!r} -> {vb!r}")
+                continue
+            d = abs(x - y)
+            row = stats.setdefault(key, [0, 0.0, 0.0])
+            row[0] += 1
+            row[1] = max(row[1], d)
+            row[2] = max(row[2], d / max(abs(x), abs(y)) if d else 0.0)
+        for key, (cells, d, rel) in stats.items():
+            print(f"  {key}: {cells} moved, max |d| {d:.3g}, "
+                  f"max |d|/max(|a|,|b|) {rel:.3g}")
+    print(f"{differing} of {len(names_old | names_new)} files differ")
+    return int(failed)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(*sys.argv[2:]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     root, out = sys.argv[1:]

@@ -154,33 +154,43 @@ class TestFitModel:
 
 
 def _blend_reference(cav, q, v_main, v_other, chain, omega):
-    """One quadrature as its own jitter blend (gain q, input variance v_main)
-    with its orthogonal partner (gain -q, input variance v_other)."""
-    s = decoherence._each(jitter_mixing_weight, chain.theta_rms)
+    """One quadrature of one parameter row as its own jitter blend (gain q,
+    input variance v_main) with its orthogonal partner (gain -q, input
+    variance v_other)."""
+    s = jitter_mixing_weight(chain.theta_rms)
     if chain.jitter_model == "input_frame":
         v_eff = (1.0 - s) * v_main + s * v_other
         return quadrature_noise_spectrum(cav, q, v_eff, chain.eps_read, omega)
     main = quadrature_noise_spectrum(cav, q, v_main, chain.eps_read, omega)
-    unmixed = s == 0.0
-    if np.all(unmixed):
+    if s == 0.0:
         return main
     other = anti_quadrature_noise_spectrum(cav, q, v_other, chain.eps_read, omega)
-    blend = (1.0 - s) * main + s * other
-    return np.where(unmixed, main, blend) if isinstance(s, np.ndarray) else blend
+    return (1.0 - s) * main + s * other
 
 
 def _two_blend_reference(params, pumps, omega, jitter_model):
     """forward_variances with the readout and the anti quadrature as two
-    separate blends, four spectrum evaluations under pump_frame."""
-    cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
-    chain = DecoherenceChain(params["eps_inj"], params["theta_rms"],
-                             params["eps_read"], jitter_model)
-    state = calibrate._input_state(params["r_ext"], chain.eps_inj)
-    q = params["q_max"] * np.asarray(pumps, dtype=float)
-    return np.stack([
-        _blend_reference(cav, q, state.v_sq, state.v_anti, chain, omega),
-        _blend_reference(cav, -q, state.v_anti, state.v_sq, chain, omega),
-    ], axis=-1)
+    separate blends, four spectrum evaluations under pump_frame, built from
+    scalar public calls one parameter row at a time: (n, 2) for scalar
+    parameters, (k, n, 2) for (k, 1) columns."""
+    def row(p):
+        cav = CavityParams(t_c=p["t_c"], eps_int=p["eps_int"])
+        chain = DecoherenceChain(p["eps_inj"], p["theta_rms"], p["eps_read"],
+                                 jitter_model)
+        state = input_state_from_source(
+            ExternalSqueezeSource.from_squeeze_parameter(p["r_ext"]), chain.eps_inj)
+        q = p["q_max"] * np.asarray(pumps, dtype=float)
+        return np.stack([
+            _blend_reference(cav, q, state.v_sq, state.v_anti, chain, omega),
+            _blend_reference(cav, -q, state.v_anti, state.v_sq, chain, omega),
+        ], axis=-1)
+
+    columns = {name: v for name, v in params.items() if isinstance(v, np.ndarray)}
+    if not columns:
+        return row(params)
+    k = max(len(v) for v in columns.values())
+    return np.array([row(dict(params, **{name: v[i, 0] for name, v in columns.items()}))
+                     for i in range(k)])
 
 
 class TestForwardPair:

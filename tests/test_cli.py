@@ -691,14 +691,14 @@ class TestFigure3:
             assert len(rows) == 99
             table = np.array(rows)
             assert np.array_equal(table[:, 1], -table[:, 0] * cav.q_threshold)
-            # the vector evaluation matches point-by-point scalar calls to the
-            # last bits: numpy squares a scalar through pow, an array through x*x
+            # the vector evaluation equals point-by-point scalar calls: scalars
+            # and arrays take the same numpy code
             chain = DecoherenceChain(0.08, theta, 0.10)
             state = input_state_from_source(ExternalSqueezeSource(db), 0.08)
             scalar = [[snr_gain_db(cav, state, chain, 0.0, q, baseline=b)
                        for b in ("no_internal", "no_squeezing")]
                       for q in table[:, 1]]
-            np.testing.assert_allclose(table[:, 2:], scalar, rtol=1e-14, atol=0)
+            assert np.array_equal(table[:, 2:], scalar)
         env = json.loads((out / "figure3_summary.json").read_text())
         panels = env["results"]["panels"]
         g_opts = [p["optimized"]["g_opt"] for p in panels]
@@ -730,8 +730,8 @@ class TestFigure3:
            n_grid=st.integers(1, 41),
            omega=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
            model=st.sampled_from(["pump_frame", "input_frame"]))
-    # panels whose gains at q_opt change in the last digit when q_opt is
-    # evaluated as a one-element array rather than a scalar (glibc pow)
+    # panels whose gains at q_opt changed in the last digit between a scalar
+    # q_opt and a one-element array while scalars squared through glibc pow
     @example(panels=[(12.981, 0.0175, 0.176), (7.847, 0.0377, 0.092),
                      (5.217, 0.0019, 0.029)],
              n_grid=41, omega=0.0, model="pump_frame")
@@ -780,8 +780,8 @@ class TestFigure3:
         assert len(formatted) == 1 + 2 + 3 * len(BASELINES)
 
     def test_closed_form_calls(self, tmp_path, monkeypatch):
-        # one grid call, two baselines, two optimizer stages, one q_opt
-        # call per panel
+        # one grid call, two baselines, two optimizer stages and one call at
+        # every panel's q_opt
         calls = []
 
         def counted(*args, **kwargs):
@@ -797,7 +797,7 @@ class TestFigure3:
                                                f"panels = {panels}"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "figure3"]) == 0
-        assert len(calls) == 24 + 5
+        assert len(calls) == 6
 
 
 class TestVerify:
@@ -1276,6 +1276,8 @@ FUZZ_CONFIGS = {"spectrum": "base.ini", "optimize": "base.ini",
 # negative, zero, nan, inf, large, empty, malformed; an existing file is added
 # per example
 EDGE_VALUES = ("-1", "0", "nan", "inf", "1e300", "", "1:x:,;")
+# and subnormal, for one cell of calibrate's measurement table
+TABLE_EDGE_VALUES = EDGE_VALUES + ("1e-320",)
 
 
 @pytest.fixture(scope="module")
@@ -1332,7 +1334,16 @@ class TestConfigMutation:
             cp.write(fh)
         argv = ["--config", str(cfg), command]
         if command == "calibrate":
-            argv += ["--data", str(fuzz_table)]
+            # one cell of the measurement table set to an edge value too
+            with open(fuzz_table, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            row = data.draw(st.sampled_from(rows))
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+                st.sampled_from(TABLE_EDGE_VALUES))
+            table = work / "meas.csv"
+            with open(table, "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            argv += ["--data", str(table)]
         cwd = os.getcwd()
         os.chdir(work)                          # relative out_dir values land here
         try:

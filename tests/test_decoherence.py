@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzcavity import (
@@ -247,3 +247,53 @@ class TestMeasuredSensitivity:
         expected = s_eff / (t2 * jittered_signal_factor(0.05))
         assert measured_sensitivity(cav, q, state_105, chain_jitter, 0.0) == \
             pytest.approx(expected, rel=1e-14)
+
+
+def _shape_mismatches(t_c, eps_int, rows, omega, jitter_model):
+    """(function, row) of every row where a scalar q gives other bits than
+    the same q inside an array or the same row inside a (P, 1) batch.  A row
+    is (q / q_threshold, v_sq, excess, theta_rms, eps_read); its input state
+    is (v_sq, excess / v_sq)."""
+    cav = CavityParams(t_c, eps_int)
+    frac, v_sq, excess, theta, eps_read = np.array(rows, dtype=float).T
+    q = frac * cav.q_threshold
+    v_anti = excess / v_sq
+
+    def col(x):
+        return x[:, None]
+
+    batch = (cav, col(q), InputQuadratureState(col(v_sq), col(v_anti)),
+             DecoherenceChain(0.0, col(theta), col(eps_read), jitter_model), omega)
+    bad = []
+    for fn in (measured_sensitivity, measured_noise_pair):
+        in_batch = fn(*batch)[:, 0]
+        for i in range(len(rows)):
+            state = InputQuadratureState(v_sq[i], v_anti[i])
+            chain = DecoherenceChain(0.0, theta[i], eps_read[i], jitter_model)
+            scalar = fn(cav, q[i], state, chain, omega)
+            in_array = fn(cav, q, state, chain, omega)[i]
+            if not (np.array_equal(scalar, in_array)
+                    and np.array_equal(scalar, in_batch[i])):
+                bad.append((fn.__name__, i))
+    return bad
+
+
+class TestScalarAndRowCalls:
+    # scalars take the same numpy code as arrays; while a scalar operand was
+    # squared through libm pow, 13 of 5000 seeded draws of this kind differed
+    # in the last bit, this example among them
+    @example(t_c=0.4144206607867008, eps_int=0.013465124178533294,
+             omega=0.9822722214076882, jitter_model="pump_frame",
+             rows=[(-0.41362448187859935, 0.6889139832476417, 2.937062359645828,
+                    0.0, 0.7330929261719887)])
+    @settings(max_examples=200, deadline=None)
+    @given(t_c=st.floats(0.001, 0.5), eps_int=st.floats(0.0, 0.1),
+           omega=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           jitter_model=st.sampled_from(["pump_frame", "input_frame"]),
+           rows=st.lists(st.tuples(
+               st.floats(-0.99, 0.99), st.floats(0.01, 1.0), st.floats(1.0, 4.0),
+               st.one_of(st.just(0.0), st.floats(0.0, 0.5)), st.floats(0.0, 0.9)),
+               min_size=1, max_size=5))
+    def test_scalar_equals_array_and_batch_row(self, t_c, eps_int, omega,
+                                               jitter_model, rows):
+        assert _shape_mismatches(t_c, eps_int, rows, omega, jitter_model) == []
