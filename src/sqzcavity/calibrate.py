@@ -23,7 +23,8 @@ from .decoherence import (
 )
 # not called here; perfbench/tracing.py binds these names in this module
 from .decoherence import measured_anti_noise_with_jitter, measured_noise_with_jitter  # noqa: F401
-from .errors import ConvergenceError, IdentifiabilityError, SingularResponseError
+from .errors import (ConfigError, ConvergenceError, IdentifiabilityError,
+                     SingularResponseError)
 from .sensor import CavityParams
 
 PARAM_NAMES = ("t_c", "eps_int", "eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
@@ -226,17 +227,18 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     each Jacobian to one broadcast forward_variances call, so the fit is bit
     for bit the one that evaluates each column on its own.
 
-    Raises ValueError when a fixed q_max drives the pump scan to or past the
-    fixed threshold t_c + eps_int or when the model rejects every start
-    point, SingularResponseError when the model is not finite at the first
+    Raises ConfigError for a fault of the input: no free parameter, fewer
+    than n_free + 2 rows, a fixed q_max whose pump scan reaches the fixed
+    threshold t_c + eps_int, or a box where the model rejects every start
+    point.  SingularResponseError when the model is not finite at the first
     start point it admits, IdentifiabilityError when the Jacobian at the
     best fit is rank-deficient beyond tolerance and ConvergenceError when no
-    start converges.
+    start converges or least_squares fails.
     """
     if len(model.free) == 0:
-        raise ValueError("at least one free parameter required")
+        raise ConfigError("at least one free parameter required")
     if len(model.free) > len(data) - 2:
-        raise ValueError(
+        raise ConfigError(
             f"{len(model.free)} free parameters need at least "
             f"{len(model.free) + 2} data points, got {len(data)}"
         )
@@ -245,8 +247,8 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     if "q_max" not in model.free and "t_c" in fixed and "eps_int" in fixed:
         q_th = fixed["t_c"] + fixed["eps_int"]
         if abs(fixed["q_max"]) * max(pumps) >= q_th:
-            raise ValueError(f"fixed q_max = {fixed['q_max']} reaches the "
-                             f"parametric threshold {q_th} within the pump scan")
+            raise ConfigError(f"fixed q_max = {fixed['q_max']} reaches the "
+                              f"parametric threshold {q_th} within the pump scan")
     meas = np.array([[d.v_sq, d.v_anti] for d in data])
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
 
@@ -278,8 +280,8 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     if first is None:
         box = (f"{name} in [{model.bounds[name][0]}, {model.bounds[name][1]}]"
                for name in model.free)
-        raise ValueError("the model rejects every start point of the bounds "
-                         "box " + ", ".join(box))
+        raise ConfigError("the model rejects every start point of the bounds "
+                          "box " + ", ".join(box))
     x_first, pred_first = first
     if not np.all(np.isfinite(pred_first)):
         params = model.full_params(x_first)
@@ -293,8 +295,11 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     best = None
     n_ok = 0
     for x0 in starts:
-        res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
-                            max_nfev=_MAX_NFEV, workers=jacobian_points)
+        try:
+            res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
+                                max_nfev=_MAX_NFEV, workers=jacobian_points)
+        except ValueError as exc:
+            raise ConvergenceError(f"least_squares failed: {exc}") from exc
         if res.status > 0:
             n_ok += 1
             if best is None or res.cost < best.cost:

@@ -93,8 +93,8 @@ ABSOLUTE_ENHANCEMENT_NOTE = (
 
 # peak memory per point of the command a grid drives, measured over 200k
 # points: about 480 bytes for spectrum's omega_grid, 310 for verify's
-# grid_points and 300 for figure3's g_grid (per panel)
-_GRID_POINT_BYTES = 300
+# grid_points and 300 for figure3's g_grid (per panel); the check takes the largest
+_GRID_POINT_BYTES = 480
 
 
 @dataclass(frozen=True)
@@ -643,8 +643,7 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
     model = cfg.fit_model
     if model is None:
         raise ConfigError("calibrate requires [calibrate] free = name, ...")
-    with _config_errors():
-        result = fit_parameters(data, model)
+    result = fit_parameters(data, model)
 
     pred = forward_variances(result.params, [d.pump_setting for d in data],
                              omega=model.omega, jitter_model=model.jitter_model)

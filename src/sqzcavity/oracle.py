@@ -42,28 +42,17 @@ _SDE_BAND_CUTOFF = 3.0
 SDE_Z_LIMIT = 3.0             # |z| a scored SDE bin may reach
 _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 
-# a**k is exactly 0.0 once k*ln(a) < -745.2, below half the smallest
-# subnormal (2**-1075 = e**-745.13)
-_UNDERFLOW_LOG = 745.2
-
 # the SDE kernel walks a trajectory in blocks of whole segments of about this
 # many samples, so that a block's float64 buffers stay in cache
 _BLOCK_SAMPLES = 1 << 16
 # bytes of a block's buffers at their peak, per block sample: tracemalloc
 # measured 32 to 59 over segment lengths of 8 to 2**19
 _BLOCK_BYTES_PER_SAMPLE = 64
-# normals per chunk of the anti check's discarded draws
-_DISCARD_CHUNK = 1 << 16
 
 
 def _block_samples(segment_length: int) -> int:
     """Samples of one kernel block: whole segments, at least one."""
     return max(1, _BLOCK_SAMPLES // segment_length) * segment_length
-
-
-def _start_length(a: float, n: int) -> int:
-    """Samples of n over which the start term x0*a**k, k >= 1, is not 0.0."""
-    return min(n, int(_UNDERFLOW_LOG / -math.log(a)) + 2)
 
 
 @dataclass(frozen=True)
@@ -214,9 +203,7 @@ class SdeRunSpec:
         if not steps <= np.iinfo(np.intp).max:
             raise ValueError(f"duration/dt = {steps:.3g} exceeds the largest "
                              "array length")
-        # one trajectory, and the start term's powers of the slower quadrature
-        check_memory(f"duration/dt = {steps:.3g} steps", self.trajectory_bytes
-                     + 8.0 * _start_length(a_slow, self.steps_per_trajectory))
+        check_memory(f"duration/dt = {steps:.3g} steps", self.trajectory_bytes)
         n_seg = self.n_trajectories * (self.steps_per_trajectory
                                        // self.segment_length)
         if n_seg < 2:
@@ -260,14 +247,6 @@ def lfilter(b, a, x, zi=None):
     return lfilter(b, a, x, zi=zi)
 
 
-def _discard_normals(rng: np.random.Generator, count: int):
-    """Advance rng past count standard normals, drawn in chunks into one
-    buffer: the stream is the same as one draw of count."""
-    buf = np.empty(min(count, _DISCARD_CHUNK))
-    for start in range(0, count, buf.size):
-        rng.standard_normal(out=buf[:count - start])
-
-
 def _windowed_map(workers: int, fn: Callable, items: Iterable) -> Iterator:
     """fn over items on a pool of worker threads, yielding the results in
     item order.  At most 2*workers items are submitted and not yet yielded,
@@ -309,11 +288,12 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
     detected power spectrum with per-bin standard errors from Hann-windowed
     consecutive segments.
 
-    The state update is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k, and
-    the output uses the interval-averaged state (X_k + X_{k+1})/2 together
-    with the reflected input increment.  This trapezoidal output sampling
-    makes the all-vacuum passive output exactly white and the zero-frequency
-    bin exactly unbiased for any stable dt.
+    The state update is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k from
+    X_0 drawn from its discrete stationary distribution, and the output uses
+    the interval-averaged state (X_k + X_{k+1})/2 together with the reflected
+    input increment.  This trapezoidal output sampling makes the all-vacuum
+    passive output exactly white and the zero-frequency bin exactly unbiased
+    for any stable dt.
 
     Each trajectory draws its noise at once, then walks its whole segments
     in blocks of about 2**16 samples, carrying the filter state and the last
@@ -341,11 +321,7 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
     win = np.hanning(length)
     win_power = (win * win).sum()
     a = 1.0 - lam * dt
-    # stationary start: the homogeneous solution x0*a**k, k >= 1, for X_0
-    # drawn from the discrete stationary distribution; the powers end where
-    # they underflow to 0.0
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
-    powers = a ** np.arange(1, _start_length(a, n) + 1)
     # spawn's i-th child, built when the map reaches it: a list of every
     # child would grow with n_trajectories, by about 370 bytes each
     root = np.random.SeedSequence(spec.seed)
@@ -356,12 +332,14 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
-        if spec.quadrature == "anti":
-            _discard_normals(rng, 3 * n + 1)   # the readout quadrature's draws
-        xi, eta, zeta = rng.standard_normal((3, n))
+        draws = rng.standard_normal((3, n))
+        if spec.quadrature == "anti":     # skip the readout's draws and X_0
+            rng.standard_normal()
+            rng.standard_normal(out=draws)
+        xi, eta, zeta = draws
         x0 = math.sqrt(sig2) * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
-        z = np.zeros(1)                        # filter state, X_0 = 0
+        z = np.array([a * x0])                 # filter state: X_1 = a*X_0 + w_0
         x_last = x0
         for k0 in range(0, n_used, block):
             k1 = min(k0 + block, n_used)
@@ -371,8 +349,6 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
             eta_b *= math.sqrt(2.0 * kl * dt)
             w += eta_b
             x_next, z = lfilter([1.0], [1.0, -a], w, zi=z)   # X_{k0+1} ..
-            start = powers[k0:k1]
-            x_next[:start.size] += x0 * start
             x = w                              # w is spent: x_mid in its place
             # a block starts a segment, whose first sample the Hann window
             # weighs by 0.0: the carried state keeps x_mid right there, but

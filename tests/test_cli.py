@@ -39,6 +39,8 @@ from sqzcavity import (
 import sqzcavity.calibrate
 import sqzcavity.cli
 import sqzcavity.optimize
+import sqzcavity.oracle
+from sqzcavity.calibrate import FitResult
 from sqzcavity.cli import (
     ABSOLUTE_ENHANCEMENT_NOTE,
     OutputWriter,
@@ -382,9 +384,22 @@ class TestConfigValidation:
                 assert main(["--config", str(cfg), "--out", str(out),
                              command]) == 2
                 assert one_line_stderr(capsys).startswith(
-                    f"config error: {name} = {n} points need about 3e+15 "
+                    f"config error: {name} = {n} points need about 4.8e+15 "
                     "bytes, above the ")
                 assert not out.exists()
+
+    def test_spectrum_grid_memory_checked_at_its_own_cost(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # spectrum needs about 480 bytes an omega_grid point: 3000 points
+        # exceed 1 MB, although 300 bytes a point would fit
+        monkeypatch.setattr(sqzcavity.oracle, "_physical_memory", lambda: 1 << 20)
+        cfg = write_config(tmp_path, analysis="omega_grid = 0:2:3000")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
+        assert one_line_stderr(capsys) == (
+            "config error: omega_grid = 3000 points need about 1.44e+06 bytes, "
+            "above the 1.05e+06 bytes of physical memory\n")
+        assert not out.exists()
 
     def test_grid_times_panels_exit_2(self, tmp_path, capsys):
         # figure3 holds (panels, g_grid) arrays: a g_grid that fits once but
@@ -981,6 +996,51 @@ class TestCalibrate:
             assert "at the first start point" in message
             assert t_c in message
             assert not out.exists()
+
+    def test_model_not_finite_at_the_fit_exit_3(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a fit whose model overflows at the table's pumps (omega**2 at
+        # omega = 1e200) ends in a domain error, not in a NaN table
+        data = tmp_path / "meas.csv"
+        _write_measurements(data)
+        params = dict(t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10,
+                      theta_rms=0.05, r_ext=1.2, q_max=0.08)
+        monkeypatch.setattr(sqzcavity.cli, "fit_parameters",
+                            lambda data, model: FitResult(params, {}, 0.0, 1, 1.0))
+        cfg = write_config(tmp_path, analysis="omega = 1e200", extra=self.CAL)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 3
+        assert one_line_stderr(capsys) == ("domain error: calibration model not "
+                                           "finite at the measured pump settings\n")
+        assert not out.exists()
+
+    def test_solver_value_error_not_a_config_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a ValueError inside least_squares is the solver's failure, not the
+        # config's.  An r_ext box up to 200 reaches one: V_anti = e**(2 r_ext)
+        # overflows the finite-difference Jacobian, and scipy rejects it
+        data = tmp_path / "meas.csv"
+        _write_measurements(data)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, extra="\n[calibrate]\nfree = r_ext\n"
+                                            "q_max = 0.08\nbound_r_ext = 0, 200\n")
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 6
+        assert one_line_stderr(capsys).startswith(
+            "convergence error: least_squares failed: ")
+        assert not out.exists()
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(sqzcavity.calibrate, "least_squares", boom)
+        cfg = write_config(tmp_path, extra=self.CAL)
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 6
+        assert one_line_stderr(capsys) == (
+            "convergence error: least_squares failed: boom\n")
+        assert not out.exists()
 
     def test_fixed_q_max_past_threshold_exit_2(self, tmp_path, capsys):
         # |q_max| * max(pump) >= t_c + eps_int = 0.122: the scan crosses the
