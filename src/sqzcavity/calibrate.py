@@ -179,16 +179,15 @@ def _starts(model: FitModel) -> list[np.ndarray]:
     # nudge off the exact edges so every start is strictly feasible
     starts = []
     for c in corners:
-        pt = [lo + 0.05 * (hi - lo) if v == lo else
-              (hi - 0.05 * (hi - lo) if v == hi else v)
+        pt = [lo + 0.05 * (hi - lo) if v == lo else hi - 0.05 * (hi - lo)
               for v, (lo, hi) in zip(c, boxes)]
         starts.append(np.array(pt))
     return starts
 
 
 def _predict(model: FitModel, x: np.ndarray, pumps) -> np.ndarray | None:
-    """Model variances at the free values x; None where the model rejects
-    them."""
+    """Model variances at the free values x, one value or one (k, 1) column
+    per free name; None where the model rejects them."""
     try:
         return forward_variances(model.full_params(x), pumps, omega=model.omega,
                                  jitter_model=model.jitter_model)
@@ -204,11 +203,8 @@ def _predict_rows(model: FitModel, xs: np.ndarray, pumps) -> np.ndarray:
     shape = (len(xs), len(pumps), 2)
     # one contiguous (k, 1) column per free name: numpy's strided loops
     # would cost more than the arithmetic on these few rows
-    params = model.full_params(np.ascontiguousarray(xs.T)[:, :, None])
-    try:
-        pred = forward_variances(params, pumps, omega=model.omega,
-                                 jitter_model=model.jitter_model)
-    except ValueError:
+    pred = _predict(model, np.ascontiguousarray(xs.T)[:, :, None], pumps)
+    if pred is None:
         rows = [_predict(model, x, pumps) for x in xs]
         return np.array([np.full(shape[1:], np.nan) if row is None else row
                          for row in rows])
@@ -277,11 +273,11 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     # end rank-deficient, blaming the data
     first = next(((x, pred) for x in starts
                   if (pred := _predict(model, x, pumps)) is not None), None)
+    boxes = [model.bounds[name] for name in model.free]
+    box = "bounds box " + ", ".join(f"{name} in [{lo}, {hi}]"
+                                    for name, (lo, hi) in zip(model.free, boxes))
     if first is None:
-        box = (f"{name} in [{model.bounds[name][0]}, {model.bounds[name][1]}]"
-               for name in model.free)
-        raise ConfigError("the model rejects every start point of the bounds "
-                          "box " + ", ".join(box))
+        raise ConfigError(f"the model rejects every start point of the {box}")
     x_first, pred_first = first
     if not np.all(np.isfinite(pred_first)):
         params = model.full_params(x_first)
@@ -290,8 +286,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
             f"{model.omega}; "
             + ", ".join(f"{k} = {v}" for k, v in params.items()) + ")")
 
-    lo = np.array([model.bounds[name][0] for name in model.free])
-    hi = np.array([model.bounds[name][1] for name in model.free])
+    lo, hi = np.array(boxes).T
     best = None
     n_ok = 0
     for x0 in starts:
@@ -299,7 +294,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
             res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
                                 max_nfev=_MAX_NFEV, workers=jacobian_points)
         except ValueError as exc:
-            raise ConvergenceError(f"least_squares failed: {exc}") from exc
+            raise ConvergenceError(f"least_squares failed: {exc}; {box}") from exc
         if res.status > 0:
             n_ok += 1
             if best is None or res.cost < best.cost:

@@ -548,7 +548,7 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
     s_grid = measured_sensitivity(cav, q_grid, state, chain, omega)
     gains = {b: gain_db(base, s_grid) for b, base in s_base.items()}
     opts = optimize_gain_numeric(cav, state, chain, omega)
-    s_opt = measured_sensitivity(cav, _column(opts, "q_opt"), state, chain, omega)
+    s_opt = _column(opts, "s_opt")
     opt_gains = {b: gain_db(base, s_opt)[:, 0].tolist() for b, base in s_base.items()}
 
     # every panel's table holds the same g and q list objects, so the writer

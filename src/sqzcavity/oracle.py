@@ -283,7 +283,7 @@ def _trajectory_map(spec: SdeRunSpec) -> Callable:
     return functools.partial(_windowed_map, workers)
 
 
-def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
+def run_sde(spec: SdeRunSpec) -> SdeResult:
     """Integrate the Langevin equation of spec.quadrature and estimate its
     detected power spectrum with per-bin standard errors from Hann-windowed
     consecutive segments.
@@ -301,13 +301,12 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
     of the whole-trajectory reference kernel in the tests, so blocking does
     not change a bit.
 
-    Trajectories use independent child streams spawned from the master seed,
-    each built only when the map draws it, and are reduced in trajectory
-    order, so any order-preserving map yields the same result.  map_fn
-    defaults to one thread per usable CPU (restrict the CPUs with taskset)
-    and to the builtin map on one.  Each stream draws the readout
-    quadrature's noise first, so a quadrature's estimate does not depend on
-    which one a run selects.
+    Trajectory i draws from spawn's i-th child of the master seed, built
+    only when the map reaches it, and the trajectories are reduced in order,
+    so the result does not depend on the map: one thread per usable CPU
+    (restrict the CPUs with taskset), the builtin map on one.  Each stream
+    draws the readout quadrature's noise first, so a quadrature's estimate
+    does not depend on which one a run selects.
     """
     cav = spec.cavity
     kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
@@ -322,11 +321,8 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
     win_power = (win * win).sum()
     a = 1.0 - lam * dt
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
-    # spawn's i-th child, built when the map reaches it: a list of every
-    # child would grow with n_trajectories, by about 370 bytes each
-    root = np.random.SeedSequence(spec.seed)
-    seeds = (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
-                                    pool_size=root.pool_size)
+    # a generator: a list of every child would take about 370 bytes each
+    seeds = (np.random.SeedSequence(spec.seed, spawn_key=(i,))
              for i in range(spec.n_trajectories))
     n_bins = length // 2 + 1
 
@@ -378,8 +374,7 @@ def run_sde(spec: SdeRunSpec, map_fn: Callable | None = None) -> SdeResult:
 
     s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
     n_seg = 0
-    for p_sum, p2_sum, p_seg in (map_fn or _trajectory_map(spec))(
-            one_trajectory, seeds):
+    for p_sum, p2_sum, p_seg in _trajectory_map(spec)(one_trajectory, seeds):
         s1 += p_sum
         s2 += p2_sum
         n_seg += p_seg

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file contracts, pipeline equality."""
 
 import configparser
+import contextlib
 import csv
 import datetime
 import io
@@ -650,6 +651,33 @@ class TestOptimize:
         assert env["results"]["optimization"]["q_opt"] == \
             pytest.approx(0.11 - 0.012, abs=1e-8)
 
+    def test_degree_drop_at_huge_omega(self, tmp_path, capsys, monkeypatch):
+        # at omega = 2e153, a = 1/(1 + (omega/q_th)**2) underflows to 0, so
+        # the stationary-point numerator's leading coefficient is exactly 0
+        # and the solve stands only because np.roots trims it (the second
+        # solve is the reconciliation's, at omega = 0); at 5e153 the
+        # objective overflows
+        leading = []
+        roots = np.roots
+
+        def spy(p):
+            leading.append(p[0])
+            return roots(p)
+
+        monkeypatch.setattr(np, "roots", spy)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, analysis="omega = 2e153")
+        assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 0
+        assert leading[0] == 0.0 and len(leading) == 2
+        opt = json.loads((out / "optimize.json").read_text())
+        assert opt["results"]["optimization"]["s_opt"] == \
+            pytest.approx(1.0887e307, rel=1e-4)
+        cfg = write_config(tmp_path, analysis="omega = 5e153")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o5"),
+                     "optimize"]) == 3
+        assert one_line_stderr(capsys) == (
+            "domain error: objective not finite on the search interval\n")
+
 
 def _reference_figure3(cfg, writer, args):
     """figure3 as it was before the panels were evaluated together: one
@@ -795,8 +823,8 @@ class TestFigure3:
         assert len(formatted) == 1 + 2 + 3 * len(BASELINES)
 
     def test_closed_form_calls(self, tmp_path, monkeypatch):
-        # one grid call, two baselines, two optimizer stages and one call at
-        # every panel's q_opt
+        # one grid call, two baselines and two optimizer stages, whose second
+        # stage scores every panel's q_opt
         calls = []
 
         def counted(*args, **kwargs):
@@ -812,7 +840,7 @@ class TestFigure3:
                                                f"panels = {panels}"))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "figure3"]) == 0
-        assert len(calls) == 6
+        assert len(calls) == 5
 
 
 class TestVerify:
@@ -1019,7 +1047,8 @@ class TestCalibrate:
                                                     monkeypatch):
         # a ValueError inside least_squares is the solver's failure, not the
         # config's.  An r_ext box up to 200 reaches one: V_anti = e**(2 r_ext)
-        # overflows the finite-difference Jacobian, and scipy rejects it
+        # overflows the finite-difference Jacobian, and scipy rejects it.
+        # The message names the box
         data = tmp_path / "meas.csv"
         _write_measurements(data)
         out = tmp_path / "o"
@@ -1027,8 +1056,9 @@ class TestCalibrate:
                                             "q_max = 0.08\nbound_r_ext = 0, 200\n")
         assert main(["--config", str(cfg), "--out", str(out), "calibrate",
                      "--data", str(data)]) == 6
-        assert one_line_stderr(capsys).startswith(
-            "convergence error: least_squares failed: ")
+        line = one_line_stderr(capsys)
+        assert line.startswith("convergence error: least_squares failed: ")
+        assert line.endswith("; bounds box r_ext in [0.0, 200.0]\n")
         assert not out.exists()
 
         def boom(*args, **kwargs):
@@ -1039,7 +1069,8 @@ class TestCalibrate:
         assert main(["--config", str(cfg), "--out", str(out), "calibrate",
                      "--data", str(data)]) == 6
         assert one_line_stderr(capsys) == (
-            "convergence error: least_squares failed: boom\n")
+            "convergence error: least_squares failed: boom; bounds box "
+            "eps_read in [0.0, 0.9], theta_rms in [0.0, 0.5]\n")
         assert not out.exists()
 
     def test_fixed_q_max_past_threshold_exit_2(self, tmp_path, capsys):
@@ -1338,6 +1369,11 @@ FUZZ_CONFIGS = {"spectrum": "base.ini", "optimize": "base.ini",
 EDGE_VALUES = ("-1", "0", "nan", "inf", "1e300", "", "1:x:,;")
 # and subnormal, for one cell of calibrate's measurement table
 TABLE_EDGE_VALUES = EDGE_VALUES + ("1e-320",)
+# command-line overrides, each drawn or left out
+OPTION_EDGE_VALUES = {"--seed": ("-1", "0", str(2**63)),
+                      "--format": ("csv", "json", "xml", "")}
+# the one-line message's kind per exit code
+KIND_OF_EXIT = {code: kind for _, kind, code in ERROR_KINDS}
 
 
 @pytest.fixture(scope="module")
@@ -1369,7 +1405,7 @@ def _non_finite_cells(path):
 class TestConfigMutation:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_one_edge_value_ends_cleanly(self, command, data, tmp_path_factory,
                                          fuzz_table):
@@ -1385,14 +1421,20 @@ class TestConfigMutation:
                                 power_w="1.0")
         blocker = work / "blocker"
         blocker.write_text("")
-        section, key = data.draw(st.sampled_from(
-            [(s, k) for s in cp.sections() for k in cp[s]]))
-        cp[section][key] = data.draw(st.sampled_from(EDGE_VALUES
-                                                     + (str(blocker),)))
+        keys = [(s, k) for s in cp.sections() for k in cp[s]]
+        for _ in range(2):                      # two faults at once, or one twice
+            section, key = data.draw(st.sampled_from(keys))
+            cp[section][key] = data.draw(st.sampled_from(EDGE_VALUES
+                                                         + (str(blocker),)))
         cfg = work / "cfg.ini"
         with open(cfg, "w") as fh:
             cp.write(fh)
-        argv = ["--config", str(cfg), command]
+        argv = ["--config", str(cfg)]
+        for option, values in OPTION_EDGE_VALUES.items():
+            value = data.draw(st.sampled_from((None,) + values))
+            if value is not None:
+                argv += [option, value]
+        argv.append(command)
         if command == "calibrate":
             # one cell of the measurement table set to an edge value too
             with open(fuzz_table, newline="") as fh:
@@ -1406,11 +1448,22 @@ class TestConfigMutation:
             argv += ["--data", str(table)]
         cwd = os.getcwd()
         os.chdir(work)                          # relative out_dir values land here
+        stderr = io.StringIO()
         try:
-            code = main(argv)
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
         finally:
             os.chdir(cwd)
         assert code in (0, 2, 3, 4, 5, 6)
+        if code not in (0, 4):
+            # one line of the exit code's kind, and no table or envelope
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(
+                KIND_OF_EXIT[code] + ": "), stderr.getvalue()
+            written = [path for path in work.rglob("*")
+                       if path.suffix in (".csv", ".json")
+                       and path.name != "meas.csv"]
+            assert written == []
         if code == 0:
             for path in work.rglob("*.csv"):
                 assert _non_finite_cells(path) == [], path

@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import os
 import threading
 import tracemalloc
 
@@ -217,37 +216,34 @@ class TestSde:
             assert np.array_equal(a.psd, b.psd)
             assert np.array_equal(a.stderr, b.stderr)
 
-    def test_concurrent_matches_serial(self, cav):
-        from concurrent.futures import ThreadPoolExecutor
-        for quadrature in ("sq", "anti"):
-            spec = _small_spec(cav, seed=18, duration=0.5 * 4096 * 10,
-                               n_trajectories=4, quadrature=quadrature)
-            serial = run_sde(spec, map_fn=map)
-            with ThreadPoolExecutor(4) as ex:
-                threaded = run_sde(spec, map_fn=ex.map)
-            assert np.array_equal(serial.psd, threaded.psd)
-            assert np.array_equal(serial.stderr, threaded.stderr)
-
     def test_default_map_matches_builtin(self, cav, monkeypatch):
-        # more trajectories than the pool's window of 2 per usable CPU
-        workers = len(os.sched_getaffinity(0))
-        for quadrature in ("sq", "anti"):
-            spec = _small_spec(cav, seed=19, duration=0.5 * 4096 * 2,
-                               n_trajectories=2 * workers + 3,
-                               quadrature=quadrature)
-            pooled = run_sde(spec)
-            serial = run_sde(spec, map_fn=map)
-            assert np.array_equal(pooled.psd, serial.psd)
-            assert np.array_equal(pooled.stderr, serial.stderr)
+        # a pool of 4 workers under 4 patched usable CPUs, on any host,
+        # against the builtin map under one; more trajectories than the
+        # pool's window of 2 per worker
+        windowed_map = oracle._windowed_map
+        pools = []
 
-        # on one usable CPU no thread starts
+        def windowed(workers, fn, items):
+            pools.append(workers)
+            return windowed_map(workers, fn, items)
+
         def no_thread(self):
             raise AssertionError("a thread started")
 
-        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        one = run_sde(spec)
-        assert np.array_equal(one.psd, serial.psd)
+        monkeypatch.setattr(oracle, "_windowed_map", windowed)
+        for quadrature in ("sq", "anti"):
+            spec = _small_spec(cav, seed=19, duration=0.5 * 4096 * 2,
+                               n_trajectories=2 * 4 + 3, quadrature=quadrature)
+            monkeypatch.setattr(oracle.os, "sched_getaffinity",
+                                lambda pid: set(range(4)))
+            pooled = run_sde(spec)
+            monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", no_thread)
+                serial = run_sde(spec)
+            assert np.array_equal(pooled.psd, serial.psd)
+            assert np.array_equal(pooled.stderr, serial.stderr)
+        assert pools == [4, 4]
 
     def test_window_bounded(self):
         # an endless iterator: the pool never holds more than 2 items per
@@ -269,22 +265,23 @@ class TestSde:
 
     @pytest.mark.parametrize("quadrature", ["sq", "anti"])
     def test_trajectory_memory(self, cav, quadrature):
-        # one trajectory of 2**20 steps: the three noise draws, 24 bytes a
-        # step, and one block's buffers, 4 bytes a step at this length; the
-        # kernel that held whole-trajectory arrays peaked at 32 bytes a step
+        # one trajectory of 2**20 steps, on the builtin map as on one CPU:
+        # the three noise draws, 24 bytes a step, and one block's buffers, 4
+        # bytes a step at this length; the kernel that held whole-trajectory
+        # arrays peaked at 32 bytes a step
         steps = 1 << 20
         spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
                            seed=29, duration=0.5 * steps, n_trajectories=1,
                            quadrature=quadrature)
         tracemalloc.start()
         try:
-            run_sde(spec, map_fn=map)
+            run_sde(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= spec.trajectory_bytes <= 28 * steps
 
-    def test_children_built_on_demand(self, cav):
+    def test_children_built_on_demand(self, cav, monkeypatch):
         # a list of 10**12 children would need hundreds of terabytes; the map
         # takes two, and they are spawn's first two.  The address-space cap
         # turns a regression into a MemoryError rather than a host-wide OOM
@@ -296,8 +293,9 @@ class TestSde:
             taken.extend(itertools.islice(children, 2))
             return map(fn, taken)
 
-        with address_space_headroom(1 << 30):
-            res = run_sde(spec, map_fn=first_two)
+        with monkeypatch.context() as m, address_space_headroom(1 << 30):
+            m.setattr(oracle, "_trajectory_map", lambda spec: first_two)
+            res = run_sde(spec)
         spawned = np.random.SeedSequence(23).spawn(2)
         assert [(c.entropy, c.spawn_key, c.pool_size) for c in taken] == \
             [(c.entropy, c.spawn_key, c.pool_size) for c in spawned]
