@@ -22,6 +22,7 @@ import configparser
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import sys
@@ -673,6 +674,9 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
     return 0
 
 
+# one parser per process: main may run many times in one process, and each
+# build costs about 0.5 ms of argparse set-up; parse_args keeps no state
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqzcavity",

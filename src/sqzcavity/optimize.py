@@ -83,6 +83,32 @@ class OptimizationResult:
     g_opt: float                       # normalized-gain coordinate -q_opt/q_th
 
 
+def _real_roots(polys: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row of a (P, N) coefficient array.
+
+    Row i holds np.roots(polys[i]).real followed by NaN, bit for bit: the
+    same trim of leading zeros (a degree drop) and trailing zeros (roots at
+    0), the same companion matrices, one np.linalg.eigvals call per span.
+    """
+    nonzero = polys != 0
+    n = polys.shape[1]
+    out = np.full((len(polys), n - 1), np.nan)
+    live = np.flatnonzero(nonzero.any(axis=1))      # an all-zero row has no roots
+    lead = np.argmax(nonzero[live], axis=1)
+    stop = n - np.argmax(nonzero[live, ::-1], axis=1)
+    for first, end in set(zip(lead.tolist(), stop.tolist())):
+        rows = live[(lead == first) & (stop == end)]
+        p = polys[rows, first:end]
+        k = end - first - 1
+        if k:
+            comp = np.zeros((len(rows), k, k))
+            comp[:, 1:, :-1] = np.eye(k - 1)
+            comp[:, 0] = -p[:, 1:] / p[:, :1]
+            out[rows, :k] = np.linalg.eigvals(comp).real
+        out[rows, k:k + n - end] = 0.0          # the trimmed trailing zeros
+    return out
+
+
 def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
                           chain: DecoherenceChain, omega: float = 0.0
                           ) -> OptimizationResult | list[OptimizationResult]:
@@ -119,19 +145,19 @@ def optimize_gain_numeric(cav: CavityParams, input_state: InputQuadratureState,
     s = np.atleast_2d(s)
     fits = np.polyfit(nodes, (s / s.max(axis=1, keepdims=True)
                               * np.polyval(d, nodes)).T, 4).T
-    cand = []
-    for p in fits:
-        numer = np.convolve(np.polyder(p), d) - np.convolve(p, dd)
-        # real parts of all roots: rounding can split the double root of a
-        # flat minimum into a complex pair
-        x = np.roots(numer).real
-        cand.append(np.concatenate(([-0.999 * q_th, 0.999 * q_th],
-                                    x[np.abs(x) < 0.999] * q_th)))
-    # pad each row with its first candidate: a padded entry equals entry 0,
-    # so it is never a row's first minimum
-    width = max(row.size for row in cand)
-    cand = np.array([np.concatenate((row, np.full(width - row.size, row[0])))
-                     for row in cand])
+    dfits = fits[:, :-1] * np.arange(4, 0, -1)          # np.polyder, row-wise
+    # one np.convolve per row: its BLAS dot contracts the two-term sums, so
+    # plain batched products would move the last bit of many numerators
+    numer = np.array([np.convolve(dp, d) - np.convolve(p, dd)
+                      for dp, p in zip(dfits, fits)])
+    # real parts of all roots: rounding can split the double root of a flat
+    # minimum into a complex pair
+    x = _real_roots(numer)
+    # a root outside the range, or none, repeats the row's first candidate,
+    # which is then never the row's first minimum
+    lo = -0.999 * q_th
+    cand = np.hstack((np.broadcast_to([lo, 0.999 * q_th], (len(x), 2)),
+                      np.where(np.abs(x) < 0.999, x * q_th, lo)))
     vals = objective(cand)
     at_min = np.arange(len(cand)), np.argmin(vals, axis=1)
     results = [OptimizationResult(q_opt=float(q_opt), s_opt=float(s_opt),

@@ -653,22 +653,23 @@ class TestOptimize:
 
     def test_degree_drop_at_huge_omega(self, tmp_path, capsys, monkeypatch):
         # at omega = 2e153, a = 1/(1 + (omega/q_th)**2) underflows to 0, so
-        # the stationary-point numerator's leading coefficient is exactly 0
-        # and the solve stands only because np.roots trims it (the second
-        # solve is the reconciliation's, at omega = 0); at 5e153 the
-        # objective overflows
-        leading = []
-        roots = np.roots
+        # the stationary-point numerator's two leading coefficients are
+        # exactly 0 and the solve stands only because the root solve trims
+        # them, as np.roots does: a (1, 3, 3) companion stack, not (1, 5, 5)
+        # (the second solve is the reconciliation's, at omega = 0); at 5e153
+        # the objective overflows
+        shapes = []
+        eigvals = np.linalg.eigvals
 
-        def spy(p):
-            leading.append(p[0])
-            return roots(p)
+        def spy(a):
+            shapes.append(a.shape)
+            return eigvals(a)
 
-        monkeypatch.setattr(np, "roots", spy)
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, analysis="omega = 2e153")
         assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 0
-        assert leading[0] == 0.0 and len(leading) == 2
+        assert shapes == [(1, 3, 3), (1, 5, 5)]
         opt = json.loads((out / "optimize.json").read_text())
         assert opt["results"]["optimization"]["s_opt"] == \
             pytest.approx(1.0887e307, rel=1e-4)
@@ -1285,6 +1286,33 @@ class TestReproducibility:
         assert env["seed"] == 777
         assert env["config"]["run"]["seed"] == "777"
 
+    def test_one_parser_carries_nothing_between_calls(self, tmp_path):
+        # main builds its parser once per process, so an option given to one
+        # call must not reach the next
+        assert sqzcavity.cli.build_parser() is sqzcavity.cli.build_parser()
+        cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 16\n"
+                                           "sde = false\n")
+        out = tmp_path / "v"
+
+        def verify(*options, after=()):
+            code = main(["--config", str(cfg), "--out", str(out), *options,
+                         "verify", *after])
+            return code, json.loads((out / "verify_report.json").read_text())
+
+        code, env = verify(after=["--inject-fault"])
+        assert code == 4 and env["results"]["fault_injected"] is True
+        code, env = verify()
+        assert code == 0 and env["results"]["fault_injected"] is False
+        code, env = verify("--stamp")
+        assert code == 0 and env["timestamp"] is not None
+        code, env = verify()
+        assert code == 0 and env["timestamp"] is None
+        code, env = verify("--seed", "7")
+        assert code == 0 and env["seed"] == 7
+        code, env = verify()
+        assert code == 0 and env["seed"] == 1234
+        assert env["config"]["run"]["seed"] == "1234"
+
     def test_format_selection(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "fmt"
@@ -1372,6 +1400,12 @@ TABLE_EDGE_VALUES = EDGE_VALUES + ("1e-320",)
 # command-line overrides, each drawn or left out
 OPTION_EDGE_VALUES = {"--seed": ("-1", "0", str(2**63)),
                       "--format": ("csv", "json", "xml", "")}
+# --out, relative to the example's work directory: an existing regular file,
+# a path beneath it, a fresh nested directory
+OUT_EDGE_VALUES = ("blocker", "blocker/out", "fresh/nested/out")
+# a verify run small enough to fuzz with its SDE checks on
+TINY_SDE = {"sde": "true", "sde_trajectories": "2", "sde_duration": "4096",
+            "sde_segment_length": "256"}
 # the one-line message's kind per exit code
 KIND_OF_EXIT = {code: kind for _, kind, code in ERROR_KINDS}
 
@@ -1414,7 +1448,8 @@ class TestConfigMutation:
         work = tmp_path_factory.mktemp("fuzz")
         cp["run"]["out_dir"] = str(work / "out")
         if command == "verify":
-            cp["verify"]["sde"] = "false"
+            cp["verify"].update(TINY_SDE if data.draw(st.booleans())
+                                else {"sde": "false"})
         if command == "spectrum":
             # no shipped config sets the physical-scale keys
             cp["cavity"].update(fsr_hz="1e9", wavelength_m="1.064e-06",
@@ -1434,6 +1469,9 @@ class TestConfigMutation:
             value = data.draw(st.sampled_from((None,) + values))
             if value is not None:
                 argv += [option, value]
+        out = data.draw(st.sampled_from((None,) + OUT_EDGE_VALUES))
+        if out is not None:
+            argv += ["--out", str(work / out)]
         argv.append(command)
         if command == "calibrate":
             # one cell of the measurement table set to an edge value too

@@ -23,6 +23,7 @@ from sqzcavity import (
     optimize_gain_numeric,
     snr_gain_db,
 )
+from sqzcavity.optimize import _real_roots
 from conftest import pure_sensitivity, qcrb, reference_optimize_gain
 
 BETA_105 = 11.22  # reference external squeezing strength
@@ -235,6 +236,30 @@ class TestPerRowSolve:
         assert optimize_gain_numeric(cav, state, chain, omega) == expected
         assert [optimize_gain_numeric(cav, st_, ch, omega)
                 for st_, ch in scalar] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 7))
+    def test_batched_roots_equal_np_roots(self, data, width):
+        # rows of one width: each scaled by e^(+-40), with its own runs of
+        # leading and trailing zeros, so one batch mixes trimmed spans and
+        # may hold all-zero rows
+        coeff = st.one_of(st.just(0.0), st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            scale = np.exp(data.draw(st.floats(-40.0, 40.0)))
+            row = [data.draw(coeff) * scale for _ in range(width)]
+            lead = data.draw(st.integers(0, width))
+            trail = data.draw(st.integers(0, width - lead))
+            row[:lead] = [0.0] * lead
+            row[width - trail:] = [0.0] * trail
+            rows.append(row)
+        polys = np.array(rows)
+        out = _real_roots(polys)
+        assert out.shape == (len(rows), width - 1)
+        for p, got in zip(polys, out):
+            want = np.roots(p).real
+            assert np.array_equal(got[:want.size], want)
+            assert np.isnan(got[want.size:]).all()
 
     def test_scalar_call_returns_one_result(self, cav, state_105, chain_jitter):
         res = optimize_gain_numeric(cav, state_105, chain_jitter, 0.0)
