@@ -36,8 +36,11 @@ from .sensor import (
 
 _QUADRATURES = ("sq", "anti")
 
-# SDE band scored, in Omega: there discretization bias is negligible versus
-# the statistical error
+# SDE band scored, in Omega.  The discretization bias is not negligible in
+# it: at verify.ini's sizes the scheme's largest bias against the closed form,
+# 7.2e-3 relative (squeezed_passive), lies inside the band, where 56 bins near
+# Omega = 0.15 are off by 0.25 to 0.57 standard errors.  ROADMAP item 14 picks
+# the scored bins from the scheme's exact expected periodogram instead
 _SDE_BAND_CUTOFF = 3.0
 SDE_Z_LIMIT = 3.0             # |z| a scored SDE bin may reach
 _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
@@ -46,7 +49,7 @@ _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 # many samples, so that a block's float64 buffers stay in cache
 _BLOCK_SAMPLES = 1 << 16
 # bytes of a block's buffers at their peak, per block sample: tracemalloc
-# measured 32 to 59 over segment lengths of 8 to 2**19
+# measured 20 to 44 over segment lengths of 8 to 2**19
 _BLOCK_BYTES_PER_SAMPLE = 64
 
 
@@ -216,9 +219,9 @@ class SdeRunSpec:
 
     @property
     def trajectory_bytes(self) -> int:
-        """Peak bytes of one trajectory of run_sde: its noise draws, three
+        """Peak bytes of one trajectory of run_sde: its noise draws, two
         float64 a step, and one block's buffers."""
-        return (24 * self.steps_per_trajectory + _BLOCK_BYTES_PER_SAMPLE
+        return (16 * self.steps_per_trajectory + _BLOCK_BYTES_PER_SAMPLE
                 * _block_samples(self.segment_length))
 
     @property
@@ -283,17 +286,40 @@ def _trajectory_map(spec: SdeRunSpec) -> Callable:
     return functools.partial(_windowed_map, workers)
 
 
+def _increment_factor(kc, kl, v_in, dt, eps_read) -> tuple[float, float, float]:
+    """Cholesky factor (c_w, c_u1, c_u2) of one step's increment pair.
+
+    Per step, the state increment w = sqrt(2 kc dt v) xi + sqrt(2 kl dt) eta
+    and the detected noise u = -sqrt((1-eps) v/dt) xi + sqrt(eps/dt) zeta,
+    from three independent normals, form a 2-D Gaussian pair independent from
+    step to step.  Two normals n1, n2 give the same pair as
+    w = c_w n1, u = c_u1 n1 + c_u2 n2.  The Schur complement under c_u2 is
+    written as a sum of non-negative terms, Var(u) - c_u1^2 without the
+    cancellation.
+    """
+    c_w = math.sqrt(2.0 * kc * dt * v_in + 2.0 * kl * dt)
+    c_u1 = -v_in * math.sqrt(2.0 * kc * (1.0 - eps_read)) / c_w
+    c_u2 = math.sqrt((1.0 - eps_read) * (v_in / dt) * kl / (kc * v_in + kl)
+                     + eps_read / dt)
+    return c_w, c_u1, c_u2
+
+
 def run_sde(spec: SdeRunSpec) -> SdeResult:
     """Integrate the Langevin equation of spec.quadrature and estimate its
     detected power spectrum with per-bin standard errors from Hann-windowed
     consecutive segments.
 
     The state update is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k from
-    X_0 drawn from its discrete stationary distribution, and the output uses
-    the interval-averaged state (X_k + X_{k+1})/2 together with the reflected
-    input increment.  This trapezoidal output sampling makes the all-vacuum
-    passive output exactly white and the zero-frequency bin exactly unbiased
-    for any stable dt.
+    X_0 drawn from its discrete stationary distribution, and the output
+    y_k = sqrt(2 kc (1-eps)) (X_k + X_{k+1})/2 + u_k uses the
+    interval-averaged state together with the reflected input increment and
+    the readout vacuum, both in u_k.  This trapezoidal output sampling makes
+    the all-vacuum passive output exactly white, and the spectral density at
+    zero frequency exactly unbiased, for any stable dt.  The Hann-windowed
+    estimate of bin 0 is not: the window's leakage biases it, by 5.0e-4
+    relative in verify.ini's squeezed check.  Each step's pair (w_k, u_k)
+    comes from two normals through _increment_factor: Euler-Maruyama with
+    correlated increments (Kloeden & Platen 1992, sec. 10.2).
 
     Each trajectory draws its noise at once, then walks its whole segments
     in blocks of about 2**16 samples, carrying the filter state and the last
@@ -301,12 +327,12 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     of the whole-trajectory reference kernel in the tests, so blocking does
     not change a bit.
 
-    Trajectory i draws from spawn's i-th child of the master seed, built
-    only when the map reaches it, and the trajectories are reduced in order,
-    so the result does not depend on the map: one thread per usable CPU
-    (restrict the CPUs with taskset), the builtin map on one.  Each stream
-    draws the readout quadrature's noise first, so a quadrature's estimate
-    does not depend on which one a run selects.
+    Trajectory i of quadrature k (its index in ("sq", "anti")) draws from
+    SeedSequence(seed, spawn_key=(i, k)): first the (2, n) normals (n1, n2),
+    then X_0.  The streams are built only when the map reaches them, and the
+    trajectories are reduced in order, so the result does not depend on the
+    map: one thread per usable CPU (restrict the CPUs with taskset), the
+    builtin map on one.
     """
     cav = spec.cavity
     kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
@@ -320,19 +346,18 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     win = np.hanning(length)
     win_power = (win * win).sum()
     a = 1.0 - lam * dt
+    c_w, c_u1, c_u2 = _increment_factor(kc, kl, v_in, dt, eps_read)
+    c_y = math.sqrt(2.0 * kc * (1.0 - eps_read))
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
-    # a generator: a list of every child would take about 370 bytes each
-    seeds = (np.random.SeedSequence(spec.seed, spawn_key=(i,))
+    k = _QUADRATURES.index(spec.quadrature)
+    # a generator: a list of every stream would take about 370 bytes each
+    seeds = (np.random.SeedSequence(spec.seed, spawn_key=(i, k))
              for i in range(spec.n_trajectories))
     n_bins = length // 2 + 1
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
-        draws = rng.standard_normal((3, n))
-        if spec.quadrature == "anti":     # skip the readout's draws and X_0
-            rng.standard_normal()
-            rng.standard_normal(out=draws)
-        xi, eta, zeta = draws
+        n1, n2 = rng.standard_normal((2, n))
         x0 = math.sqrt(sig2) * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
         z = np.array([a * x0])                 # filter state: X_1 = a*X_0 + w_0
@@ -340,10 +365,12 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
         for k0 in range(0, n_used, block):
             k1 = min(k0 + block, n_used)
             # no later block reads this block's draws: they are scaled in place
-            w = math.sqrt(2.0 * kc * dt * v_in) * xi[k0:k1]
-            eta_b = eta[k0:k1]
-            eta_b *= math.sqrt(2.0 * kl * dt)
-            w += eta_b
+            u = c_u1 * n1[k0:k1]
+            n2_b = n2[k0:k1]
+            n2_b *= c_u2
+            u += n2_b
+            w = n1[k0:k1]
+            w *= c_w
             x_next, z = lfilter([1.0], [1.0, -a], w, zi=z)   # X_{k0+1} ..
             x = w                              # w is spent: x_mid in its place
             # a block starts a segment, whose first sample the Hann window
@@ -355,14 +382,9 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
             x += x_next                        # x_mid = (x + x_next)/2
             del x_next
             x *= 0.5
-            x *= math.sqrt(2.0 * kc)           # b_out
-            xi_b = xi[k0:k1]
-            xi_b *= math.sqrt(v_in / dt)
-            x -= xi_b
-            x *= math.sqrt(1.0 - eps_read)     # readout mix
-            zeta_b = zeta[k0:k1]
-            zeta_b *= math.sqrt(eps_read / dt)
-            x += zeta_b
+            x *= c_y
+            x += u
+            del u
             segs = x.reshape(-1, length)
             segs *= win
             p = (np.abs(np.fft.rfft(segs, axis=1)) ** 2) * dt / win_power

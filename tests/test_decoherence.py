@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 
 from sqzcavity import (
     CavityParams,
@@ -14,6 +15,7 @@ from sqzcavity import (
     InputQuadratureState,
     SingularResponseError,
     anti_quadrature_noise_spectrum,
+    assemble_transfer,
     input_state_from_source,
     jitter_mixing_weight,
     jittered_signal_factor,
@@ -247,6 +249,69 @@ class TestMeasuredSensitivity:
         expected = s_eff / (t2 * jittered_signal_factor(0.05))
         assert measured_sensitivity(cav, q, state_105, chain_jitter, 0.0) == \
             pytest.approx(expected, rel=1e-14)
+
+
+# Gauss-Hermite rule for E[f(x)], x ~ N(0, 1): 20 nodes integrate the
+# smooth functions of theta = theta_rms*x below to about 1e-15 for theta_rms
+# up to 0.5
+_GH_NODES, _GH_WEIGHTS = hermegauss(20)
+_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(2.0 * math.pi)
+
+
+def _composed_sensitivity(t_c, eps_int, q, squeeze_db, eps_inj, theta_rms,
+                          eps_read, omega, jitter_model):
+    """measured_sensitivity by another route: the transfer-matrix composition
+    of the oracle, the injection loss as a beamsplitter on the source's
+    variances, and an explicit average over theta ~ N(0, theta_rms^2).
+    pump_frame rotates the detected frame against the cavity's quadratures,
+    input_frame rotates the input state; in both the signal amplitude
+    carries cos(theta), so its power carries E[cos theta]^2."""
+    t, r = math.sqrt(1.0 - eps_inj), math.sqrt(eps_inj)   # beamsplitter
+    v_src = np.array([10.0 ** (-squeeze_db / 10.0), 10.0 ** (squeeze_db / 10.0)])
+    v_sq, v_anti = t * t * v_src + r * r                  # vacuum at the other port
+    tr = assemble_transfer(CavityParams(t_c, eps_int), q, eps_read, omega)
+    theta = theta_rms * _GH_NODES
+    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    if jitter_model == "pump_frame":
+        out_sq, out_anti = tr.detected_noise(InputQuadratureState(v_sq, v_anti))[0]
+        noise = cos2 * out_sq + sin2 * out_anti
+    else:
+        v_rot = cos2 * v_sq + sin2 * v_anti
+        noise = (np.abs(tr.coupler[0, 0]) ** 2 * v_rot
+                 + np.abs(tr.internal_loss[0, 0]) ** 2
+                 + np.abs(tr.readout[0, 0]) ** 2)
+    signal = tr.signal_transfer_power()[0] * (_GH_WEIGHTS @ np.cos(theta)) ** 2
+    return (_GH_WEIGHTS @ noise) / signal
+
+
+class TestIndependentChain:
+    # |q| <= q_th/2 and squeeze_db <= 10 keep the closed form's own rounding
+    # below 2e-13 on lossless corners; past them, S's cancellation toward
+    # threshold (ROADMAP item 4) and the jitter weight's 1 - e^(-2 theta^2)
+    # at small theta_rms pass 1e-12 before the chain does anything wrong
+    @example(t_c=0.11, eps_int=0.012, q_frac=0.07, squeeze_db=10.0,
+             eps_inj=0.08, theta_rms=0.05, eps_read=0.10, omega=0.0,
+             jitter_model="pump_frame")
+    @example(t_c=0.11, eps_int=0.0, q_frac=-0.5, squeeze_db=10.0, eps_inj=0.5,
+             theta_rms=0.5, eps_read=0.0, omega=1.0, jitter_model="input_frame")
+    @settings(max_examples=300, deadline=None)
+    @given(t_c=st.floats(1e-3, 0.2), eps_int=st.just(0.0) | st.floats(0.0, 0.2),
+           q_frac=st.floats(-0.5, 0.5), squeeze_db=st.floats(0.0, 10.0),
+           eps_inj=st.floats(0.0, 0.5), theta_rms=st.floats(0.0, 0.5),
+           eps_read=st.floats(0.0, 0.5), omega=st.just(0.0) | st.floats(0.0, 1.0),
+           jitter_model=st.sampled_from(["pump_frame", "input_frame"]))
+    def test_matches_composed_average(self, t_c, eps_int, q_frac, squeeze_db,
+                                      eps_inj, theta_rms, eps_read, omega,
+                                      jitter_model):
+        cav = CavityParams(t_c, eps_int)
+        q = q_frac * cav.q_threshold
+        chain = DecoherenceChain(eps_inj, theta_rms, eps_read, jitter_model)
+        state = input_state_from_source(ExternalSqueezeSource(squeeze_db), eps_inj)
+        got = measured_sensitivity(cav, q, state, chain, omega)
+        assert got == pytest.approx(
+            _composed_sensitivity(t_c, eps_int, q, squeeze_db, eps_inj,
+                                  theta_rms, eps_read, omega, jitter_model),
+            rel=1e-12, abs=0)
 
 
 def _shape_mismatches(t_c, eps_int, rows, omega, jitter_model):

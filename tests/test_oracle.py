@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqzcavity import (
     CavityParams,
@@ -97,16 +99,21 @@ def _small_spec(cav, q=0.0, v=(1.0, 1.0), eps_read=0.0, seed=99, **kw):
 
 def _reference_sde(spec):
     """Both quadratures of every trajectory, simulated and segmented the
-    straightforward way: the defining recursion X_{k+1} = a*X_k + w_k from
-    X_0, one step at a time in Python floats, and fancy-index Hann-windowed
-    segments with hop = length.  run_sde must reproduce each quadrature bit
-    for bit."""
+    straightforward way: quadrature k of trajectory i from its own stream
+    SeedSequence(seed, spawn_key=(i, k)), the (2, n) normals n1, n2 and then
+    X_0; the increment pair w = c_w n1, u = c_u1 n1 + c_u2 n2; the defining
+    recursion X_{k+1} = a*X_k + w_k from X_0, one step at a time in Python
+    floats; and fancy-index Hann-windowed segments with hop = length.
+    run_sde must reproduce each quadrature bit for bit."""
     def simulate(rng, n, dt, kc, kl, lam, v_in, eps_read):
-        xi = rng.standard_normal(n)
-        eta = rng.standard_normal(n)
-        zeta = rng.standard_normal(n)
+        n1, n2 = rng.standard_normal((2, n))
         a = 1.0 - lam * dt
-        w = math.sqrt(2.0 * kc * dt * v_in) * xi + math.sqrt(2.0 * kl * dt) * eta
+        c_w = math.sqrt(2.0 * kc * dt * v_in + 2.0 * kl * dt)
+        c_u1 = -v_in * math.sqrt(2.0 * kc * (1.0 - eps_read)) / c_w
+        c_u2 = math.sqrt((1.0 - eps_read) * (v_in / dt) * kl / (kc * v_in + kl)
+                         + eps_read / dt)
+        w = c_w * n1
+        u = c_u1 * n1 + c_u2 * n2
         sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
         x0 = math.sqrt(sig2) * rng.standard_normal()
         states = [x0]
@@ -117,9 +124,7 @@ def _reference_sde(spec):
         x[0] = x0
         x[1:] = x_next[:-1]
         x_mid = 0.5 * (x + x_next)
-        b_out = math.sqrt(2.0 * kc) * x_mid - math.sqrt(v_in / dt) * xi
-        return (math.sqrt(1.0 - eps_read) * b_out
-                + math.sqrt(eps_read / dt) * zeta)
+        return math.sqrt(2.0 * kc * (1.0 - eps_read)) * x_mid + u
 
     def periodograms(x, length, hop, win, dt):
         n_seg = 1 + (x.size - length) // hop
@@ -133,28 +138,25 @@ def _reference_sde(spec):
     length = spec.segment_length
     hop = length
     win = np.hanning(length)
-    sums = [np.zeros(length // 2 + 1) for _ in range(4)]
-    n_seg = 0
-    for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trajectories):
-        rng = np.random.default_rng(child)
-        b_sq = simulate(rng, n, spec.dt, kc, kl, kc + kl + g,
-                        spec.input_state.v_sq, spec.eps_read)
-        p_sq = periodograms(b_sq, length, hop, win, spec.dt)
-        b_anti = simulate(rng, n, spec.dt, kc, kl, kc + kl - g,
-                          spec.input_state.v_anti, spec.eps_read)
-        p_anti = periodograms(b_anti, length, hop, win, spec.dt)
-        for acc, inc in zip(sums, (p_sq.sum(axis=0), (p_sq**2).sum(axis=0),
-                                   p_anti.sum(axis=0), (p_anti**2).sum(axis=0))):
-            acc += inc
-        n_seg += p_sq.shape[0]
-
-    def mean_se(s1, s2):
+    out = {}
+    for k, (quadrature, lam, v_in) in enumerate((
+            ("sq", kc + kl + g, spec.input_state.v_sq),
+            ("anti", kc + kl - g, spec.input_state.v_anti))):
+        s1, s2 = np.zeros(length // 2 + 1), np.zeros(length // 2 + 1)
+        n_seg = 0
+        for i in range(spec.n_trajectories):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(spec.seed, spawn_key=(i, k)))
+            p = periodograms(simulate(rng, n, spec.dt, kc, kl, lam, v_in,
+                                      spec.eps_read), length, hop, win, spec.dt)
+            s1 += p.sum(axis=0)
+            s2 += (p**2).sum(axis=0)
+            n_seg += p.shape[0]
         mean = s1 / n_seg
         var = (s2 - n_seg * mean**2) / (n_seg - 1)
-        return mean, np.sqrt(np.maximum(var, 0.0) / n_seg)
-
-    return {"sq": mean_se(sums[0], sums[1]), "anti": mean_se(sums[2], sums[3]),
-            "n_segments": n_seg}
+        out[quadrature] = (mean, np.sqrt(np.maximum(var, 0.0) / n_seg))
+    out["n_segments"] = n_seg
+    return out
 
 
 class TestSde:
@@ -206,6 +208,31 @@ class TestSde:
             assert np.array_equal(res.psd, psd)
             assert np.array_equal(res.stderr, stderr)
             assert res.n_segments == ref["n_segments"]
+
+    # the 3-normal increments w = sqrt(2 kc dt v) xi + sqrt(2 kl dt) eta and
+    # u = -sqrt((1-eps) v/dt) xi + sqrt(eps/dt) zeta, against the two-normal
+    # factor: the same variances and covariance to a few ulps, lossless
+    # cavity, perfect readout and v >> 1 included
+    @example(t_c=0.11, eps_int=0.0, v=10.4, eps_read=0.0, dt=0.5)
+    @example(t_c=0.11, eps_int=0.012, v=1e12, eps_read=0.0, dt=0.5)
+    @example(t_c=1e-4, eps_int=0.2, v=0.05, eps_read=0.99, dt=1e-6)
+    @settings(max_examples=300, deadline=None)
+    @given(t_c=st.floats(1e-4, 0.2),
+           eps_int=st.just(0.0) | st.floats(0.0, 0.2),
+           v=st.floats(0.05, 12.0) | st.floats(1.0, 1e12),
+           eps_read=st.just(0.0) | st.floats(0.0, 0.99),
+           dt=st.floats(1e-6, 0.5))
+    def test_increment_factor_covariance(self, t_c, eps_int, v, eps_read, dt):
+        kc, kl = t_c / 2.0, eps_int / 2.0
+        c_w, c_u1, c_u2 = oracle._increment_factor(kc, kl, v, dt, eps_read)
+        w_xi, w_eta = math.sqrt(2.0 * kc * dt * v), math.sqrt(2.0 * kl * dt)
+        u_xi = -math.sqrt((1.0 - eps_read) * v / dt)
+        u_zeta = math.sqrt(eps_read / dt)
+        ulps = 8 * np.finfo(float).eps
+        assert c_w * c_w == pytest.approx(w_xi**2 + w_eta**2, rel=ulps, abs=0)
+        assert c_u1 * c_w == pytest.approx(w_xi * u_xi, rel=ulps, abs=0)
+        assert c_u1 * c_u1 + c_u2 * c_u2 == \
+            pytest.approx(u_xi**2 + u_zeta**2, rel=ulps, abs=0)
 
     def test_deterministic_under_seed(self, cav):
         for quadrature in ("sq", "anti"):
@@ -266,9 +293,9 @@ class TestSde:
     @pytest.mark.parametrize("quadrature", ["sq", "anti"])
     def test_trajectory_memory(self, cav, quadrature):
         # one trajectory of 2**20 steps, on the builtin map as on one CPU:
-        # the three noise draws, 24 bytes a step, and one block's buffers, 4
-        # bytes a step at this length; the kernel that held whole-trajectory
-        # arrays peaked at 32 bytes a step
+        # the two noise draws, 16 bytes a step, and one block's buffers, 4
+        # bytes a step at this length; three draws a step would need 28, and
+        # the kernel that held whole-trajectory arrays peaked at 32
         steps = 1 << 20
         spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
                            seed=29, duration=0.5 * steps, n_trajectories=1,
@@ -279,11 +306,12 @@ class TestSde:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= spec.trajectory_bytes <= 28 * steps
+        assert peak <= spec.trajectory_bytes <= 20 * steps
 
     def test_children_built_on_demand(self, cav, monkeypatch):
-        # a list of 10**12 children would need hundreds of terabytes; the map
-        # takes two, and they are spawn's first two.  The address-space cap
+        # a list of 10**12 streams would need hundreds of terabytes; the map
+        # takes two, and they are the readout quadrature's streams of
+        # trajectories 0 and 1.  The address-space cap
         # turns a regression into a MemoryError rather than a host-wide OOM
         spec = _small_spec(cav, seed=23, duration=0.5 * 4096 * 2,
                            n_trajectories=10**12)
@@ -296,7 +324,8 @@ class TestSde:
         with monkeypatch.context() as m, address_space_headroom(1 << 30):
             m.setattr(oracle, "_trajectory_map", lambda spec: first_two)
             res = run_sde(spec)
-        spawned = np.random.SeedSequence(23).spawn(2)
+        spawned = [np.random.SeedSequence(23, spawn_key=(i, 0))
+                   for i in range(2)]
         assert [(c.entropy, c.spawn_key, c.pool_size) for c in taken] == \
             [(c.entropy, c.spawn_key, c.pool_size) for c in spawned]
         for child, ref in zip(taken, spawned):
