@@ -96,6 +96,8 @@ ABSOLUTE_ENHANCEMENT_NOTE = (
 # points: about 480 bytes for spectrum's omega_grid, 310 for verify's
 # grid_points and 300 for figure3's g_grid (per panel); the check takes the largest
 _GRID_POINT_BYTES = 480
+# json.dumps(indent=2, sort_keys=True); an envelope holds no cycles
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -396,7 +398,7 @@ def _text_cell(value) -> str:
 
 class OutputWriter:
     """Collects a command's tables and JSON envelopes; main writes them only
-    after the command returns, each file in one write."""
+    after the command returns: flush renders every file, then writes each."""
 
     def __init__(self, cfg: RunConfig, command: str, stamp: bool):
         self.cfg = cfg
@@ -407,12 +409,14 @@ class OutputWriter:
         self._json: list[tuple[str, dict]] = []
 
     def add_table(self, name: str, header: list[str], columns: list):
-        """columns hold one sequence per header entry.  flush formats each
-        distinct column object once, so tables that share a column object
-        share its text."""
+        """columns hold one equal-length sequence per header entry.  flush
+        formats each distinct column object once, so tables that share a
+        column object share its text."""
         if len(columns) != len(header):
             raise ValueError(f"table {name}: {len(header)} header entries, "
                              f"{len(columns)} columns")
+        if len({len(c) for c in columns}) > 1:
+            raise ValueError(f"table {name}: columns differ in length")
         self._csv.append((name, header, columns))
 
     def add_envelope(self, name: str, results: dict, warnings: list[str]):
@@ -431,34 +435,30 @@ class OutputWriter:
         }))
 
     def flush(self) -> list[Path]:
-        written = []
+        files: list[tuple[Path, str]] = []
+        if "csv" in self.cfg.formats:
+            # keyed on identity, never on value: 0.0 == -0.0, nan != nan;
+            # every column stays alive in self._csv, so no id is reused
+            texts: dict[int, list[str]] = {}
+            for name, header, columns in self._csv:
+                for obj in (header, *columns):
+                    if id(obj) not in texts:
+                        texts[id(obj)] = _csv_cells(obj)
+                cells = [texts[id(col)] for col in columns]
+                lines = map(",".join, [texts[id(header)], *zip(*cells)])
+                # csv.writer's excel dialect ends every row with \r\n
+                files.append((self.out_dir / f"{name}.csv", "\r\n".join(lines) + "\r\n"))
+        if "json" in self.cfg.formats:
+            files += [(self.out_dir / f"{name}.json", _JSON_ENCODER.encode(env) + "\n")
+                      for name, env in self._json]
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            if "csv" in self.cfg.formats:
-                # keyed on identity, never on value: 0.0 == -0.0, nan != nan;
-                # every column stays alive in self._csv, so no id is reused
-                texts: dict[int, list[str]] = {}
-                for name, header, columns in self._csv:
-                    for obj in (header, *columns):
-                        if id(obj) not in texts:
-                            texts[id(obj)] = _csv_cells(obj)
-                    cells = [texts[id(col)] for col in columns]
-                    if len({len(c) for c in cells}) > 1:
-                        raise ValueError(f"table {name}: columns differ in length")
-                    lines = map(",".join, [texts[id(header)], *zip(*cells)])
-                    p = self.out_dir / f"{name}.csv"
-                    # csv.writer's excel dialect ends every row with \r\n
-                    p.write_text("\r\n".join(lines) + "\r\n", newline="")
-                    written.append(p)
-            if "json" in self.cfg.formats:
-                for name, envelope in self._json:
-                    p = self.out_dir / f"{name}.json"
-                    p.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-                    written.append(p)
+            for path, text in files:
+                path.write_bytes(text.encode())
         except OSError as exc:
             raise ConfigError(f"cannot write outputs to {self.out_dir}: "
                               f"{exc.strerror or exc}") from exc
-        return written
+        return [path for path, _ in files]
 
 
 def _collect_warnings(cfg: RunConfig, q: float) -> list[str]:

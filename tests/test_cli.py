@@ -1165,11 +1165,11 @@ class TestCalibrate:
             assert not out.exists()
 
 
-def _table_writer(tmp_path) -> OutputWriter:
-    """A csv-only writer into tmp_path/out."""
+def _table_writer(tmp_path, formats=("csv",)) -> OutputWriter:
+    """A writer of the given formats into tmp_path/out."""
     cfg = load_config(write_config(tmp_path))
     return OutputWriter(replace(cfg, out_dir=str(tmp_path / "out"),
-                                formats=("csv",)), "spectrum", stamp=False)
+                                formats=formats), "spectrum", stamp=False)
 
 
 def _csv_writer_text(header, columns) -> str:
@@ -1209,6 +1209,17 @@ def _tables(draw):
     return [f"c{k}" for k in range(len(columns))], columns
 
 
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from(_EDGE_FLOATS), st.text(max_size=8),
+              st.sampled_from(["ε_read", "θ_rms", "∞", "naïve", "\u2028"])),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=4)),
+    max_leaves=20)
+
+
 def _csv_would_quote_or_blank(value) -> bool:
     """Whether csv.writer quotes the cell, or writes it blank, in a row of
     two cells."""
@@ -1236,6 +1247,31 @@ class TestOutputWriter:
         (path,) = writer.flush()
         assert path.read_bytes().decode() == _csv_writer_text(header, columns)
 
+    @settings(max_examples=150, deadline=None)
+    @given(results=st.dictionaries(st.text(max_size=6), _JSON_VALUES,
+                                   max_size=5),
+           warnings=st.lists(st.text(max_size=8), max_size=3))
+    def test_matches_json_dumps(self, tmp_path_factory, results, warnings):
+        # the acyclic encoder writes what json.dumps writes, as UTF-8 bytes
+        writer = _table_writer(tmp_path_factory.mktemp("envelope"),
+                               formats=("json",))
+        writer.add_envelope("e", results, warnings)
+        ((_, envelope),) = writer._json
+        (path,) = writer.flush()
+        expected = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_nothing_written_on_a_render_failure(self, tmp_path):
+        # flush renders every file before it writes one, so a table that
+        # fails to format leaves out_dir without the tables before it
+        writer = _table_writer(tmp_path, formats=("csv", "json"))
+        writer.add_table("good", ["a"], [[1.0]])
+        writer.add_table("bad", ["a"], [["a,b"]])
+        writer.add_envelope("e", {}, [])
+        with pytest.raises(ValueError, match="would be quoted or blank"):
+            writer.flush()
+        assert not any((tmp_path / "out").glob("*"))
+
     def test_columns_keyed_on_identity(self, tmp_path):
         # equal values, distinct objects: a value-keyed cache would write
         # the first column's text for both
@@ -1248,9 +1284,9 @@ class TestOutputWriter:
         writer = _table_writer(tmp_path)
         with pytest.raises(ValueError, match="2 header entries, 1 columns"):
             writer.add_table("t", ["a", "b"], [[1.0]])
-        writer.add_table("t", ["a", "b"], [[1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="columns differ in length"):
-            writer.flush()
+            writer.add_table("t", ["a", "b"], [[1.0], [1.0, 2.0]])
+        assert writer.flush() == []
 
 
 class TestReproducibility:
