@@ -2,7 +2,7 @@
 sensors combining injected squeezed vacuum with an intracavity squeeze
 operation."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .calibrate import (
     FitModel,

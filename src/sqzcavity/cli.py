@@ -240,10 +240,13 @@ def load_config(path: str | Path, seed: int | None = None,
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    # a leading UTF-8 byte-order mark is not text; configparser names the
+    # file by its repr, and its messages run over several lines, folded here
     try:
-        cp.read(path, encoding="utf-8")
+        cp.read(str(path), encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        raise ConfigError("cannot parse config: "
+                          + " ".join(str(exc).split())) from exc
 
     echo = {s: dict(cp[s]) for s in cp.sections()}
     for section, given in echo.items():
@@ -614,7 +617,7 @@ def _load_measurements(path: str | Path) -> list[VariancePair]:
         raise ConfigError(f"measurement file not found: {path}")
     expected = ["pump_setting", "V_sq", "V_anti", "err_sq", "err_anti"]
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

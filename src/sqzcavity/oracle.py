@@ -36,13 +36,7 @@ from .sensor import (
 
 _QUADRATURES = ("sq", "anti")
 
-# SDE band scored, in Omega.  The discretization bias is not negligible in
-# it: at verify.ini's sizes the scheme's largest bias against the closed form,
-# 7.2e-3 relative (squeezed_passive), lies inside the band, where 56 bins near
-# Omega = 0.15 are off by 0.25 to 0.57 standard errors.  ROADMAP item 14 picks
-# the scored bins from the scheme's exact expected periodogram instead
-_SDE_BAND_CUTOFF = 3.0
-SDE_Z_LIMIT = 3.0             # |z| a scored SDE bin may reach
+SDE_Z_LIMIT = 3.0             # |z| an SDE bin may reach
 _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 
 # the SDE kernel walks a trajectory in blocks of whole segments of about this
@@ -429,7 +423,7 @@ class SdeComparison:
     stderr_rel_zero: float
     z_zero: float
     frac_abs_z_above_3: float
-    band_cutoff: float
+    band_cutoff: float      # top of the scored range: the last bin's Omega
     passed: bool
 
 
@@ -485,9 +479,8 @@ def compare_sde(spec: SdeRunSpec, label: str,
     """Run the stochastic oracle on spec.quadrature and score its spectrum
     against that quadrature's closed form.
 
-    The zero-frequency bin must agree within SDE_Z_LIMIT standard errors;
-    across the band below _SDE_BAND_CUTOFF no more than 1 percent of bins may
-    exceed |z| = SDE_Z_LIMIT.
+    The zero-frequency bin must agree within SDE_Z_LIMIT standard errors, and
+    no more than 1 percent of all periodogram bins may exceed |z| = SDE_Z_LIMIT.
     """
     res = run_sde(spec)
     est, se = res.psd, res.stderr
@@ -495,15 +488,14 @@ def compare_sde(spec: SdeRunSpec, label: str,
     target = quadrature_noise_spectrum(spec.cavity, gain, v_in, spec.eps_read,
                                        res.omega) + fault_offset
     z = (est - target) / se
-    band = res.omega <= _SDE_BAND_CUTOFF
-    frac = float((np.abs(z[band]) > SDE_Z_LIMIT).mean())
+    frac = float((np.abs(z) > SDE_Z_LIMIT).mean())
     z0 = float(z[0])
     se_rel0 = float(se[0] / est[0])
     passed = abs(z0) <= SDE_Z_LIMIT and frac < 0.01 and se_rel0 <= 0.02
     return SdeComparison(label=label, target_zero=float(target[0]),
                          estimate_zero=float(est[0]), stderr_rel_zero=se_rel0,
                          z_zero=z0, frac_abs_z_above_3=frac,
-                         band_cutoff=_SDE_BAND_CUTOFF, passed=passed)
+                         band_cutoff=float(res.omega[-1]), passed=passed)
 
 
 def compare_oracles(grid: CompareGrid,

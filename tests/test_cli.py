@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, file contracts, pipeline equality."""
 
+import codecs
 import configparser
 import contextlib
 import csv
@@ -497,6 +498,30 @@ class TestConfigValidation:
                      "spectrum"]) == 2
         assert one_line_stderr(capsys).startswith(
             "config error: cannot parse config: ")
+        # nor is a key above the first section header, or a line that is
+        # neither a header nor a key; configparser's multi-line messages
+        # are folded onto one line
+        for text, message in (
+                ("t_c = 0.11\n[cavity]\n", "File contains no section headers. "
+                                           "file: '"),
+                ("[cavity]\nt_c\n", "Source contains parsing errors: '")):
+            cfg.write_text(text)
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "spectrum"]) == 2
+            assert one_line_stderr(capsys).startswith(
+                f"config error: cannot parse config: {message}")
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # a UTF-8 byte-order mark, as Notepad writes one, is not config text
+        bom = tmp_path / "bom.ini"
+        bom.write_bytes(codecs.BOM_UTF8 + (SHIPPED / "base.ini").read_bytes())
+        outputs = []
+        for cfg in (SHIPPED / "base.ini", bom):
+            out = tmp_path / cfg.stem
+            assert main(["--config", str(cfg), "--out", str(out),
+                         "spectrum"]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_bad_format_value(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -966,6 +991,21 @@ class TestCalibrate:
             "config error: cannot read measurement file: 'utf-8' codec can't "
             "decode byte 0xff in position 0")
         assert not out.exists()
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the table with a byte-order mark
+        cfg = write_config(tmp_path, extra=self.CAL)
+        plain = tmp_path / "meas.csv"
+        _write_measurements(plain, noise=0.01)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        outputs = []
+        for data in (plain, bom):
+            out = tmp_path / f"out_{data.stem}"
+            assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                         "--data", str(data)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_nan_variance_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.CAL)

@@ -464,8 +464,8 @@ class TestCompareOracles:
         c = compare_sde(spec, label="probe")
         frac = float((np.abs(z[res.omega <= c.band_cutoff]) > SDE_Z_LIMIT).mean())
         se_rel0 = float(res.stderr[0] / res.psd[0])
-        assert (c.label, c.target_zero, c.estimate_zero) == \
-            ("probe", target[0], res.psd[0])
+        assert (c.label, c.target_zero, c.estimate_zero, c.band_cutoff) == \
+            ("probe", target[0], res.psd[0], res.omega[-1])
         assert (c.z_zero, c.stderr_rel_zero, c.frac_abs_z_above_3) == \
             (z[0], se_rel0, frac)
         assert c.passed == (abs(z[0]) <= SDE_Z_LIMIT and frac < 0.01
@@ -474,6 +474,22 @@ class TestCompareOracles:
         shifted = compare_sde(spec, label="probe", fault_offset=1e-3)
         assert shifted.target_zero == c.target_zero + 1e-3
         assert shifted.estimate_zero == c.estimate_zero
+
+    def test_every_bin_scored(self, cav, monkeypatch):
+        # a closed form that is wrong only above Omega = 3 fails the check;
+        # vacuum's flat spectrum leaves short segments unbiased
+        spec = _small_spec(cav, seed=6, duration=131072.0, n_trajectories=2,
+                           segment_length=64)
+        c = compare_sde(spec, label="probe")
+        assert c.passed
+        closed = oracle.quadrature_noise_spectrum
+        monkeypatch.setattr(oracle, "quadrature_noise_spectrum", lambda *args:
+                            np.where(args[-1] > 3.0, 10.0, 1.0) * closed(*args))
+        moved = compare_sde(spec, label="probe")
+        assert (moved.z_zero, moved.stderr_rel_zero) == \
+            (c.z_zero, c.stderr_rel_zero)
+        assert moved.frac_abs_z_above_3 > 0.7
+        assert not moved.passed
 
     def test_comparison_entries(self):
         gaps = compare_analytic(random_compare_grid(8, seed=4))
