@@ -19,6 +19,7 @@ from .decoherence import (
     ExternalSqueezeSource,
     check_jitter_model,
     input_state_from_source,
+    jitter_mixing_weight,
     measured_noise_pair,
 )
 # not called here; perfbench/tracing.py binds these names in this module
@@ -104,8 +105,8 @@ class FitModel:
         object.__setattr__(self, "bounds", merged)
 
     def full_params(self, x: np.ndarray) -> dict[str, float]:
-        """Every parameter by name: the fixed values, and x's entries (scalars
-        or per-row columns) for the free names in order."""
+        """Every parameter by name: the fixed values, and x's entries for the
+        free names in order."""
         params = dict(self.fixed)
         params.update(zip(self.free, np.asarray(x, dtype=float)))
         return params
@@ -122,13 +123,8 @@ def least_squares(fun, x0, **kwargs):
 def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.0,
                       jitter_model: str = "pump_frame") -> np.ndarray:
     """Model variances, shape (n, 2): detected (v_sq, v_anti) per pump setting.
-
-    Parameter values may also be (k, 1) arrays, one row per parameter set.
-    The result then broadcasts to (k, n, 2), and each row is bit for bit the
-    scalar call at that row's values: scalars and rows go through the same
-    numpy code.  A ValueError (SingularResponseError included) means that at
-    least one row is rejected; it does not say which.
-    """
+    A ValueError (SingularResponseError included) means that the model
+    rejects the parameters."""
     cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
     chain = DecoherenceChain(eps_inj=params["eps_inj"],
                              theta_rms=params["theta_rms"],
@@ -186,8 +182,8 @@ def _starts(model: FitModel) -> list[np.ndarray]:
 
 
 def _predict(model: FitModel, x: np.ndarray, pumps) -> np.ndarray | None:
-    """Model variances at the free values x, one value or one (k, 1) column
-    per free name; None where the model rejects them."""
+    """Model variances at the free values x; None where the model rejects
+    them."""
     try:
         return forward_variances(model.full_params(x), pumps, omega=model.omega,
                                  jitter_model=model.jitter_model)
@@ -195,22 +191,69 @@ def _predict(model: FitModel, x: np.ndarray, pumps) -> np.ndarray | None:
         return None
 
 
-def _predict_rows(model: FitModel, xs: np.ndarray, pumps) -> np.ndarray:
-    """_predict at each row of xs (shape (k, n_free)) through one broadcast
-    forward call: shape (k, n, 2), NaN in a row that the model rejects.  When
-    that call rejects the batch, each row is evaluated on its own, so exactly
-    the rows that _predict rejects are NaN."""
-    shape = (len(xs), len(pumps), 2)
-    # one contiguous (k, 1) column per free name: numpy's strided loops
-    # would cost more than the arithmetic on these few rows
-    pred = _predict(model, np.ascontiguousarray(xs.T)[:, :, None], pumps)
-    if pred is None:
-        rows = [_predict(model, x, pumps) for x in xs]
-        return np.array([np.full(shape[1:], np.nan) if row is None else row
-                         for row in rows])
-    # a prediction that depends on no row (every jitter weight 0, say) is
-    # every row's
-    return pred if pred.ndim == 3 else np.broadcast_to(pred, shape)
+def _variance_jacobian(model: FitModel, x: np.ndarray, pumps: np.ndarray) -> np.ndarray:
+    """Partials of the model variances in the free values x, in closed form:
+    shape (n, 2, n_free), at an x that the model admits.
+
+    Each quadrature's spectrum is S = 1 - (1-eps_read)*B/D with
+    u = t_c+eps_int+q, w = t_c-eps_int-q, D = u^2+omega^2, N = w^2+omega^2
+    and B = 4*t_c*q + (1-v)*N, so dS/dx = -(1-eps_read)*(B_x*D - B*D_x)/D^2
+    with (B_x, D_x) = (4q + 2(1-v)w, 2u) for t_c, (-2(1-v)w, 2u) for eps_int
+    and (4t_c - 2(1-v)w, 2u) for q; dS/dv = (1-eps_read)*N/D and
+    dS/deps_read = B/D.  These go through q = q_max*pump, the injection loss
+    (v_sq and v_anti in eps_inj and r_ext), the jitter weight s(theta_rms)
+    and the jitter model's mix.
+    """
+    p = model.full_params(x)
+    t_c, eps_int, eps_inj, theta = p["t_c"], p["eps_int"], p["eps_inj"], p["theta_rms"]
+    s = jitter_mixing_weight(theta)
+    # one row per quadrature: the readout at gain q, the anti at -q
+    sign = np.array([[1.0], [-1.0]])
+    q = sign * (p["q_max"] * pumps)
+    e2r = math.exp(-2.0 * p["r_ext"])
+    base = np.array([[e2r], [1.0 / e2r]])
+    v = (1.0 - eps_inj) * base + eps_inj
+
+    def mix(main):
+        """Each row jitter-mixed with the other quadrature's."""
+        return main if s == 0.0 else (1.0 - s) * main + s * main[::-1]
+
+    input_frame = model.jitter_model == "input_frame"
+    v_in = mix(v) if input_frame else v
+    u = t_c + eps_int + q
+    w = t_c - eps_int - q
+    d = u * u + model.omega * model.omega
+    n = w * w + model.omega * model.omega
+    b_d = (4.0 * t_c * q + (1.0 - v_in) * n) / d
+    keep = 1.0 - p["eps_read"]
+    d_x = 2.0 * u / d     # D_x / D, the same for t_c, eps_int and q
+    vw = 2.0 * (1.0 - v_in) * w
+    s_v = keep * n / d    # dS/dv
+
+    def through_d(b_x):
+        return keep * (b_d * d_x - b_x / d)
+
+    jac = np.empty((len(pumps), 2, len(model.free)))
+    for j, name in enumerate(model.free):
+        if name == "t_c":
+            col = through_d(4.0 * q + vw)
+        elif name == "eps_int":
+            col = through_d(-vw)
+        elif name == "q_max":
+            col = sign * pumps * through_d(4.0 * t_c - vw)
+        elif name == "eps_read":
+            col = b_d
+        elif name in ("eps_inj", "r_ext"):
+            dv = 1.0 - base if name == "eps_inj" else -2.0 * (1.0 - eps_inj) * sign * base
+            col = s_v * (mix(dv) if input_frame else dv)
+        else:   # theta_rms, through ds/dtheta_rms
+            ds = 2.0 * theta * math.exp(-2.0 * theta * theta)
+            col = ds * (s_v * (v[::-1] - v) if input_frame
+                        else keep * (b_d - b_d[::-1]))
+        if not input_frame and name != "theta_rms":
+            col = mix(col)
+        jac[:, :, j] = col.T
+    return jac
 
 
 def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
@@ -218,10 +261,11 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
 
     Residuals are in variance space with inverse-standard-error weights,
     solved with damped least squares (bounded trust-region) from the
-    deterministic multi-start set.  least_squares chooses every
-    finite-difference step itself; its workers argument hands the points of
-    each Jacobian to one broadcast forward_variances call, so the fit is bit
-    for bit the one that evaluates each column on its own.
+    deterministic multi-start set.  least_squares takes the Jacobian of the
+    residuals in closed form (_variance_jacobian), so the fit, the rank check
+    and the standard errors rest on no finite-difference step.  A start that
+    ends where the model is not finite neither counts as converged nor
+    competes for the best fit.
 
     Raises ConfigError for a fault of the input: no free parameter, fewer
     than n_free + 2 rows, a fixed q_max whose pump scan reaches the fixed
@@ -229,7 +273,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     point.  SingularResponseError when the model is not finite at the first
     start point it admits, IdentifiabilityError when the Jacobian at the
     best fit is rank-deficient beyond tolerance and ConvergenceError when no
-    start converges or least_squares fails.
+    start converges where the model is finite or least_squares fails.
     """
     if len(model.free) == 0:
         raise ConfigError("at least one free parameter required")
@@ -247,24 +291,26 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
                               f"parametric threshold {q_th} within the pump scan")
     meas = np.array([[d.v_sq, d.v_anti] for d in data])
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
-
-    def weighted(pred: np.ndarray) -> np.ndarray:
-        """Weighted residuals of predictions of shape (..., n, 2), flattened
-        per prediction; the 1e6 fill where the model is not finite."""
-        r = (pred - meas) / errs
-        r = np.where(np.isfinite(r), r, 1e6)
-        return r.reshape(pred.shape[:-2] + (meas.size,))
+    # the residual rows that hold the 1e6 fill, per point evaluated
+    fills: dict[bytes, np.ndarray] = {}
 
     def residual(x: np.ndarray) -> np.ndarray:
+        """Weighted residuals; the 1e6 fill where the model is not finite."""
         pred = _predict(model, x, pumps)
-        return np.full(meas.size, 1e6) if pred is None else weighted(pred)
+        r = np.full(meas.size, np.inf) if pred is None else ((pred - meas) / errs).ravel()
+        fill = fills[x.tobytes()] = ~np.isfinite(r)
+        return np.where(fill, 1e6, r)
 
-    def jacobian_points(fun, points) -> np.ndarray:
-        """least_squares' workers map: fun is its wrapper of residual, and
-        points are the finite-difference points of one Jacobian.  One
-        broadcast forward call evaluates them all, each row bit for bit
-        fun's value; a rejected row gets the same 1e6 fill."""
-        return weighted(_predict_rows(model, np.array(list(points)), pumps))
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        """Jacobian of residual at x; zero in the rows that hold the fill, a
+        constant.  least_squares takes it only where it has evaluated
+        residual."""
+        fill = fills[x.tobytes()]
+        if fill.all():
+            return np.zeros((meas.size, len(x)))
+        jac = (_variance_jacobian(model, x, pumps) / errs[..., None]).reshape(fill.size, -1)
+        jac[fill] = 0.0
+        return jac
 
     starts = _starts(model)
     # a box where the model rejects every start, or an input past the float
@@ -288,18 +334,24 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
 
     lo, hi = np.array(boxes).T
     best = None
-    n_ok = 0
+    n_ok = n_filled = 0
     for x0 in starts:
         try:
-            res = least_squares(residual, x0, bounds=(lo, hi), method="trf",
-                                max_nfev=_MAX_NFEV, workers=jacobian_points)
+            res = least_squares(residual, x0, jac=jacobian, bounds=(lo, hi),
+                                method="trf", max_nfev=_MAX_NFEV)
         except ValueError as exc:
             raise ConvergenceError(f"least_squares failed: {exc}; {box}") from exc
-        if res.status > 0:
+        if fills[res.x.tobytes()].any():
+            n_filled += 1
+        elif res.status > 0:
             n_ok += 1
             if best is None or res.cost < best.cost:
                 best = res
     if best is None:
+        if n_filled:
+            raise ConvergenceError(
+                f"no start point converged where the model is finite: {n_filled} "
+                f"of {len(starts)} ended where it is not; {box}")
         raise ConvergenceError("no start point converged within the iteration cap")
 
     jac = best.jac

@@ -97,13 +97,15 @@ def input_state_from_source(src: ExternalSqueezeSource, eps_inj: float
 
 
 def jitter_mixing_weight(theta_rms: float) -> float:
-    """Gaussian-jitter average of sin^2(theta): s = (1 - e^(-2 theta_rms^2))/2.
+    """Gaussian-jitter average of sin^2(theta): s = (1 - e^(-2 theta_rms^2))/2,
+    formed through expm1 so that it keeps its relative precision as
+    theta_rms shrinks.
 
     Small-angle limit s ~ theta_rms^2; fully dephased limit 1/2.
     """
     if not _holds(theta_rms >= 0.0):
         raise ValueError("theta_rms must be >= 0")
-    return 0.5 * (1.0 - np.exp(-2.0 * theta_rms * theta_rms))
+    return -0.5 * np.expm1(-2.0 * theta_rms * theta_rms)
 
 
 def jittered_signal_factor(theta_rms: float) -> float:

@@ -909,9 +909,11 @@ class TestVerify:
         assert code == (0 if results["passed"] else 4)
 
 
-def _write_measurements(path, noise=0.0, seed=3):
+def _write_measurements(path, noise=0.0, seed=3, theta_rms=0.05, err_scale=None):
+    """The seeded 5-pump table; err_scale sets each standard error to that
+    multiple of its variance."""
     true = dict(t_c=0.11, eps_int=0.012, eps_inj=0.08, eps_read=0.10,
-                theta_rms=0.05, r_ext=ExternalSqueezeSource(10.5).r_ext,
+                theta_rms=theta_rms, r_ext=ExternalSqueezeSource(10.5).r_ext,
                 q_max=0.08)
     rows = synthesize_measurements(true, [0.0, 0.25, 0.5, 0.75, 1.0], noise,
                                    seed=seed)
@@ -919,7 +921,9 @@ def _write_measurements(path, noise=0.0, seed=3):
         w = csv.writer(fh)
         w.writerow(["pump_setting", "V_sq", "V_anti", "err_sq", "err_anti"])
         for r in rows:
-            w.writerow([r.pump_setting, r.v_sq, r.v_anti, r.err_sq, r.err_anti])
+            errs = ((r.err_sq, r.err_anti) if err_scale is None
+                    else (err_scale * r.v_sq, err_scale * r.v_anti))
+            w.writerow([r.pump_setting, r.v_sq, r.v_anti, *errs])
 
 
 # each error type, the kind main prints for it and the exit code it returns
@@ -1087,9 +1091,9 @@ class TestCalibrate:
     def test_solver_value_error_not_a_config_error(self, tmp_path, capsys,
                                                     monkeypatch):
         # a ValueError inside least_squares is the solver's failure, not the
-        # config's.  An r_ext box up to 200 reaches one: V_anti = e**(2 r_ext)
-        # overflows the finite-difference Jacobian, and scipy rejects it.
-        # The message names the box
+        # config's.  An r_ext box up to 200 reaches one: at its upper start
+        # V_anti = e**(2 r_ext) overflows the sum of squared residuals, and
+        # scipy's SVD rejects it.  The message names the box
         data = tmp_path / "meas.csv"
         _write_measurements(data)
         out = tmp_path / "o"
@@ -1112,6 +1116,47 @@ class TestCalibrate:
         assert one_line_stderr(capsys) == (
             "convergence error: least_squares failed: boom; bounds box "
             "eps_read in [0.0, 0.9], theta_rms in [0.0, 0.5]\n")
+        assert not out.exists()
+
+    def test_start_ending_where_the_model_is_not_finite(self, tmp_path, capsys):
+        # standard errors of 1e-100 V: from r_ext = 332.5, the upper start of
+        # a 0-350 box, the weighted residual of V_anti = e**(2 r_ext)
+        # overflows and holds the 1e6 fill.  That start ends there; it
+        # neither counts as converged nor beats the start that fits r_ext.
+        # A box whose every start ends there is at fault, and is named
+        data = tmp_path / "meas.csv"
+        _write_measurements(data, noise=0.01, err_scale=1e-100)
+        for box, code in (("0, 350", 0), ("330, 350", 6)):
+            out = tmp_path / f"o{code}"
+            cfg = write_config(tmp_path, extra="\n[calibrate]\nfree = r_ext\n"
+                                                f"q_max = 0.08\nbound_r_ext = {box}\n")
+            assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                         "--data", str(data)]) == code
+            if code:
+                assert one_line_stderr(capsys) == (
+                    "convergence error: no start point converged where the "
+                    "model is finite: 2 of 2 ended where it is not; bounds "
+                    "box r_ext in [330.0, 350.0]\n")
+                assert not out.exists()
+            else:
+                results = json.loads((out / "calibrate_fit.json").read_text())["results"]
+                assert results["n_starts_converged"] == 1
+                assert results["fitted"]["r_ext"] == pytest.approx(1.207, abs=1e-3)
+
+    def test_parameter_at_box_edge_exit_5(self, tmp_path, capsys):
+        # a table without jitter: the fitted theta_rms sits at its box edge
+        # 0, where it enters as theta_rms**2, so the data do not determine
+        # it and its exact Jacobian column vanishes
+        cfg = write_config(tmp_path, extra=self.CAL)
+        data = tmp_path / "meas.csv"
+        _write_measurements(data, noise=0.01, theta_rms=0.0)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
+                     "--data", str(data)]) == 5
+        line = one_line_stderr(capsys)
+        assert line.startswith("identifiability error: Jacobian at the best "
+                               "fit is rank-deficient")
+        assert "('eps_read', 'theta_rms')" in line
         assert not out.exists()
 
     def test_fixed_q_max_past_threshold_exit_2(self, tmp_path, capsys):

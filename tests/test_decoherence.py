@@ -108,6 +108,15 @@ class TestJitterStatistics:
         assert jitter_mixing_weight(0.05) == pytest.approx(0.00249376040365884,
                                                            abs=1e-15)
 
+    def test_mixing_weight_keeps_relative_precision(self):
+        # 1 - e^(-2 theta^2) cancels as theta shrinks: 1.6e-9 relative off
+        # at theta = 1e-4; expm1 keeps every digit
+        thetas = np.geomspace(1e-8, 1.0, 81)
+        want = [-0.5 * math.expm1(-2.0 * t * t) for t in thetas.tolist()]
+        for got in (jitter_mixing_weight(thetas),
+                    [jitter_mixing_weight(t) for t in thetas.tolist()]):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
     @given(theta=st.floats(0.0, 0.2))
     def test_small_angle_limit(self, theta):
         assert jitter_mixing_weight(theta) <= theta**2 + 1e-12
