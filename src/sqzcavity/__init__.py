@@ -2,7 +2,7 @@
 sensors combining injected squeezed vacuum with an intracavity squeeze
 operation."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .calibrate import (
     FitModel,

@@ -263,9 +263,10 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     solved with damped least squares (bounded trust-region) from the
     deterministic multi-start set.  least_squares takes the Jacobian of the
     residuals in closed form (_variance_jacobian), so the fit, the rank check
-    and the standard errors rest on no finite-difference step.  A start that
-    ends where the model is not finite neither counts as converged nor
-    competes for the best fit.
+    and the standard errors rest on no finite-difference step.  A residual
+    row that is not finite, or whose square could overflow the cost, holds a
+    constant fill; a start that ends on the fill neither counts as converged
+    nor competes for the best fit.
 
     Raises ConfigError for a fault of the input: no free parameter, fewer
     than n_free + 2 rows, a fixed q_max whose pump scan reaches the fixed
@@ -293,12 +294,15 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
     # the residual rows that hold the 1e6 fill, per point evaluated
     fills: dict[bytes, np.ndarray] = {}
+    # rows within this bound keep the cost, their sum of squares, finite
+    r_max = math.sqrt(np.finfo(float).max / meas.size)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        """Weighted residuals; the 1e6 fill where the model is not finite."""
+        """Weighted residuals; the 1e6 fill in every row beyond r_max, where
+        the model is not finite or the row's square could overflow the cost."""
         pred = _predict(model, x, pumps)
         r = np.full(meas.size, np.inf) if pred is None else ((pred - meas) / errs).ravel()
-        fill = fills[x.tobytes()] = ~np.isfinite(r)
+        fill = fills[x.tobytes()] = ~(np.abs(r) <= r_max)
         return np.where(fill, 1e6, r)
 
     def jacobian(x: np.ndarray) -> np.ndarray:

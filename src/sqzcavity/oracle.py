@@ -42,8 +42,8 @@ _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 # the SDE kernel walks a trajectory in blocks of whole segments of about this
 # many samples, so that a block's float64 buffers stay in cache
 _BLOCK_SAMPLES = 1 << 16
-# bytes of a block's buffers at their peak, per block sample: tracemalloc
-# measured 20 to 44 over segment lengths of 8 to 2**19
+# bytes of a block's buffers at their peak, per block sample, an upper bound:
+# tracemalloc measured 24 to 48 over segment lengths of 8 to 2**19
 _BLOCK_BYTES_PER_SAMPLE = 64
 
 
@@ -305,7 +305,7 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
 
     The state update is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k from
     X_0 drawn from its discrete stationary distribution, and the output
-    y_k = sqrt(2 kc (1-eps)) (X_k + X_{k+1})/2 + u_k uses the
+    y_k = c_y (X_k + X_{k+1})/2 + u_k, c_y = sqrt(2 kc (1-eps)), uses the
     interval-averaged state together with the reflected input increment and
     the readout vacuum, both in u_k.  This trapezoidal output sampling makes
     the all-vacuum passive output exactly white, and the spectral density at
@@ -315,11 +315,15 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     comes from two normals through _increment_factor: Euler-Maruyama with
     correlated increments (Kloeden & Platen 1992, sec. 10.2).
 
+    With w_k = c_w n1_k and a = 1 - lam*dt, the output is ARMA(1,1) in the
+    draws: y_k = b (1 + z^-1)/(1 - a z^-1) n1_k + u_k with b = c_y c_w/2.
+    One lfilter call forms the filter part in transposed form, whose state
+    c_y (1 + a) X_k/2 starts at the stationary X_0.
+
     Each trajectory draws its noise at once, then walks its whole segments
-    in blocks of about 2**16 samples, carrying the filter state and the last
-    state from block to block; every product and sum keeps the operand order
-    of the whole-trajectory reference kernel in the tests, so blocking does
-    not change a bit.
+    in blocks of about 2**16 samples, carrying lfilter's state from block to
+    block; every product and sum keeps the operand order of the step-by-step
+    reference kernel in the tests, so blocking does not change a bit.
 
     Trajectory i of quadrature k (its index in ("sq", "anti")) draws from
     SeedSequence(seed, spawn_key=(i, k)): first the (2, n) normals (n1, n2),
@@ -338,10 +342,11 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     n_used = n - n % length            # the tail is neither filtered nor formed
     block = _block_samples(length)
     win = np.hanning(length)
-    win_power = (win * win).sum()
+    scale = dt / (win * win).sum()
     a = 1.0 - lam * dt
     c_w, c_u1, c_u2 = _increment_factor(kc, kl, v_in, dt, eps_read)
     c_y = math.sqrt(2.0 * kc * (1.0 - eps_read))
+    b = 0.5 * c_y * c_w
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
     k = _QUADRATURES.index(spec.quadrature)
     # a generator: a list of every stream would take about 370 bytes each
@@ -354,34 +359,19 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
         n1, n2 = rng.standard_normal((2, n))
         x0 = math.sqrt(sig2) * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
-        z = np.array([a * x0])                 # filter state: X_1 = a*X_0 + w_0
-        x_last = x0
+        z = np.array([0.5 * c_y * (1.0 + a) * x0])
         for k0 in range(0, n_used, block):
             k1 = min(k0 + block, n_used)
+            n1_b, n2_b = n1[k0:k1], n2[k0:k1]
+            y, z = lfilter([b, b], [1.0, -a], n1_b, zi=z)
             # no later block reads this block's draws: they are scaled in place
-            u = c_u1 * n1[k0:k1]
-            n2_b = n2[k0:k1]
+            n1_b *= c_u1
+            y += n1_b
             n2_b *= c_u2
-            u += n2_b
-            w = n1[k0:k1]
-            w *= c_w
-            x_next, z = lfilter([1.0], [1.0, -a], w, zi=z)   # X_{k0+1} ..
-            x = w                              # w is spent: x_mid in its place
-            # a block starts a segment, whose first sample the Hann window
-            # weighs by 0.0: the carried state keeps x_mid right there, but
-            # no spectrum bin can show it
-            x[0] = x_last
-            x[1:] = x_next[:-1]
-            x_last = x_next[-1]
-            x += x_next                        # x_mid = (x + x_next)/2
-            del x_next
-            x *= 0.5
-            x *= c_y
-            x += u
-            del u
-            segs = x.reshape(-1, length)
+            y += n2_b
+            segs = y.reshape(-1, length)
             segs *= win
-            p = (np.abs(np.fft.rfft(segs, axis=1)) ** 2) * dt / win_power
+            p = np.abs(np.fft.rfft(segs, axis=1)) ** 2 * scale
             # each segment added in order: the association of one axis-0 sum
             # over all of the trajectory's segments
             s1 = np.add.reduce(np.concatenate((s1[None], p)), axis=0)

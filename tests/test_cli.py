@@ -1091,20 +1091,10 @@ class TestCalibrate:
     def test_solver_value_error_not_a_config_error(self, tmp_path, capsys,
                                                     monkeypatch):
         # a ValueError inside least_squares is the solver's failure, not the
-        # config's.  An r_ext box up to 200 reaches one: at its upper start
-        # V_anti = e**(2 r_ext) overflows the sum of squared residuals, and
-        # scipy's SVD rejects it.  The message names the box
+        # config's.  The message names the box
         data = tmp_path / "meas.csv"
         _write_measurements(data)
         out = tmp_path / "o"
-        cfg = write_config(tmp_path, extra="\n[calibrate]\nfree = r_ext\n"
-                                            "q_max = 0.08\nbound_r_ext = 0, 200\n")
-        assert main(["--config", str(cfg), "--out", str(out), "calibrate",
-                     "--data", str(data)]) == 6
-        line = one_line_stderr(capsys)
-        assert line.startswith("convergence error: least_squares failed: ")
-        assert line.endswith("; bounds box r_ext in [0.0, 200.0]\n")
-        assert not out.exists()
 
         def boom(*args, **kwargs):
             raise ValueError("boom")
@@ -1119,15 +1109,21 @@ class TestCalibrate:
         assert not out.exists()
 
     def test_start_ending_where_the_model_is_not_finite(self, tmp_path, capsys):
-        # standard errors of 1e-100 V: from r_ext = 332.5, the upper start of
-        # a 0-350 box, the weighted residual of V_anti = e**(2 r_ext)
-        # overflows and holds the 1e6 fill.  That start ends there; it
-        # neither counts as converged nor beats the start that fits r_ext.
+        # on the noiseless table, the upper start of a 0-200 box, r_ext =
+        # 190, has V_anti = e**(2 r_ext) near 1e165: every weighted residual
+        # is finite, but their sum of squares overflows, so those rows hold
+        # the 1e6 fill as a non-finite row does.  With standard errors of
+        # 1e-100 V, from r_ext = 332.5, the upper start of a 0-350 box, the
+        # weighted residual itself overflows.  Either start ends on the fill;
+        # it neither counts as converged nor beats the start that fits r_ext.
         # A box whose every start ends there is at fault, and is named
-        data = tmp_path / "meas.csv"
-        _write_measurements(data, noise=0.01, err_scale=1e-100)
-        for box, code in (("0, 350", 0), ("330, 350", 6)):
-            out = tmp_path / f"o{code}"
+        noiseless, tiny_errors = tmp_path / "noiseless.csv", tmp_path / "meas.csv"
+        _write_measurements(noiseless)
+        _write_measurements(tiny_errors, noise=0.01, err_scale=1e-100)
+        for data, box, code, r_ext in ((noiseless, "0, 200", 0, 1.20886),
+                                       (tiny_errors, "0, 350", 0, 1.207),
+                                       (tiny_errors, "330, 350", 6, None)):
+            out = tmp_path / f"o{box}"
             cfg = write_config(tmp_path, extra="\n[calibrate]\nfree = r_ext\n"
                                                 f"q_max = 0.08\nbound_r_ext = {box}\n")
             assert main(["--config", str(cfg), "--out", str(out), "calibrate",
@@ -1141,7 +1137,7 @@ class TestCalibrate:
             else:
                 results = json.loads((out / "calibrate_fit.json").read_text())["results"]
                 assert results["n_starts_converged"] == 1
-                assert results["fitted"]["r_ext"] == pytest.approx(1.207, abs=1e-3)
+                assert results["fitted"]["r_ext"] == pytest.approx(r_ext, abs=1e-3)
 
     def test_parameter_at_box_edge_exit_5(self, tmp_path, capsys):
         # a table without jitter: the fitted theta_rms sits at its box edge
@@ -1459,11 +1455,11 @@ class TestReproducibility:
 
     def test_version_in_one_place(self):
         # the envelopes record the package version; the project metadata
-        # must name the same one
-        tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+        # must name the same one.  Read with a regex, as Python 3.10 has no
+        # tomllib
         path = Path(__file__).resolve().parent.parent / "pyproject.toml"
-        with open(path, "rb") as fh:
-            assert tomllib.load(fh)["project"]["version"] == sqzcavity.__version__
+        versions = re.findall(r'^version = "(.*)"$', path.read_text(), re.M)
+        assert versions == [sqzcavity.__version__]
 
 
 def _modules_after(code: str, package: str) -> list[str]:

@@ -97,58 +97,79 @@ def _small_spec(cav, q=0.0, v=(1.0, 1.0), eps_read=0.0, seed=99, **kw):
                       eps_read=eps_read, seed=seed, **defaults)
 
 
+def _trajectory(spec, k, i):
+    """The scheme's constants (a, c_y, c_w, c_u1, c_u2) for quadrature k of
+    spec (its index in ("sq", "anti")) and trajectory i's draws from its own
+    stream SeedSequence(seed, spawn_key=(i, k)): the (2, n) normals n1, n2,
+    then X_0 from the discrete stationary distribution."""
+    kc, kl, g = spec.cavity.t_c / 2.0, spec.cavity.eps_int / 2.0, spec.q / 2.0
+    lam, v_in = ((kc + kl + g, spec.input_state.v_sq),
+                 (kc + kl - g, spec.input_state.v_anti))[k]
+    dt, eps_read = spec.dt, spec.eps_read
+    a = 1.0 - lam * dt
+    c_y = math.sqrt(2.0 * kc * (1.0 - eps_read))
+    c_w = math.sqrt(2.0 * kc * dt * v_in + 2.0 * kl * dt)
+    c_u1 = -v_in * c_y / c_w
+    c_u2 = math.sqrt((1.0 - eps_read) * (v_in / dt) * kl / (kc * v_in + kl)
+                     + eps_read / dt)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
+                                                       spawn_key=(i, k)))
+    n1, n2 = rng.standard_normal((2, spec.steps_per_trajectory))
+    sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
+    x0 = math.sqrt(sig2) * rng.standard_normal()
+    return (a, c_y, c_w, c_u1, c_u2), n1, n2, x0
+
+
+def _arma_output(consts, n1, n2, x0):
+    """The output as ARMA(1,1) in the draws, one step at a time in Python
+    floats: y_k = b n1_k + s_k, s_{k+1} = b n1_k + a y_k with b = c_y c_w/2
+    and s_0 = c_y (1 + a) X_0/2, plus the readout u_k = c_u1 n1_k + c_u2 n2_k
+    added term by term."""
+    a, c_y, c_w, c_u1, c_u2 = consts
+    b = 0.5 * c_y * c_w
+    s = 0.5 * c_y * (1.0 + a) * x0
+    out = []
+    for n1_k, n2_k in zip(n1.tolist(), n2.tolist()):
+        y = b * n1_k + s
+        s = b * n1_k + a * y
+        out.append(y + c_u1 * n1_k + c_u2 * n2_k)
+    return np.array(out)
+
+
+def _trapezoid_output(consts, n1, n2, x0):
+    """The output by its definition: the state recursion X_{k+1} = a X_k + w_k
+    from X_0 with w = c_w n1, one step at a time in Python floats, and
+    y_k = c_y (X_k + X_{k+1})/2 + u_k with u = c_u1 n1 + c_u2 n2."""
+    a, c_y, c_w, c_u1, c_u2 = consts
+    states = [x0]
+    for w_k in (c_w * n1).tolist():
+        states.append(a * states[-1] + w_k)
+    x = np.array(states)
+    return c_y * (0.5 * (x[:-1] + x[1:])) + (c_u1 * n1 + c_u2 * n2)
+
+
 def _reference_sde(spec):
     """Both quadratures of every trajectory, simulated and segmented the
-    straightforward way: quadrature k of trajectory i from its own stream
-    SeedSequence(seed, spawn_key=(i, k)), the (2, n) normals n1, n2 and then
-    X_0; the increment pair w = c_w n1, u = c_u1 n1 + c_u2 n2; the defining
-    recursion X_{k+1} = a*X_k + w_k from X_0, one step at a time in Python
-    floats; and fancy-index Hann-windowed segments with hop = length.
-    run_sde must reproduce each quadrature bit for bit."""
-    def simulate(rng, n, dt, kc, kl, lam, v_in, eps_read):
-        n1, n2 = rng.standard_normal((2, n))
-        a = 1.0 - lam * dt
-        c_w = math.sqrt(2.0 * kc * dt * v_in + 2.0 * kl * dt)
-        c_u1 = -v_in * math.sqrt(2.0 * kc * (1.0 - eps_read)) / c_w
-        c_u2 = math.sqrt((1.0 - eps_read) * (v_in / dt) * kl / (kc * v_in + kl)
-                         + eps_read / dt)
-        w = c_w * n1
-        u = c_u1 * n1 + c_u2 * n2
-        sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
-        x0 = math.sqrt(sig2) * rng.standard_normal()
-        states = [x0]
-        for w_k in w.tolist():
-            states.append(a * states[-1] + w_k)
-        x_next = np.array(states[1:])
-        x = np.empty(n)
-        x[0] = x0
-        x[1:] = x_next[:-1]
-        x_mid = 0.5 * (x + x_next)
-        return math.sqrt(2.0 * kc * (1.0 - eps_read)) * x_mid + u
-
+    straightforward way: _arma_output of each trajectory's draws, and
+    fancy-index Hann-windowed segments with hop = length.  run_sde must
+    reproduce each quadrature bit for bit."""
     def periodograms(x, length, hop, win, dt):
         n_seg = 1 + (x.size - length) // hop
         idx = np.arange(length)[None, :] + hop * np.arange(n_seg)[:, None]
         segs = x[idx] * win[None, :]
         spec_ = np.fft.rfft(segs, axis=1)
-        return (np.abs(spec_) ** 2) * dt / (win * win).sum()
+        return np.abs(spec_) ** 2 * (dt / (win * win).sum())
 
-    kc, kl, g = spec.cavity.t_c / 2.0, spec.cavity.eps_int / 2.0, spec.q / 2.0
-    n = spec.steps_per_trajectory
     length = spec.segment_length
     hop = length
     win = np.hanning(length)
     out = {}
-    for k, (quadrature, lam, v_in) in enumerate((
-            ("sq", kc + kl + g, spec.input_state.v_sq),
-            ("anti", kc + kl - g, spec.input_state.v_anti))):
+    for k, quadrature in enumerate(("sq", "anti")):
         s1, s2 = np.zeros(length // 2 + 1), np.zeros(length // 2 + 1)
         n_seg = 0
         for i in range(spec.n_trajectories):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(spec.seed, spawn_key=(i, k)))
-            p = periodograms(simulate(rng, n, spec.dt, kc, kl, lam, v_in,
-                                      spec.eps_read), length, hop, win, spec.dt)
+            p = periodograms(_arma_output(*_trajectory(spec, k, i)),
+                             length, hop, win, spec.dt)
             s1 += p.sum(axis=0)
             s2 += (p**2).sum(axis=0)
             n_seg += p.shape[0]
@@ -157,6 +178,26 @@ def _reference_sde(spec):
         out[quadrature] = (mean, np.sqrt(np.maximum(var, 0.0) / n_seg))
     out["n_segments"] = n_seg
     return out
+
+
+# kappa_total*dt runs from a start X_0 that decays over far more than the
+# whole trajectory up to just below the 0.05 stability bound; the 32 768
+# steps fit in one kernel block.  The "blocks" case spans three blocks and a
+# partial fourth, with a tail after the last segment, so the filter state
+# crosses every block edge.  ids name the Hann window and zero overlap of
+# run_sde's segmentation
+_KERNEL_CASES = [
+    *(pytest.param(k, 32768, id=f"hann-0.0-{k}") for k in (1e-6, 1e-3, 0.03, 0.0499)),
+    pytest.param(1e-6, 3 * 65536 + 5 * 512 + 100, id="hann-0.0-1e-06-blocks"),
+]
+
+
+def _kernel_spec(cav, kappa_dt, steps, **kw):
+    q = 0.3 * cav.q_threshold
+    dt = kappa_dt / ((cav.t_c + cav.eps_int + q) / 2.0)
+    return _small_spec(cav, q=q, v=(0.162, 10.40), eps_read=0.10, seed=41,
+                       dt=dt, duration=dt * steps, n_trajectories=2,
+                       segment_length=512, **kw)
 
 
 class TestSde:
@@ -181,33 +222,32 @@ class TestSde:
         z0 = (res.psd[0] - target) / res.stderr[0]
         assert abs(z0) < 3.0
 
-    # kappa_total*dt runs from a start X_0 that decays over far more than
-    # the whole trajectory up to just below the 0.05 stability bound; the
-    # 32 768 steps fit in one kernel block.  The "blocks" case spans three
-    # blocks and a partial fourth, with a tail after the last segment, so
-    # the filter state crosses every block edge.  ids name the Hann window
-    # and zero overlap of run_sde's segmentation
-    @pytest.mark.parametrize("kappa_dt, steps", [
-        *(pytest.param(k, 32768, id=f"hann-0.0-{k}")
-          for k in (1e-6, 1e-3, 0.03, 0.0499)),
-        pytest.param(1e-6, 3 * 65536 + 5 * 512 + 100, id="hann-0.0-1e-06-blocks"),
-    ])
+    @pytest.mark.parametrize("kappa_dt, steps", _KERNEL_CASES)
     def test_matches_reference_kernel(self, cav, kappa_dt, steps):
-        q = 0.3 * cav.q_threshold
-        dt = kappa_dt / ((cav.t_c + cav.eps_int + q) / 2.0)
-        common = dict(q=q, v=(0.162, 10.40), eps_read=0.10, seed=41,
-                      dt=dt, duration=dt * steps, n_trajectories=2,
-                      segment_length=512)
         if steps > 32768:
             block = _block_samples(512)
             assert steps > 3 * block and steps % block > 0 and steps % 512 > 0
-        ref = _reference_sde(_small_spec(cav, **common))
+        ref = _reference_sde(_kernel_spec(cav, kappa_dt, steps))
         for quadrature in ("sq", "anti"):
-            res = run_sde(_small_spec(cav, quadrature=quadrature, **common))
+            res = run_sde(_kernel_spec(cav, kappa_dt, steps,
+                                       quadrature=quadrature))
             psd, stderr = ref[quadrature]
             assert np.array_equal(res.psd, psd)
             assert np.array_equal(res.stderr, stderr)
             assert res.n_segments == ref["n_segments"]
+
+    # the ARMA(1,1) form against the defining state recursion and
+    # trapezoid: the two associate the same sums differently, so they agree
+    # to rounding, a few ulps of the largest output sample
+    @pytest.mark.parametrize("kappa_dt, steps", _KERNEL_CASES)
+    def test_arma_output_matches_state_recursion(self, cav, kappa_dt, steps):
+        spec = _kernel_spec(cav, kappa_dt, steps)
+        for k, i in itertools.product(range(2), range(spec.n_trajectories)):
+            trajectory = _trajectory(spec, k, i)
+            y = _arma_output(*trajectory)
+            y_def = _trapezoid_output(*trajectory)
+            bound = 8 * np.finfo(float).eps * np.abs(y).max()
+            assert np.abs(y - y_def).max() <= bound
 
     # the 3-normal increments w = sqrt(2 kc dt v) xi + sqrt(2 kl dt) eta and
     # u = -sqrt((1-eps) v/dt) xi + sqrt(eps/dt) zeta, against the two-normal
@@ -293,9 +333,10 @@ class TestSde:
     @pytest.mark.parametrize("quadrature", ["sq", "anti"])
     def test_trajectory_memory(self, cav, quadrature):
         # one trajectory of 2**20 steps, on the builtin map as on one CPU:
-        # the two noise draws, 16 bytes a step, and one block's buffers, 4
-        # bytes a step at this length; three draws a step would need 28, and
-        # the kernel that held whole-trajectory arrays peaked at 32
+        # the two noise draws, 16 bytes a step, and one block's buffers,
+        # bounded by 4 bytes a step at this length (1.6 measured); three
+        # draws a step would need 28, and the kernel that held
+        # whole-trajectory arrays peaked at 32
         steps = 1 << 20
         spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
                            seed=29, duration=0.5 * steps, n_trajectories=1,
