@@ -17,6 +17,7 @@ import numpy as np
 from .decoherence import (
     DecoherenceChain,
     ExternalSqueezeSource,
+    _mix,
     check_jitter_model,
     input_state_from_source,
     jitter_mixing_weight,
@@ -163,22 +164,17 @@ class FitResult:
     jacobian_condition: float
 
 
-def _starts(model: FitModel) -> list[np.ndarray]:
-    """Deterministic multi-start points: corners of the bounds box (all of
+def _starts(boxes: list[tuple[float, float]]) -> list[np.ndarray]:
+    """Deterministic multi-start points: corners of the bounds box, each end
+    nudged 5% of its box inward so every start is strictly feasible (all of
     them for up to 3 free parameters, a fixed lexicographic subsample of
     _MAX_STARTS otherwise)."""
-    boxes = [model.bounds[name] for name in model.free]
-    corners = list(itertools.product(*boxes))
+    ends = [(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)) for lo, hi in boxes]
+    corners = list(itertools.product(*ends))
     if len(corners) > _MAX_STARTS:
         stride = len(corners) // _MAX_STARTS
         corners = corners[::stride][:_MAX_STARTS]
-    # nudge off the exact edges so every start is strictly feasible
-    starts = []
-    for c in corners:
-        pt = [lo + 0.05 * (hi - lo) if v == lo else hi - 0.05 * (hi - lo)
-              for v, (lo, hi) in zip(c, boxes)]
-        starts.append(np.array(pt))
-    return starts
+    return [np.array(c) for c in corners]
 
 
 def _predict(model: FitModel, x: np.ndarray, pumps) -> np.ndarray | None:
@@ -214,12 +210,8 @@ def _variance_jacobian(model: FitModel, x: np.ndarray, pumps: np.ndarray) -> np.
     base = np.array([[e2r], [1.0 / e2r]])
     v = (1.0 - eps_inj) * base + eps_inj
 
-    def mix(main):
-        """Each row jitter-mixed with the other quadrature's."""
-        return main if s == 0.0 else (1.0 - s) * main + s * main[::-1]
-
     input_frame = model.jitter_model == "input_frame"
-    v_in = mix(v) if input_frame else v
+    v_in = _mix(s, v, v[::-1]) if input_frame else v
     u = t_c + eps_int + q
     w = t_c - eps_int - q
     d = u * u + model.omega * model.omega
@@ -245,13 +237,13 @@ def _variance_jacobian(model: FitModel, x: np.ndarray, pumps: np.ndarray) -> np.
             col = b_d
         elif name in ("eps_inj", "r_ext"):
             dv = 1.0 - base if name == "eps_inj" else -2.0 * (1.0 - eps_inj) * sign * base
-            col = s_v * (mix(dv) if input_frame else dv)
+            col = s_v * (_mix(s, dv, dv[::-1]) if input_frame else dv)
         else:   # theta_rms, through ds/dtheta_rms
             ds = 2.0 * theta * math.exp(-2.0 * theta * theta)
             col = ds * (s_v * (v[::-1] - v) if input_frame
                         else keep * (b_d - b_d[::-1]))
         if not input_frame and name != "theta_rms":
-            col = mix(col)
+            col = _mix(s, col, col[::-1])
         jac[:, :, j] = col.T
     return jac
 
@@ -316,16 +308,16 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
         jac[fill] = 0.0
         return jac
 
-    starts = _starts(model)
+    boxes = [model.bounds[name] for name in model.free]
+    box = "bounds box " + ", ".join(f"{name} in [{lo}, {hi}]"
+                                    for name, (lo, hi) in zip(model.free, boxes))
+    starts = _starts(boxes)
     # a box where the model rejects every start, or an input past the float
     # range (omega**2 overflowing, say) that leaves the model non-finite at
     # the first start it admits: the fit would see a constant residual and
     # end rank-deficient, blaming the data
     first = next(((x, pred) for x in starts
                   if (pred := _predict(model, x, pumps)) is not None), None)
-    boxes = [model.bounds[name] for name in model.free]
-    box = "bounds box " + ", ".join(f"{name} in [{lo}, {hi}]"
-                                    for name, (lo, hi) in zip(model.free, boxes))
     if first is None:
         raise ConfigError(f"the model rejects every start point of the {box}")
     x_first, pred_first = first

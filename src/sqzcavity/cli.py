@@ -320,6 +320,8 @@ def load_config(path: str | Path, seed: int | None = None,
     _check_grid_memory("[verify] grid_points", grid_points)
 
     out_dir = v["out_dir"] if out_dir is None else out_dir
+    if not out_dir:
+        raise ConfigError("[run] out_dir is empty")
     formats = v["format"] if formats is None else formats
     sde_options = {name: v[key] for name, key in (
         ("n_trajectories", "sde_trajectories"), ("duration", "sde_duration"),
@@ -332,7 +334,7 @@ def load_config(path: str | Path, seed: int | None = None,
         echo.setdefault("run", {})["seed"] = str(seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    formats = tuple(formats.split(","))
+    formats = tuple(f.strip() for f in formats.split(","))
     for f in formats:
         if f not in ("csv", "json"):
             raise ConfigError(f"unknown output format {f!r}")

@@ -1,5 +1,7 @@
 """Calibration: synthetic data, weighted fits, identifiability."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,33 @@ class TestForwardPair:
                 assert len(calls) == 2
 
 
+def _reference_starts(boxes):
+    """The start set spelled another way: the raw corners, subsampled, then
+    each coordinate nudged inward from the end it equals."""
+    corners = list(itertools.product(*boxes))
+    if len(corners) > calibrate._MAX_STARTS:
+        stride = len(corners) // calibrate._MAX_STARTS
+        corners = corners[::stride][:calibrate._MAX_STARTS]
+    return [np.array([lo + 0.05 * (hi - lo) if v == lo else hi - 0.05 * (hi - lo)
+                      for v, (lo, hi) in zip(c, boxes)]) for c in corners]
+
+
+_BOX_END = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+class TestStarts:
+    @settings(max_examples=200, deadline=None)
+    @given(boxes=st.lists(st.tuples(_BOX_END, _BOX_END).filter(lambda b: b[0] < b[1]),
+                          min_size=1, max_size=7))
+    def test_matches_reference(self, boxes):
+        # up to 7 free parameters: past 3, the 2**n corners are subsampled
+        starts = calibrate._starts(boxes)
+        reference = _reference_starts(boxes)
+        assert len(starts) == len(reference) == min(2 ** len(boxes),
+                                                    calibrate._MAX_STARTS)
+        assert all(np.array_equal(a, b) for a, b in zip(starts, reference))
+
+
 class TestFit:
     def test_noiseless_recovery(self):
         rows = synthesize_measurements(TRUE, PUMPS, 0.0, seed=1)
@@ -233,7 +262,7 @@ class TestFit:
         free = ("eps_read", "theta_rms", "q_max", "eps_inj")
         model = FitModel(free=free,
                          fixed={k: v for k, v in TRUE.items() if k not in free})
-        assert len(calibrate._starts(model)) == 8
+        assert len(calibrate._starts([model.bounds[n] for n in free])) == 8
         res = fit_parameters(synthesize_measurements(TRUE, PUMPS + [0.9], 0.0,
                                                      seed=1), model)
         for name in free:
@@ -290,7 +319,8 @@ class TestFit:
         assert str(info.value) == (
             "the model rejects every start point of the bounds box "
             "eps_read in [1.0, 2.0], theta_rms in [0.0, 0.5]")
-        assert calls == [x[0] for x in calibrate._starts(model)]
+        assert calls == [x[0] for x in calibrate._starts(
+            [model.bounds[n] for n in model.free])]
 
     def test_no_start_converges(self, monkeypatch):
         monkeypatch.setattr(calibrate, "_MAX_NFEV", 1)

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +249,10 @@ SINGLE_FAULTS = {
                  "'no_squeezing'), got 'none'"),
     "format": (dict(), ["--format", "xml"], 2,
                "config error: unknown output format 'xml'"),
+    "format_empty_entry": (dict(), ["--format", "csv,"], 2,
+                           "config error: unknown output format ''"),
+    "out_dir_empty": (dict(), ["--out", ""], 2,
+                      "config error: [run] out_dir is empty"),
     "seed": (dict(seed=-1), [], 2, "config error: seed must be >= 0, got -1"),
     "seed_override": (dict(), ["--seed", "-1"], 2,
                       "config error: seed must be >= 0, got -1"),
@@ -1442,6 +1447,30 @@ class TestReproducibility:
         cfg = write_config(tmp_path, extra=f"out_dir = {out}\nformat = csv\n")
         assert main(["--config", str(cfg), "spectrum"]) == 0
         assert [p.name for p in out.iterdir()] == ["spectrum.csv"]
+        # a space after a comma, in the option or the config; the echo keeps
+        # the text as written
+        out = tmp_path / "spaced_option"
+        cfg = write_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(out), "--format",
+                     "csv, json", "spectrum"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv",
+                                                         "spectrum.json"]
+        out = tmp_path / "spaced_config"
+        cfg = write_config(tmp_path, extra=f"out_dir = {out}\nformat = csv, json\n")
+        assert main(["--config", str(cfg), "spectrum"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv",
+                                                         "spectrum.json"]
+        env = json.loads((out / "spectrum.json").read_text())
+        assert env["config"]["run"]["format"] == "csv, json"
+
+    def test_empty_out_dir(self, tmp_path, monkeypatch, capsys):
+        # an empty out_dir in the config is malformed, not the current
+        # directory; the option's empty value is a SINGLE_FAULTS case
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, extra="out_dir =\n")
+        assert main(["--config", str(cfg), "spectrum"]) == 2
+        assert one_line_stderr(capsys) == "config error: [run] out_dir is empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
 
     def test_console_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1455,11 +1484,10 @@ class TestReproducibility:
 
     def test_version_in_one_place(self):
         # the envelopes record the package version; the project metadata
-        # must name the same one.  Read with a regex, as Python 3.10 has no
-        # tomllib
+        # must name the same one
         path = Path(__file__).resolve().parent.parent / "pyproject.toml"
-        versions = re.findall(r'^version = "(.*)"$', path.read_text(), re.M)
-        assert versions == [sqzcavity.__version__]
+        with path.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == sqzcavity.__version__
 
 
 def _modules_after(code: str, package: str) -> list[str]:
