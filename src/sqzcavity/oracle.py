@@ -20,7 +20,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,8 @@ _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 # many samples, so that a block's float64 buffers stay in cache
 _BLOCK_SAMPLES = 1 << 16
 # bytes of a block's buffers at their peak, per block sample, an upper bound:
-# tracemalloc measured 24 to 48 over segment lengths of 8 to 2**19
+# tracemalloc measured 24 to 48 over segment lengths of 8 to 2**19, the
+# filter's work buffer, one per trajectory, included
 _BLOCK_BYTES_PER_SAMPLE = 64
 
 
@@ -237,11 +238,98 @@ class SdeResult:
     n_segments: int
 
 
-def lfilter(b, a, x, zi=None):
-    """scipy.signal.lfilter, imported on first use so that importing the
-    package, and every command but verify, does not load scipy.signal."""
-    from scipy.signal import lfilter
-    return lfilter(b, a, x, zi=zi)
+class _ScanTables(NamedTuple):
+    """The constants of lfilter's scan for y_k = a y_{k-1} + b (x_k + x_{k-1}),
+    built once per run_sde call: with m = _SCAN_ROW, A = a**m and l the index
+    of a row end within its row of _SCAN_CARRY ends."""
+
+    a: float
+    b: float
+    row_scale: np.ndarray   # b a^-j, j < m
+    row_grow: np.ndarray    # a^j
+    end_scale: np.ndarray   # a^(m-1) A^-l
+    end_grow: np.ndarray    # A^l
+
+
+# lfilter's scan: samples per row, and row ends per row of the carry level.
+# SdeRunSpec's dt*kappa_total < 0.05 gives a > 0.95, so no scale factor
+# exceeds 0.95**-(64*31), about 1e44
+_SCAN_ROW = 64
+_SCAN_CARRY = 32
+
+
+def _scan_tables(a: float, b: float) -> _ScanTables:
+    """lfilter's tables for a and b, each power correctly rounded: an exact
+    ratio of integers, a = num/2**e, then one correctly rounded int
+    division.  Unlike numpy's power and exp, the bits do not depend on the
+    CPU dispatch."""
+    m, c = _SCAN_ROW, _SCAN_CARRY
+    num, den = a.as_integer_ratio()
+    e = den.bit_length() - 1
+    b_num, b_den = b.as_integer_ratio()
+    powers = [1]                         # num**(m*l), l < c
+    for _ in range(c - 1):
+        powers.append(powers[-1] * num ** m)
+    lead = num ** (m - 1)
+    return _ScanTables(
+        a=a, b=b,
+        row_scale=np.array([(b_num << e * j) / (b_den * num ** j)
+                            for j in range(m)]),
+        row_grow=np.array([num ** j / (1 << e * j) for j in range(m)]),
+        end_scale=np.array([(lead << e * m * l) / (p << e * (m - 1))
+                            for l, p in enumerate(powers)]),
+        end_grow=np.array([p / (1 << e * m * l)
+                           for l, p in enumerate(powers)]))
+
+
+def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
+            ) -> tuple[np.ndarray, float]:
+    """y_k = a y_{k-1} + b (x_k + x_{k-1}) over the block x, from the
+    transposed state z = b x_{-1} + a y_{-1}, as a blocked scaled prefix sum
+    (Blelloch 1990).  Returns y, a view of work, which holds at least x.size
+    samples rounded up to a whole row, and the state after x.
+
+    In rows of m samples, y_{rm+j} = a^j (c_j + a Y_{r-1}), where c_j is the
+    sequential cumsum of b a^-i (x_i + x_{i-1}) along the row (z in place of
+    b x_{-1} at the block's first sample) and Y_{r-1} the previous row's last
+    output.  The row ends follow Y_r = A Y_{r-1} + a^(m-1) c_{m-1}, the same
+    scan one level up in rows of _SCAN_CARRY, whose own ends are carried by a
+    loop in Python floats.  A short last row and a short last carry row are
+    padded with zeros, which no earlier sample reads.
+
+    The name is that of scipy.signal.lfilter, which this replaced: the
+    benchmark's tracer finds the per-block call under it."""
+    m, c = _SCAN_ROW, _SCAN_CARRY
+    n = x.size
+    rows = -(-n // m)
+    w = work[:rows * m]
+    w[0] = x[0]
+    np.add(x[1:], x[:-1], out=w[1:n])
+    w[n:] = 0.0
+    by_row = w.reshape(rows, m)
+    by_row *= scan.row_scale
+    w[0] += z
+    np.cumsum(by_row, axis=1, out=by_row)
+    # ends[1 + r] becomes Y_r, after a zero for the first row's Y_{-1}
+    groups = -(-rows // c)
+    ends = np.zeros(1 + groups * c)
+    by_group = ends[1:].reshape(groups, c)
+    ends[1:rows + 1] = by_row[:, -1]
+    by_group *= scan.end_scale
+    np.cumsum(by_group, axis=1, out=by_group)
+    # A and A^(C-1)
+    big_a, grow = float(scan.end_grow[1]), float(scan.end_grow[-1])
+    top = np.empty(groups)
+    last = 0.0
+    for g, end in enumerate(by_group[:, -1].tolist()):
+        top[g] = last
+        last = (end + big_a * last) * grow
+    by_group += (big_a * top)[:, None]
+    by_group *= scan.end_grow
+    by_row += (scan.a * ends[:rows])[:, None]
+    by_row *= scan.row_grow
+    y = w[:n]
+    return y, scan.b * float(x[-1]) + scan.a * float(y[-1])
 
 
 def _windowed_map(workers: int, fn: Callable, items: Iterable) -> Iterator:
@@ -317,13 +405,19 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
 
     With w_k = c_w n1_k and a = 1 - lam*dt, the output is ARMA(1,1) in the
     draws: y_k = b (1 + z^-1)/(1 - a z^-1) n1_k + u_k with b = c_y c_w/2.
-    One lfilter call forms the filter part in transposed form, whose state
-    c_y (1 + a) X_k/2 starts at the stationary X_0.
+    One lfilter call per block forms the filter part as a blocked scaled
+    prefix sum in numpy: a sequential cumsum along rows of 64 samples, the
+    row ends carried by the same scan one level up, and a loop over the few
+    ends left.  Its state, the transposed form's c_y (1 + a) X_k/2, starts
+    at the stationary X_0.  Its power tables are built once per call of
+    run_sde, each correctly rounded, so no output bit depends on the CPU
+    dispatch of numpy's power or exp.
 
     Each trajectory draws its noise at once, then walks its whole segments
-    in blocks of about 2**16 samples, carrying lfilter's state from block to
-    block; every product and sum keeps the operand order of the step-by-step
-    reference kernel in the tests, so blocking does not change a bit.
+    in blocks of about 2**16 samples, carrying the filter's state from block
+    to block in one reused work buffer; every product and sum keeps the
+    operand order of the reference kernel in the tests, which scans the same
+    blocks one operation at a time in Python floats.
 
     Trajectory i of quadrature k (its index in ("sq", "anti")) draws from
     SeedSequence(seed, spawn_key=(i, k)): first the (2, n) normals (n1, n2),
@@ -347,6 +441,8 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     c_w, c_u1, c_u2 = _increment_factor(kc, kl, v_in, dt, eps_read)
     c_y = math.sqrt(2.0 * kc * (1.0 - eps_read))
     b = 0.5 * c_y * c_w
+    scan = _scan_tables(a, b)
+    work_samples = -(-block // _SCAN_ROW) * _SCAN_ROW
     sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
     k = _QUADRATURES.index(spec.quadrature)
     # a generator: a list of every stream would take about 370 bytes each
@@ -359,11 +455,12 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
         n1, n2 = rng.standard_normal((2, n))
         x0 = math.sqrt(sig2) * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
-        z = np.array([0.5 * c_y * (1.0 + a) * x0])
+        z = 0.5 * c_y * (1.0 + a) * x0
+        work = np.empty(work_samples)
         for k0 in range(0, n_used, block):
             k1 = min(k0 + block, n_used)
             n1_b, n2_b = n1[k0:k1], n2[k0:k1]
-            y, z = lfilter([b, b], [1.0, -a], n1_b, zi=z)
+            y, z = lfilter(scan, n1_b, z, work)
             # no later block reads this block's draws: they are scaled in place
             n1_b *= c_u1
             y += n1_b

@@ -1490,26 +1490,38 @@ class TestReproducibility:
             assert tomllib.load(fh)["project"]["version"] == sqzcavity.__version__
 
 
-def _modules_after(code: str, package: str) -> list[str]:
-    """Names of the modules of package loaded after running code in a fresh
-    interpreter that imports sqzcavity from this checkout."""
+def _checkout_env() -> dict:
+    """os.environ for a fresh interpreter that imports sqzcavity from this
+    checkout."""
     import sqzcavity
 
     src = str(Path(sqzcavity.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _modules_after(code: str, package: str) -> list[str]:
+    """Names of the modules of package loaded after running code in a fresh
+    interpreter that imports sqzcavity from this checkout."""
     probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
              f" if m == {package!r} or m.startswith({package + '.'!r}))))")
-    proc = subprocess.run([sys.executable, "-c", code + probe], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code + probe],
+                          env=_checkout_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _tiny_verify_config(tmp_path):
+    """A config whose verify runs its SDE checks at TINY_SDE's sizes."""
+    section = "".join(f"{key} = {value}\n" for key, value in TINY_SDE.items())
+    return write_config(tmp_path,
+                        extra="\n[verify]\ngrid_points = 4\n" + section)
+
+
 class TestColdStart:
-    """scipy is imported where it is used: spectrum, optimize and figure3 run
-    on numpy alone, calibrate adds scipy.optimize, verify's SDE checks
-    scipy.signal."""
+    """scipy is imported where it is used: spectrum, optimize, figure3 and
+    verify, its SDE checks included, run on numpy alone, and calibrate adds
+    scipy.optimize."""
 
     def test_cli_import_loads_no_scipy(self):
         assert _modules_after("import sqzcavity.cli", "scipy") == []
@@ -1531,6 +1543,44 @@ fit_parameters(rows, FitModel(free=("eps_read",), fixed=fixed))
 """, "scipy")
         assert "scipy.optimize" in mods
         assert "scipy.signal" not in mods
+
+    def test_verify_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "out"
+        mods = _modules_after(f"""
+from sqzcavity.cli import main
+assert main(["--config", {str(_tiny_verify_config(tmp_path))!r},
+             "--out", {str(out)!r}, "verify"]) in (0, 4)
+""", "scipy")
+        assert mods == []
+        report = json.loads((out / "verify_report.json").read_text())
+        assert len(report["results"]["sde_checks"]) == 3
+
+
+class TestCpuDispatch:
+    def test_verify_bytes_independent_of_dispatch(self, tmp_path):
+        # the SDE filter's power tables are exact, so masking numpy's
+        # AVX-512 loops moves no byte of a verify run; on a CPU without
+        # those features the setting changes nothing
+        cfg = _tiny_verify_config(tmp_path)
+        runs = []
+        for name, mask in (("default", None),
+                           ("masked", "X86_V4 AVX512_ICL AVX512_SPR")):
+            env = _checkout_env()
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if mask:
+                env["NPY_DISABLE_CPU_FEATURES"] = mask
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "sqzcavity.cli", "--config", str(cfg),
+                 "--out", str(out), "verify"], env=env, capture_output=True)
+            runs.append((proc.returncode, {
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}))
+        (code, files), masked = runs
+        assert code in (0, 4)
+        assert set(files) == {Path("verify_report.csv"),
+                              Path("verify_report.json")}
+        assert masked == (code, files)
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"

@@ -1,10 +1,12 @@
 """Transfer-matrix and stochastic oracles against the closed forms."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,20 +122,64 @@ def _trajectory(spec, k, i):
     return (a, c_y, c_w, c_u1, c_u2), n1, n2, x0
 
 
-def _arma_output(consts, n1, n2, x0):
-    """The output as ARMA(1,1) in the draws, one step at a time in Python
-    floats: y_k = b n1_k + s_k, s_{k+1} = b n1_k + a y_k with b = c_y c_w/2
-    and s_0 = c_y (1 + a) X_0/2, plus the readout u_k = c_u1 n1_k + c_u2 n2_k
-    added term by term."""
+@functools.cache
+def _scan_constants(a, b):
+    """The scan's tables as tuples of Python floats, each power correctly
+    rounded through exact rationals: b a^-j and a^j for j < m, then
+    a^(m-1) A^-l and A^l for l < C, with A = a^m."""
+    m, c = oracle._SCAN_ROW, oracle._SCAN_CARRY
+
+    def power(j, scale=1.0):
+        return float(Fraction(scale) * Fraction(a) ** j)
+
+    return (tuple(power(-j, b) for j in range(m)),
+            tuple(power(j) for j in range(m)),
+            tuple(power(m - 1 - m * l) for l in range(c)),
+            tuple(power(m * l) for l in range(c)))
+
+
+def _arma_output(consts, n1, n2, x0, block):
+    """The output as ARMA(1,1) in the draws, y_k = a y_{k-1} + b (n1_k +
+    n1_{k-1}) with b = c_y c_w/2, one operation at a time in Python floats in
+    the operand order of run_sde's scan, block by block from the state
+    z = b n1_{k-1} + a y_{k-1}, z_0 = c_y (1 + a) X_0/2:
+    * in rows of m samples, the running sums c of b a^-j (n1_k + n1_{k-1}),
+      z in place of b n1_{k-1} at the block's first sample;
+    * the row ends Y_r = (G_r + A Y_{gC-1}) A^l, l = r mod C, g = r div C,
+      where G is the running sum of a^(m-1) A^-l c_(row end) in rows of C;
+    * y = (c + a Y_(row-1)) a^j, Y_(-1) = 0;
+    plus the readout u_k = c_u1 n1_k + c_u2 n2_k added term by term."""
     a, c_y, c_w, c_u1, c_u2 = consts
     b = 0.5 * c_y * c_w
-    s = 0.5 * c_y * (1.0 + a) * x0
-    out = []
-    for n1_k, n2_k in zip(n1.tolist(), n2.tolist()):
-        y = b * n1_k + s
-        s = b * n1_k + a * y
-        out.append(y + c_u1 * n1_k + c_u2 * n2_k)
-    return np.array(out)
+    m, c = oracle._SCAN_ROW, oracle._SCAN_CARRY
+    row_scale, row_grow, end_scale, end_grow = _scan_constants(a, b)
+    x = n1.tolist()
+    z = 0.5 * c_y * (1.0 + a) * x0
+    y = []
+    for k0 in range(0, len(x), block):
+        xb = x[k0:k0 + block]
+        sums = []
+        for k, x_k in enumerate(xb):
+            j = k % m
+            if k:
+                u = (x_k + xb[k - 1]) * row_scale[j]
+            else:
+                u = x_k * row_scale[0] + z
+            sums.append(sums[-1] + u if j else u)
+        ends = []
+        for r in range(-(-len(xb) // m)):
+            l = r % c
+            e = sums[min(r * m + m - 1, len(xb) - 1)] * end_scale[l]
+            g_sum = g_sum + e if l else e
+            if not l:
+                top = ends[-1] if r else 0.0
+            ends.append((g_sum + end_grow[1] * top) * end_grow[l])
+        for k, s in enumerate(sums):
+            r, j = divmod(k, m)
+            y.append((s + a * (ends[r - 1] if r else 0.0)) * row_grow[j])
+        z = b * xb[-1] + a * y[-1]
+    return np.array([y_k + c_u1 * n1_k + c_u2 * n2_k
+                     for y_k, n1_k, n2_k in zip(y, x, n2.tolist())])
 
 
 def _trapezoid_output(consts, n1, n2, x0):
@@ -161,6 +207,7 @@ def _reference_sde(spec):
         return np.abs(spec_) ** 2 * (dt / (win * win).sum())
 
     length = spec.segment_length
+    block = _block_samples(length)
     hop = length
     win = np.hanning(length)
     out = {}
@@ -168,7 +215,7 @@ def _reference_sde(spec):
         s1, s2 = np.zeros(length // 2 + 1), np.zeros(length // 2 + 1)
         n_seg = 0
         for i in range(spec.n_trajectories):
-            p = periodograms(_arma_output(*_trajectory(spec, k, i)),
+            p = periodograms(_arma_output(*_trajectory(spec, k, i), block),
                              length, hop, win, spec.dt)
             s1 += p.sum(axis=0)
             s2 += (p**2).sum(axis=0)
@@ -184,20 +231,28 @@ def _reference_sde(spec):
 # whole trajectory up to just below the 0.05 stability bound; the 32 768
 # steps fit in one kernel block.  The "blocks" case spans three blocks and a
 # partial fourth, with a tail after the last segment, so the filter state
-# crosses every block edge.  ids name the Hann window and zero overlap of
-# run_sde's segmentation
+# crosses every block edge.  The "ragged" cases' 100-sample segments make
+# 65 500-sample blocks, which end in a short row of the scan; their partial
+# last block ends in a short row of its carry level as well.  The "short"
+# case's trajectories are shorter than one row.  ids name the Hann window
+# and zero overlap of run_sde's segmentation
 _KERNEL_CASES = [
-    *(pytest.param(k, 32768, id=f"hann-0.0-{k}") for k in (1e-6, 1e-3, 0.03, 0.0499)),
-    pytest.param(1e-6, 3 * 65536 + 5 * 512 + 100, id="hann-0.0-1e-06-blocks"),
+    *(pytest.param(k, 32768, 512, id=f"hann-0.0-{k}")
+      for k in (1e-6, 1e-3, 0.03, 0.0499)),
+    pytest.param(1e-6, 3 * 65536 + 5 * 512 + 100, 512,
+                 id="hann-0.0-1e-06-blocks"),
+    *(pytest.param(k, 2 * 65500 + 40 * 100 + 37, 100,
+                   id=f"hann-0.0-{k}-ragged") for k in (1e-6, 0.0499)),
+    pytest.param(0.03, 5 * 8 + 3, 8, id="hann-0.0-0.03-short"),
 ]
 
 
-def _kernel_spec(cav, kappa_dt, steps, **kw):
+def _kernel_spec(cav, kappa_dt, steps, length, **kw):
     q = 0.3 * cav.q_threshold
     dt = kappa_dt / ((cav.t_c + cav.eps_int + q) / 2.0)
     return _small_spec(cav, q=q, v=(0.162, 10.40), eps_read=0.10, seed=41,
                        dt=dt, duration=dt * steps, n_trajectories=2,
-                       segment_length=512, **kw)
+                       segment_length=length, **kw)
 
 
 class TestSde:
@@ -222,14 +277,15 @@ class TestSde:
         z0 = (res.psd[0] - target) / res.stderr[0]
         assert abs(z0) < 3.0
 
-    @pytest.mark.parametrize("kappa_dt, steps", _KERNEL_CASES)
-    def test_matches_reference_kernel(self, cav, kappa_dt, steps):
-        if steps > 32768:
-            block = _block_samples(512)
-            assert steps > 3 * block and steps % block > 0 and steps % 512 > 0
-        ref = _reference_sde(_kernel_spec(cav, kappa_dt, steps))
+    @pytest.mark.parametrize("kappa_dt, steps, length", _KERNEL_CASES)
+    def test_matches_reference_kernel(self, cav, kappa_dt, steps, length):
+        block = _block_samples(length)
+        if steps > block:
+            # a partial last block, then a tail after the last segment
+            assert (steps - steps % length) % block > 0 and steps % length > 0
+        ref = _reference_sde(_kernel_spec(cav, kappa_dt, steps, length))
         for quadrature in ("sq", "anti"):
-            res = run_sde(_kernel_spec(cav, kappa_dt, steps,
+            res = run_sde(_kernel_spec(cav, kappa_dt, steps, length,
                                        quadrature=quadrature))
             psd, stderr = ref[quadrature]
             assert np.array_equal(res.psd, psd)
@@ -239,12 +295,13 @@ class TestSde:
     # the ARMA(1,1) form against the defining state recursion and
     # trapezoid: the two associate the same sums differently, so they agree
     # to rounding, a few ulps of the largest output sample
-    @pytest.mark.parametrize("kappa_dt, steps", _KERNEL_CASES)
-    def test_arma_output_matches_state_recursion(self, cav, kappa_dt, steps):
-        spec = _kernel_spec(cav, kappa_dt, steps)
+    @pytest.mark.parametrize("kappa_dt, steps, length", _KERNEL_CASES)
+    def test_arma_output_matches_state_recursion(self, cav, kappa_dt, steps,
+                                                 length):
+        spec = _kernel_spec(cav, kappa_dt, steps, length)
         for k, i in itertools.product(range(2), range(spec.n_trajectories)):
             trajectory = _trajectory(spec, k, i)
-            y = _arma_output(*trajectory)
+            y = _arma_output(*trajectory, _block_samples(spec.segment_length))
             y_def = _trapezoid_output(*trajectory)
             bound = 8 * np.finfo(float).eps * np.abs(y).max()
             assert np.abs(y - y_def).max() <= bound
