@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoherence import (
+    PARAM_NAMES,
     DecoherenceChain,
     ExternalSqueezeSource,
     _mix,
@@ -28,8 +29,6 @@ from .decoherence import measured_anti_noise_with_jitter, measured_noise_with_ji
 from .errors import (ConfigError, ConvergenceError, IdentifiabilityError,
                      SingularResponseError)
 from .sensor import CavityParams
-
-PARAM_NAMES = ("t_c", "eps_int", "eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
 
 DEFAULT_BOUNDS = {
     "t_c": (1e-4, 0.5),

@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import csv
-import datetime
 import functools
 import json
 import math
@@ -31,15 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .calibrate import (
-    PARAM_NAMES,
-    FitModel,
-    VariancePair,
-    fit_parameters,
-    forward_variances,
-)
+from . import __version__, _attach
 from .decoherence import (
+    PARAM_NAMES,
     DecoherenceChain,
     ExternalSqueezeSource,
     input_state_from_source,
@@ -51,6 +43,7 @@ from .errors import (
     InstabilityError,
     SingularResponseError,
     SqzCavityError,
+    check_memory,
 )
 from .optimize import (
     BASELINES,
@@ -63,13 +56,6 @@ from .optimize import (
     optimize_gain_numeric,
     snr_gain_db,
 )
-from .oracle import (
-    SDE_Z_LIMIT,
-    SdeRunSpec,
-    check_memory,
-    compare_oracles,
-    random_compare_grid,
-)
 from .sensor import (
     SINGLE_MODE_BUDGET,
     CavityParams,
@@ -81,6 +67,22 @@ from .sensor import (
     quadrature_noise_spectrum,
     signal_transfer_power,
 )
+
+# verify's and calibrate's names, imported on first use so that the other
+# commands load neither oracle nor calibrate.  Code here reaches them as
+# _cli.<name>: a name that a test or a tracer replaces on this module is the
+# one that runs
+_LAZY = {
+    **dict.fromkeys(("SDE_Z_LIMIT", "SdeRunSpec", "compare_oracles",
+                     "random_compare_grid"), "oracle"),
+    **dict.fromkeys(("FitModel", "VariancePair", "fit_parameters",
+                     "forward_variances"), "calibrate"),
+}
+__getattr__, __dir__ = _attach(__name__, _LAZY)
+_cli = sys.modules[__name__]
+__all__ = ["ABSOLUTE_ENHANCEMENT_NOTE", "OutputWriter", "RunConfig",
+           "build_parser", "cmd_calibrate", "cmd_figure3", "cmd_optimize",
+           "cmd_spectrum", "cmd_verify", "load_config", "main", *_LAZY]
 
 ABSOLUTE_ENHANCEMENT_NOTE = (
     "Peak SNR gains against the no_squeezing baseline are flat across the "
@@ -143,6 +145,16 @@ def _config_errors(prefix: str = ""):
 def _check_grid_memory(name: str, npts: int):
     with _config_errors():
         check_memory(f"{name} = {npts} points", _GRID_POINT_BYTES * npts)
+
+
+def _regular_file(path: str | Path, what: str) -> Path:
+    """path, when it names a regular file; a ConfigError naming what it is
+    otherwise (a directory or a device, say, exists but is not read)."""
+    path = Path(path)
+    if not path.is_file():
+        state = "is not a regular file" if path.exists() else "not found"
+        raise ConfigError(f"{what} {state}: {path}")
+    return path
 
 
 def _number(text: str, section: str, key: str) -> float:
@@ -237,9 +249,7 @@ def load_config(path: str | Path, seed: int | None = None,
     # values are literal: a "%" is a character, not an interpolation
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    path = _regular_file(path, "config file")
     # a leading UTF-8 byte-order mark is not text; configparser names the
     # file by its repr, and its messages run over several lines, folded here
     try:
@@ -356,9 +366,9 @@ def load_config(path: str | Path, seed: int | None = None,
             ("anti_with_gain", v["probe_q"], state, chain.eps_read, "anti"))
         with _config_errors("[verify] "):
             sde_specs = [
-                (label, SdeRunSpec(cavity=cavity, q=q, input_state=in_state,
-                                   eps_read=loss, seed=seed + i,
-                                   quadrature=quadrature, **sde_options))
+                (label, _cli.SdeRunSpec(cavity=cavity, q=q, input_state=in_state,
+                                        eps_read=loss, seed=seed + i,
+                                        quadrature=quadrature, **sde_options))
                 for i, (label, q, in_state, loss, quadrature) in enumerate(checks)]
 
     fit_model = None
@@ -371,7 +381,7 @@ def load_config(path: str | Path, seed: int | None = None,
                 raise ConfigError("q_max must be fixed in [calibrate] or listed free")
             fixed["q_max"] = v["q_max"]
         with _config_errors():
-            fit_model = FitModel(
+            fit_model = _cli.FitModel(
                 free=free, fixed={k: x for k, x in fixed.items() if k not in free},
                 bounds=cal_bounds, omega=omega, jitter_model=chain.jitter_model)
 
@@ -427,6 +437,7 @@ class OutputWriter:
     def add_envelope(self, name: str, results: dict, warnings: list[str]):
         ts = None
         if self.stamp:
+            import datetime
             ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self._json.append((name, {
             "tool": "sqzcavity",
@@ -591,14 +602,14 @@ def cmd_figure3(cfg: RunConfig, writer: OutputWriter, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
-    grid = random_compare_grid(cfg.verify_grid_points, cfg.seed)
+    grid = _cli.random_compare_grid(cfg.verify_grid_points, cfg.seed)
     fault = 1e-9 if args.inject_fault else 0.0
-    report = compare_oracles(grid, sde_specs=cfg.sde_specs, fault_offset=fault)
+    report = _cli.compare_oracles(grid, sde_specs=cfg.sde_specs, fault_offset=fault)
 
     writer.add_table("verify_report", ["check", "value", "threshold", "passed"], [
         ["analytic_grid", *(f"sde_{s.label}" for s in report.sde)],
         [report.max_analytic_diff, *(s.z_zero for s in report.sde)],
-        [report.analytic_tolerance, *(SDE_Z_LIMIT for _ in report.sde)],
+        [report.analytic_tolerance, *(_cli.SDE_Z_LIMIT for _ in report.sde)],
         [report.analytic_passed, *(s.passed for s in report.sde)],
     ])
     results = {
@@ -614,9 +625,9 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
 
 
 def _load_measurements(path: str | Path) -> list[VariancePair]:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"measurement file not found: {path}")
+    import csv
+
+    path = _regular_file(path, "measurement file")
     expected = ["pump_setting", "V_sq", "V_anti", "err_sq", "err_anti"]
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -636,9 +647,9 @@ def _load_measurements(path: str | Path) -> list[VariancePair]:
                 raise ConfigError(f"line {lineno}: expected 5 fields, got {len(row)}")
             with _config_errors(f"line {lineno}: "):
                 vals = [float(v) for v in row]
-                rows.append(VariancePair(pump_setting=vals[0], v_sq=vals[1],
-                                         v_anti=vals[2], err_sq=vals[3],
-                                         err_anti=vals[4]))
+                rows.append(_cli.VariancePair(pump_setting=vals[0], v_sq=vals[1],
+                                              v_anti=vals[2], err_sq=vals[3],
+                                              err_anti=vals[4]))
     if not rows:
         raise ConfigError("measurement file has no data rows")
     return rows
@@ -649,10 +660,10 @@ def cmd_calibrate(cfg: RunConfig, writer: OutputWriter, args) -> int:
     model = cfg.fit_model
     if model is None:
         raise ConfigError("calibrate requires [calibrate] free = name, ...")
-    result = fit_parameters(data, model)
+    result = _cli.fit_parameters(data, model)
 
-    pred = forward_variances(result.params, [d.pump_setting for d in data],
-                             omega=model.omega, jitter_model=model.jitter_model)
+    pred = _cli.forward_variances(result.params, [d.pump_setting for d in data],
+                                  omega=model.omega, jitter_model=model.jitter_model)
     if not np.all(np.isfinite(pred)):
         raise SingularResponseError("calibration model not finite at the "
                                     "measured pump settings")

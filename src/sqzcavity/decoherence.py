@@ -24,6 +24,9 @@ from .sensor import (
 )
 
 JITTER_MODELS = ("pump_frame", "input_frame")
+# the forward model's parameters, in the order calibrate fits them: the
+# cavity's, this chain's, the source's and the pump law's gain at full pump
+PARAM_NAMES = ("t_c", "eps_int", "eps_inj", "eps_read", "theta_rms", "r_ext", "q_max")
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)   # e^x is normal for x at or above it
 
 

@@ -1,5 +1,8 @@
 """Exception types shared across the package, each with the kind that starts
-the CLI's one-line message for it and the exit code the CLI returns."""
+the CLI's one-line message for it and the exit code the CLI returns, and the
+physical-memory check that the CLI's grid sizes and the SDE oracle share."""
+
+import os
 
 
 class SqzCavityError(Exception):
@@ -34,3 +37,16 @@ class ConvergenceError(SqzCavityError, RuntimeError):
     """Iterative solver exhausted its budget without converging."""
 
     kind, exit_code = "convergence error", 6
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(what: str, nbytes: float):
+    """ValueError when what, needing about nbytes, exceeds the physical
+    memory of the machine."""
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise ValueError(f"{what} need about {nbytes:.3g} bytes, above the "
+                         f"{memory:.3g} bytes of physical memory")

@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InstabilityError, SingularResponseError
+from . import errors
+from .errors import InstabilityError, SingularResponseError, check_memory
 from .sensor import (
     CavityParams,
     InputQuadratureState,
@@ -120,19 +121,6 @@ def assemble_transfer(cav: CavityParams, q, eps_read, omega
     return QuadratureTransfer(coupler=coupler,
                               internal_loss=np.stack(loss, axis=-1),
                               readout=readout, signal=signal)
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def check_memory(what: str, nbytes: float):
-    """ValueError when what, needing about nbytes, exceeds the physical
-    memory of the machine."""
-    memory = _physical_memory()
-    if nbytes > memory:
-        raise ValueError(f"{what} need about {nbytes:.3g} bytes, above the "
-                         f"{memory:.3g} bytes of physical memory")
 
 
 @dataclass(frozen=True)
@@ -361,8 +349,9 @@ def _trajectory_map(spec: SdeRunSpec) -> Callable:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
+    # read through errors, the one memory probe that check_memory reads too
     workers = min(cpus, spec.n_trajectories,
-                  _physical_memory() // spec.trajectory_bytes)
+                  errors._physical_memory() // spec.trajectory_bytes)
     if workers <= 1:
         return map
     return functools.partial(_windowed_map, workers)

@@ -41,8 +41,8 @@ from sqzcavity import (
 )
 import sqzcavity.calibrate
 import sqzcavity.cli
+import sqzcavity.errors
 import sqzcavity.optimize
-import sqzcavity.oracle
 from sqzcavity.calibrate import FitResult
 from sqzcavity.cli import (
     ABSOLUTE_ENHANCEMENT_NOTE,
@@ -399,13 +399,21 @@ class TestConfigValidation:
                                                           capsys, monkeypatch):
         # spectrum needs about 480 bytes an omega_grid point: 3000 points
         # exceed 1 MB, although 300 bytes a point would fit
-        monkeypatch.setattr(sqzcavity.oracle, "_physical_memory", lambda: 1 << 20)
+        monkeypatch.setattr(sqzcavity.errors, "_physical_memory", lambda: 1 << 20)
         cfg = write_config(tmp_path, analysis="omega_grid = 0:2:3000")
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 2
         assert one_line_stderr(capsys) == (
             "config error: omega_grid = 3000 points need about 1.44e+06 bytes, "
             "above the 1.05e+06 bytes of physical memory\n")
+        assert not out.exists()
+        # the SDE specs read the same probe: one trajectory at TINY_SDE's
+        # sizes holds a 65536-sample block, about 4.3 MB
+        cfg = _tiny_verify_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
+        assert one_line_stderr(capsys) == (
+            "config error: [verify] duration/dt = 8.19e+03 steps need about "
+            "4.33e+06 bytes, above the 1.05e+06 bytes of physical memory\n")
         assert not out.exists()
 
     def test_grid_times_panels_exit_2(self, tmp_path, capsys):
@@ -497,6 +505,10 @@ class TestConfigValidation:
         assert main(["--config", str(tmp_path / "nope.ini"), "spectrum"]) == 2
         assert one_line_stderr(capsys).startswith(
             "config error: config file not found: ")
+        # a path that exists but is no regular file is named as such
+        assert main(["--config", str(tmp_path), "spectrum"]) == 2
+        assert one_line_stderr(capsys) == (
+            f"config error: config file is not a regular file: {tmp_path}\n")
         # a section written twice is not a readable config
         cfg = write_config(tmp_path, extra="\n[cavity]\nt_c = 0.2\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -978,12 +990,17 @@ class TestCalibrate:
         cfg = write_config(tmp_path, extra=self.CAL)
         data = tmp_path / "broken.csv"
         header = "pump_setting,V_sq,V_anti,err_sq,err_anti\n"
+        directory = object()         # the data path names a directory
         for text, message in ((header + "0.0,1.0\n", "line 2: expected 5"),
                               (None, "measurement file not found"),
                               ("", "measurement file is empty"),
-                              (header, "measurement file has no data rows")):
+                              (header, "measurement file has no data rows"),
+                              (directory, "measurement file is not a regular "
+                                          f"file: {data}\n")):
             data.unlink(missing_ok=True)
-            if text is not None:
+            if text is directory:
+                data.mkdir()
+            elif text is not None:
                 data.write_text(text)
             assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                          "calibrate", "--data", str(data)]) == 2
@@ -1518,10 +1535,44 @@ def _tiny_verify_config(tmp_path):
                         extra="\n[verify]\ngrid_points = 4\n" + section)
 
 
+# the package modules that every command loads
+CORE_MODULES = ["sqzcavity", "sqzcavity.cli", "sqzcavity.decoherence",
+                "sqzcavity.errors", "sqzcavity.optimize", "sqzcavity.sensor"]
+
+
 class TestColdStart:
-    """scipy is imported where it is used: spectrum, optimize, figure3 and
-    verify, its SDE checks included, run on numpy alone, and calibrate adds
-    scipy.optimize."""
+    """Each command loads only the modules it runs.  Of scipy: spectrum,
+    optimize, figure3 and verify, its SDE checks included, run on numpy
+    alone, and calibrate adds scipy.optimize.  Of the package: every command
+    loads the core modules, verify adds oracle and calibrate adds
+    calibrate."""
+
+    @pytest.mark.parametrize("code, loaded", [
+        ("import sqzcavity", ["sqzcavity"]),
+        ("import sqzcavity.cli", CORE_MODULES),
+    ])
+    def test_import_loads_core_modules_only(self, code, loaded):
+        assert _modules_after(code, "sqzcavity") == loaded
+
+    @pytest.mark.parametrize("command, extra", [
+        ("spectrum", []), ("optimize", []), ("figure3", []),
+        ("verify", ["sqzcavity.oracle"]),
+        ("calibrate", ["sqzcavity.calibrate"]),
+    ])
+    def test_command_loads_only_its_modules(self, tmp_path, command, extra):
+        # the shipped configs; verify at TINY_SDE's sizes
+        config = (_tiny_verify_config(tmp_path) if command == "verify"
+                  else SHIPPED / FUZZ_CONFIGS[command])
+        argv = ["--config", str(config), "--out", str(tmp_path / "out"), command]
+        if command == "calibrate":
+            _write_measurements(tmp_path / "meas.csv", noise=0.01)
+            argv += ["--data", str(tmp_path / "meas.csv")]
+        # verify's tiny SDE run may fail its statistical gates
+        codes = (0, 4) if command == "verify" else (0,)
+        mods = _modules_after("from sqzcavity.cli import main\n"
+                              f"assert main({argv!r}) in {codes}", "sqzcavity")
+        assert mods == sorted(CORE_MODULES + extra)
+        assert (tmp_path / "out").is_dir()
 
     def test_cli_import_loads_no_scipy(self):
         assert _modules_after("import sqzcavity.cli", "scipy") == []
