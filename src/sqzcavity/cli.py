@@ -364,11 +364,16 @@ def load_config(path: str | Path, seed: int | None = None,
             ("vacuum_passive", 0.0, InputQuadratureState.vacuum(), 0.0, "sq"),
             ("squeezed_passive", 0.0, state, chain.eps_read, "sq"),
             ("anti_with_gain", v["probe_q"], state, chain.eps_read, "anti"))
+        # check i's SDE seed is a 64-bit hash of (seed, i), so checks do not
+        # share streams across run seeds (seed + i would give check i + 1 at
+        # seed s the streams of check i at s + 1)
         with _config_errors("[verify] "):
             sde_specs = [
-                (label, _cli.SdeRunSpec(cavity=cavity, q=q, input_state=in_state,
-                                        eps_read=loss, seed=seed + i,
-                                        quadrature=quadrature, **sde_options))
+                (label, _cli.SdeRunSpec(
+                    cavity=cavity, q=q, input_state=in_state, eps_read=loss,
+                    seed=int(np.random.SeedSequence(seed, spawn_key=(i,))
+                             .generate_state(1, np.uint64)[0]),
+                    quadrature=quadrature, **sde_options))
                 for i, (label, q, in_state, loss, quadrature) in enumerate(checks)]
 
     fit_model = None

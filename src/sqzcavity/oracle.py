@@ -202,9 +202,9 @@ class SdeRunSpec:
 
     @property
     def trajectory_bytes(self) -> int:
-        """Peak bytes of one trajectory of run_sde: its noise draws, two
+        """Peak bytes of one trajectory of run_sde: its noise draws, one
         float64 a step, and one block's buffers."""
-        return (16 * self.steps_per_trajectory + _BLOCK_BYTES_PER_SAMPLE
+        return (8 * self.steps_per_trajectory + _BLOCK_BYTES_PER_SAMPLE
                 * _block_samples(self.segment_length))
 
     @property
@@ -227,13 +227,15 @@ class SdeResult:
 
 
 class _ScanTables(NamedTuple):
-    """The constants of lfilter's scan for y_k = a y_{k-1} + b (x_k + x_{k-1}),
-    built once per run_sde call: with m = _SCAN_ROW, A = a**m and l the index
-    of a row end within its row of _SCAN_CARRY ends."""
+    """The constants of lfilter's scan for the ARMA(1,1) output
+    y_k = z_{k-1} + sigma x_k, z_k = a z_{k-1} + beta x_k, built once per
+    run_sde call: with m = _SCAN_ROW, A = a**m and l the index of a row end
+    within its row of _SCAN_CARRY ends."""
 
     a: float
-    b: float
-    row_scale: np.ndarray   # b a^-j, j < m
+    beta: float
+    sigma: float
+    row_scale: np.ndarray   # beta a^-j, j < m
     row_grow: np.ndarray    # a^j
     end_scale: np.ndarray   # a^(m-1) A^-l
     end_grow: np.ndarray    # A^l
@@ -246,21 +248,21 @@ _SCAN_ROW = 64
 _SCAN_CARRY = 32
 
 
-def _scan_tables(a: float, b: float) -> _ScanTables:
-    """lfilter's tables for a and b, each power correctly rounded: an exact
-    ratio of integers, a = num/2**e, then one correctly rounded int
+def _scan_tables(a: float, beta: float, sigma: float) -> _ScanTables:
+    """lfilter's tables for a and beta, each power correctly rounded: an
+    exact ratio of integers, a = num/2**e, then one correctly rounded int
     division.  Unlike numpy's power and exp, the bits do not depend on the
     CPU dispatch."""
     m, c = _SCAN_ROW, _SCAN_CARRY
     num, den = a.as_integer_ratio()
     e = den.bit_length() - 1
-    b_num, b_den = b.as_integer_ratio()
+    b_num, b_den = beta.as_integer_ratio()
     powers = [1]                         # num**(m*l), l < c
     for _ in range(c - 1):
         powers.append(powers[-1] * num ** m)
     lead = num ** (m - 1)
     return _ScanTables(
-        a=a, b=b,
+        a=a, beta=beta, sigma=sigma,
         row_scale=np.array([(b_num << e * j) / (b_den * num ** j)
                             for j in range(m)]),
         row_grow=np.array([num ** j / (1 << e * j) for j in range(m)]),
@@ -272,33 +274,33 @@ def _scan_tables(a: float, b: float) -> _ScanTables:
 
 def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
             ) -> tuple[np.ndarray, float]:
-    """y_k = a y_{k-1} + b (x_k + x_{k-1}) over the block x, from the
-    transposed state z = b x_{-1} + a y_{-1}, as a blocked scaled prefix sum
-    (Blelloch 1990).  Returns y, a view of work, which holds at least x.size
-    samples rounded up to a whole row, and the state after x.
+    """y_k = z_{k-1} + sigma x_k with z_k = a z_{k-1} + beta x_k over the
+    block x, from the state z = z_{-1}, as a blocked scaled prefix sum
+    (Blelloch 1990).  Returns y, written over x, and the state after x;
+    work holds at least x.size samples rounded up to a whole row.
 
-    In rows of m samples, y_{rm+j} = a^j (c_j + a Y_{r-1}), where c_j is the
-    sequential cumsum of b a^-i (x_i + x_{i-1}) along the row (z in place of
-    b x_{-1} at the block's first sample) and Y_{r-1} the previous row's last
-    output.  The row ends follow Y_r = A Y_{r-1} + a^(m-1) c_{m-1}, the same
-    scan one level up in rows of _SCAN_CARRY, whose own ends are carried by a
-    loop in Python floats.  A short last row and a short last carry row are
-    padded with zeros, which no earlier sample reads.
+    In rows of m samples, z_{rm+j} = a^j (c_j + a Z_{r-1}), where c_j is the
+    sequential cumsum of beta a^-i x_i along the row (plus a z at the
+    block's first sample) and Z_{r-1} the previous row's last state.  The
+    row ends follow Z_r = A Z_{r-1} + a^(m-1) c_{m-1}, the same scan one
+    level up in rows of _SCAN_CARRY, whose own ends are carried by a loop in
+    Python floats.  A short last row and a short last carry row are padded
+    with zeros, which no earlier sample reads.
 
     The name is that of scipy.signal.lfilter, which this replaced: the
     benchmark's tracer finds the per-block call under it."""
     m, c = _SCAN_ROW, _SCAN_CARRY
     n = x.size
-    rows = -(-n // m)
+    rows, tail = -(-n // m), n % m
     w = work[:rows * m]
-    w[0] = x[0]
-    np.add(x[1:], x[:-1], out=w[1:n])
-    w[n:] = 0.0
     by_row = w.reshape(rows, m)
-    by_row *= scan.row_scale
-    w[0] += z
+    np.multiply(x[:n - tail].reshape(-1, m), scan.row_scale,
+                out=by_row[:n // m])
+    np.multiply(x[n - tail:], scan.row_scale[:tail], out=w[n - tail:n])
+    w[n:] = 0.0
+    w[0] += scan.a * z
     np.cumsum(by_row, axis=1, out=by_row)
-    # ends[1 + r] becomes Y_r, after a zero for the first row's Y_{-1}
+    # ends[1 + r] becomes Z_r, after a zero for the first row's Z_{-1}
     groups = -(-rows // c)
     ends = np.zeros(1 + groups * c)
     by_group = ends[1:].reshape(groups, c)
@@ -316,8 +318,10 @@ def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
     by_group *= scan.end_grow
     by_row += (scan.a * ends[:rows])[:, None]
     by_row *= scan.row_grow
-    y = w[:n]
-    return y, scan.b * float(x[-1]) + scan.a * float(y[-1])
+    x *= scan.sigma
+    x[1:] += w[:n - 1]
+    x[0] += z
+    return x, float(w[n - 1])
 
 
 def _windowed_map(workers: int, fn: Callable, items: Iterable) -> Iterator:
@@ -357,22 +361,39 @@ def _trajectory_map(spec: SdeRunSpec) -> Callable:
     return functools.partial(_windowed_map, workers)
 
 
-def _increment_factor(kc, kl, v_in, dt, eps_read) -> tuple[float, float, float]:
-    """Cholesky factor (c_w, c_u1, c_u2) of one step's increment pair.
+def _innovation_factor(kc, kl, v_in, a, dt, eps_read
+                       ) -> tuple[float, float, float]:
+    """(sigma, beta, start): the detected output as one ARMA(1,1) process
+    with one unit white innovation e, in its state form
+    y_k = z_{k-1} + sigma e_k, z_k = a z_{k-1} + beta e_k, whose state
+    starts from its stationary law, N(0, start**2).
 
     Per step, the state increment w = sqrt(2 kc dt v) xi + sqrt(2 kl dt) eta
     and the detected noise u = -sqrt((1-eps) v/dt) xi + sqrt(eps/dt) zeta,
-    from three independent normals, form a 2-D Gaussian pair independent from
-    step to step.  Two normals n1, n2 give the same pair as
-    w = c_w n1, u = c_u1 n1 + c_u2 n2.  The Schur complement under c_u2 is
-    written as a sum of non-negative terms, Var(u) - c_u1^2 without the
-    cancellation.
+    from three independent normals, enter the output as
+    y_k - a y_{k-1} = c_y (w_k + w_{k-1})/2 + u_k - a u_{k-1},
+    c_y = sqrt(2 kc (1-eps)): white noise through an MA(1) filter, whose
+    spectrum r0 + 2 r1 cos(omega) is fixed by its values at 0 and pi.  With
+    h = 1 - a, those are p**2 = Var(c_y w + h u), written as the sum of
+    non-negative terms ((1-eps) ((h - 2 kc dt)^2 v + 4 kc kl dt^2)
+    + eps h^2)/dt, and m**2 = Var((1 + a) u).  The spectral factor
+    sigma (1 + theta e^(-i omega)), sigma = (p + m)/2 and
+    sigma theta = (p - m)/2, takes the same values there, so the process has
+    the scheme's law exactly (a sum of ARMA(1,1) and white noise is ARMA(1,1)
+    with one innovation: Granger & Morris 1976), and |theta| <= 1.  In the
+    state form beta = sigma (theta + a) = (1 + a)(p - h sqrt(Var u))/2: no
+    coefficient is a difference of nearly equal ones where theta nears -1
+    (a small step) or -a (a white output), so the law holds to a few ulps
+    at every stable step.
     """
-    c_w = math.sqrt(2.0 * kc * dt * v_in + 2.0 * kl * dt)
-    c_u1 = -v_in * math.sqrt(2.0 * kc * (1.0 - eps_read)) / c_w
-    c_u2 = math.sqrt((1.0 - eps_read) * (v_in / dt) * kl / (kc * v_in + kl)
-                     + eps_read / dt)
-    return c_w, c_u1, c_u2
+    h = 1.0 - a
+    sd_u = math.sqrt(((1.0 - eps_read) * v_in + eps_read) / dt)
+    p = math.sqrt(((1.0 - eps_read) * ((h - 2.0 * kc * dt) ** 2 * v_in
+                                       + 4.0 * kc * kl * dt * dt)
+                   + eps_read * h * h) / dt)
+    sigma = 0.5 * (p + (1.0 + a) * sd_u)
+    beta = 0.5 * (1.0 + a) * (p - h * sd_u)
+    return sigma, beta, abs(beta) / math.sqrt(h * (1.0 + a))
 
 
 def run_sde(spec: SdeRunSpec) -> SdeResult:
@@ -380,46 +401,47 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     detected power spectrum with per-bin standard errors from Hann-windowed
     consecutive segments.
 
-    The state update is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k from
-    X_0 drawn from its discrete stationary distribution, and the output
+    The scheme is Euler-Maruyama X_{k+1} = (1 - lam*dt) X_k + w_k from X_0
+    in its discrete stationary distribution, and the output
     y_k = c_y (X_k + X_{k+1})/2 + u_k, c_y = sqrt(2 kc (1-eps)), uses the
     interval-averaged state together with the reflected input increment and
-    the readout vacuum, both in u_k.  This trapezoidal output sampling makes
-    the all-vacuum passive output exactly white, and the spectral density at
-    zero frequency exactly unbiased, for any stable dt.  The Hann-windowed
-    estimate of bin 0 is not: the window's leakage biases it, by 5.0e-4
-    relative in verify.ini's squeezed check.  Each step's pair (w_k, u_k)
-    comes from two normals through _increment_factor: Euler-Maruyama with
-    correlated increments (Kloeden & Platen 1992, sec. 10.2).
+    the readout vacuum, both in u_k; each step's (w_k, u_k) is a correlated
+    Gaussian pair (Kloeden & Platen 1992, sec. 10.2).  This trapezoidal
+    output sampling makes the all-vacuum passive output exactly white, and
+    the spectral density at zero frequency exactly unbiased, for any stable
+    dt.  The Hann-windowed estimate of bin 0 is not: the window's leakage
+    biases it, by 5.0e-4 relative in verify.ini's squeezed check.
 
-    With w_k = c_w n1_k and a = 1 - lam*dt, the output is ARMA(1,1) in the
-    draws: y_k = b (1 + z^-1)/(1 - a z^-1) n1_k + u_k with b = c_y c_w/2.
-    One lfilter call per block forms the filter part as a blocked scaled
-    prefix sum in numpy: a sequential cumsum along rows of 64 samples, the
-    row ends carried by the same scan one level up, and a loop over the few
-    ends left.  Its state, the transposed form's c_y (1 + a) X_k/2, starts
-    at the stationary X_0.  Its power tables are built once per call of
-    run_sde, each correctly rounded, so no output bit depends on the CPU
-    dispatch of numpy's power or exp.
+    The output is stationary, Gaussian and ARMA(1,1) with pole
+    a = 1 - lam*dt, so run_sde draws it in law, not sample by sample: one
+    normal e_k a step through its spectral factor from _innovation_factor,
+    y_k = z_{k-1} + sigma e_k with z_k = a z_{k-1} + beta e_k, from the
+    state z drawn from its stationary law.  One lfilter call per block forms
+    it: the state as a blocked scaled prefix sum in numpy, a sequential
+    cumsum along rows of 64 samples, the row ends carried by the same scan
+    one level up, and a loop over the few ends left.  Its power tables are
+    built once per call of run_sde, each correctly rounded, so no output bit
+    depends on the CPU dispatch of numpy's power or exp.
 
     Each trajectory draws its noise at once, then walks its whole segments
     in blocks of about 2**16 samples, carrying the filter's state from block
-    to block in one reused work buffer; every product and sum keeps the
-    operand order of the reference kernel in the tests, which scans the same
-    blocks one operation at a time in Python floats.
+    to block through one reused work buffer and writing each block's output
+    over its draws; every product and sum keeps the operand order of the
+    reference kernel in the tests, which scans the same blocks one operation
+    at a time in Python floats.
 
     Trajectory i of quadrature k (its index in ("sq", "anti")) draws from
-    SeedSequence(seed, spawn_key=(i, k)): first the (2, n) normals (n1, n2),
-    then X_0.  The streams are built only when the map reaches them, and the
-    trajectories are reduced in order, so the result does not depend on the
-    map: one thread per usable CPU (restrict the CPUs with taskset), the
-    builtin map on one.
+    SeedSequence(seed, spawn_key=(i, k)): first the (n,) normals e, then
+    one normal for the start state.  The streams are built only when the map
+    reaches them, and the trajectories are reduced in order, so the result
+    does not depend on the map: one thread per usable CPU (restrict the CPUs
+    with taskset), the builtin map on one.
     """
     cav = spec.cavity
     kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
     gain, v_in = spec.scored
     lam = kc + kl + gain / 2.0
-    dt, eps_read = spec.dt, spec.eps_read
+    dt = spec.dt
     n = spec.steps_per_trajectory
     length = spec.segment_length
     n_used = n - n % length            # the tail is neither filtered nor formed
@@ -427,12 +449,10 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     win = np.hanning(length)
     scale = dt / (win * win).sum()
     a = 1.0 - lam * dt
-    c_w, c_u1, c_u2 = _increment_factor(kc, kl, v_in, dt, eps_read)
-    c_y = math.sqrt(2.0 * kc * (1.0 - eps_read))
-    b = 0.5 * c_y * c_w
-    scan = _scan_tables(a, b)
+    sigma, beta, start = _innovation_factor(kc, kl, v_in, a, dt,
+                                            spec.eps_read)
+    scan = _scan_tables(a, beta, sigma)
     work_samples = -(-block // _SCAN_ROW) * _SCAN_ROW
-    sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
     k = _QUADRATURES.index(spec.quadrature)
     # a generator: a list of every stream would take about 370 bytes each
     seeds = (np.random.SeedSequence(spec.seed, spawn_key=(i, k))
@@ -441,20 +461,12 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
-        n1, n2 = rng.standard_normal((2, n))
-        x0 = math.sqrt(sig2) * rng.standard_normal()
+        e = rng.standard_normal(n)
+        z = start * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
-        z = 0.5 * c_y * (1.0 + a) * x0
         work = np.empty(work_samples)
         for k0 in range(0, n_used, block):
-            k1 = min(k0 + block, n_used)
-            n1_b, n2_b = n1[k0:k1], n2[k0:k1]
-            y, z = lfilter(scan, n1_b, z, work)
-            # no later block reads this block's draws: they are scaled in place
-            n1_b *= c_u1
-            y += n1_b
-            n2_b *= c_u2
-            y += n2_b
+            y, z = lfilter(scan, e[k0:min(k0 + block, n_used)], z, work)
             segs = y.reshape(-1, length)
             segs *= win
             p = np.abs(np.fft.rfft(segs, axis=1)) ** 2 * scale

@@ -408,12 +408,13 @@ class TestConfigValidation:
             "above the 1.05e+06 bytes of physical memory\n")
         assert not out.exists()
         # the SDE specs read the same probe: one trajectory at TINY_SDE's
-        # sizes holds a 65536-sample block, about 4.3 MB
+        # sizes holds its draws, 8 bytes a step, and a 65536-sample block,
+        # about 4.3 MB
         cfg = _tiny_verify_config(tmp_path)
         assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
         assert one_line_stderr(capsys) == (
             "config error: [verify] duration/dt = 8.19e+03 steps need about "
-            "4.33e+06 bytes, above the 1.05e+06 bytes of physical memory\n")
+            "4.26e+06 bytes, above the 1.05e+06 bytes of physical memory\n")
         assert not out.exists()
 
     def test_grid_times_panels_exit_2(self, tmp_path, capsys):
@@ -924,6 +925,22 @@ class TestVerify:
                 "target_zero", "estimate_zero", "stderr_rel_zero", "z_zero",
                 "frac_abs_z_above_3"))
         assert code == (0 if results["passed"] else 4)
+
+    def test_sde_streams_distinct_across_seeds(self):
+        # a trajectory's stream is keyed by its check's SDE seed, the
+        # trajectory and the quadrature: over run seeds 1-20 (the
+        # benchmark's) and the shipped seed, no two checks share a stream
+        states = set()
+        for seed in (*range(1, 21), None):
+            specs = load_config(SHIPPED / "verify.ini", seed).sde_specs
+            assert len(specs) == 3
+            for _, spec in specs:
+                k = ("sq", "anti").index(spec.quadrature)
+                states.update(
+                    tuple(np.random.SeedSequence(spec.seed, spawn_key=(i, k))
+                          .generate_state(4))
+                    for i in range(spec.n_trajectories))
+        assert len(states) == 21 * 3 * 32
 
 
 def _write_measurements(path, noise=0.0, seed=3, theta_rms=0.05, err_scale=None):

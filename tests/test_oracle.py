@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqzcavity import (
@@ -99,99 +99,175 @@ def _small_spec(cav, q=0.0, v=(1.0, 1.0), eps_read=0.0, seed=99, **kw):
                       eps_read=eps_read, seed=seed, **defaults)
 
 
-def _trajectory(spec, k, i):
-    """The scheme's constants (a, c_y, c_w, c_u1, c_u2) for quadrature k of
-    spec (its index in ("sq", "anti")) and trajectory i's draws from its own
-    stream SeedSequence(seed, spawn_key=(i, k)): the (2, n) normals n1, n2,
-    then X_0 from the discrete stationary distribution."""
-    kc, kl, g = spec.cavity.t_c / 2.0, spec.cavity.eps_int / 2.0, spec.q / 2.0
-    lam, v_in = ((kc + kl + g, spec.input_state.v_sq),
-                 (kc + kl - g, spec.input_state.v_anti))[k]
-    dt, eps_read = spec.dt, spec.eps_read
-    a = 1.0 - lam * dt
+def _scheme(cav, gain, v_in, dt, eps_read):
+    """The trapezoid scheme's constants (a, c_y, c_w, c_u1, c_u2) for the
+    quadrature of gain `gain` and input variance v_in: a = 1 - lam*dt as
+    run_sde rounds it, and each step's increment pair from two normals,
+    w = c_w n1, u = c_u1 n1 + c_u2 n2, the Cholesky factor of
+    w = sqrt(2 kc dt v) xi + sqrt(2 kl dt) eta and
+    u = -sqrt((1-eps) v/dt) xi + sqrt(eps/dt) zeta."""
+    kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
+    a = 1.0 - (kc + kl + gain / 2.0) * dt
     c_y = math.sqrt(2.0 * kc * (1.0 - eps_read))
     c_w = math.sqrt(2.0 * kc * dt * v_in + 2.0 * kl * dt)
     c_u1 = -v_in * c_y / c_w
     c_u2 = math.sqrt((1.0 - eps_read) * (v_in / dt) * kl / (kc * v_in + kl)
                      + eps_read / dt)
+    return a, c_y, c_w, c_u1, c_u2
+
+
+def _factor(cav, gain, v_in, dt, eps_read):
+    """(a, sigma, beta, start): run_sde's pole and its _innovation_factor."""
+    kc, kl = cav.t_c / 2.0, cav.eps_int / 2.0
+    a = 1.0 - (kc + kl + gain / 2.0) * dt
+    return (a, *oracle._innovation_factor(kc, kl, v_in, a, dt, eps_read))
+
+
+def _quadrature(spec, k):
+    """(gain, input variance) of quadrature k of spec, its index in
+    ("sq", "anti")."""
+    return ((spec.q, spec.input_state.v_sq),
+            (-spec.q, spec.input_state.v_anti))[k]
+
+
+def _trajectory(spec, k, i):
+    """The factor (a, sigma, beta, start) of quadrature k of spec and
+    trajectory i's draws from its own stream SeedSequence(seed,
+    spawn_key=(i, k)): the (n,) normals e, then the start state z_{-1}."""
+    factor = _factor(spec.cavity, *_quadrature(spec, k), spec.dt, spec.eps_read)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
                                                        spawn_key=(i, k)))
-    n1, n2 = rng.standard_normal((2, spec.steps_per_trajectory))
-    sig2 = (2.0 * kc * dt * v_in + 2.0 * kl * dt) / (1.0 - a * a)
-    x0 = math.sqrt(sig2) * rng.standard_normal()
-    return (a, c_y, c_w, c_u1, c_u2), n1, n2, x0
+    e = rng.standard_normal(spec.steps_per_trajectory)
+    return factor, e, factor[3] * rng.standard_normal()
 
 
 @functools.cache
-def _scan_constants(a, b):
+def _scan_constants(a, beta):
     """The scan's tables as tuples of Python floats, each power correctly
-    rounded through exact rationals: b a^-j and a^j for j < m, then
+    rounded through exact rationals: beta a^-j and a^j for j < m, then
     a^(m-1) A^-l and A^l for l < C, with A = a^m."""
     m, c = oracle._SCAN_ROW, oracle._SCAN_CARRY
 
     def power(j, scale=1.0):
         return float(Fraction(scale) * Fraction(a) ** j)
 
-    return (tuple(power(-j, b) for j in range(m)),
+    return (tuple(power(-j, beta) for j in range(m)),
             tuple(power(j) for j in range(m)),
             tuple(power(m - 1 - m * l) for l in range(c)),
             tuple(power(m * l) for l in range(c)))
 
 
-def _arma_output(consts, n1, n2, x0, block):
-    """The output as ARMA(1,1) in the draws, y_k = a y_{k-1} + b (n1_k +
-    n1_{k-1}) with b = c_y c_w/2, one operation at a time in Python floats in
-    the operand order of run_sde's scan, block by block from the state
-    z = b n1_{k-1} + a y_{k-1}, z_0 = c_y (1 + a) X_0/2:
-    * in rows of m samples, the running sums c of b a^-j (n1_k + n1_{k-1}),
-      z in place of b n1_{k-1} at the block's first sample;
-    * the row ends Y_r = (G_r + A Y_{gC-1}) A^l, l = r mod C, g = r div C,
+def _arma_output(factor, e, z0, block):
+    """The output as ARMA(1,1) in the innovations, y_k = z_{k-1} + sigma e_k
+    with z_k = a z_{k-1} + beta e_k, one operation at a time in Python
+    floats in the operand order of run_sde's scan, block by block from the
+    state z_{-1} = z0:
+    * in rows of m samples, the running sums c of beta a^-j e_k, plus a z
+      at the block's first sample;
+    * the row ends Z_r = (G_r + A Z_{gC-1}) A^l, l = r mod C, g = r div C,
       where G is the running sum of a^(m-1) A^-l c_(row end) in rows of C;
-    * y = (c + a Y_(row-1)) a^j, Y_(-1) = 0;
-    plus the readout u_k = c_u1 n1_k + c_u2 n2_k added term by term."""
-    a, c_y, c_w, c_u1, c_u2 = consts
-    b = 0.5 * c_y * c_w
+    * z = (c + a Z_(row-1)) a^j, Z_(-1) = 0;
+    then y = sigma e + z shifted by one, z_{-1} at the block's first
+    sample."""
+    a, sigma, beta, _ = factor
     m, c = oracle._SCAN_ROW, oracle._SCAN_CARRY
-    row_scale, row_grow, end_scale, end_grow = _scan_constants(a, b)
-    x = n1.tolist()
-    z = 0.5 * c_y * (1.0 + a) * x0
+    row_scale, row_grow, end_scale, end_grow = _scan_constants(a, beta)
+    x = e.tolist()
+    z = z0
     y = []
     for k0 in range(0, len(x), block):
         xb = x[k0:k0 + block]
         sums = []
         for k, x_k in enumerate(xb):
             j = k % m
-            if k:
-                u = (x_k + xb[k - 1]) * row_scale[j]
-            else:
-                u = x_k * row_scale[0] + z
+            u = x_k * row_scale[j]
+            if not k:
+                u = u + a * z
             sums.append(sums[-1] + u if j else u)
         ends = []
         for r in range(-(-len(xb) // m)):
             l = r % c
-            e = sums[min(r * m + m - 1, len(xb) - 1)] * end_scale[l]
-            g_sum = g_sum + e if l else e
+            e_r = sums[min(r * m + m - 1, len(xb) - 1)] * end_scale[l]
+            g_sum = g_sum + e_r if l else e_r
             if not l:
                 top = ends[-1] if r else 0.0
             ends.append((g_sum + end_grow[1] * top) * end_grow[l])
+        states = [z]
         for k, s in enumerate(sums):
             r, j = divmod(k, m)
-            y.append((s + a * (ends[r - 1] if r else 0.0)) * row_grow[j])
-        z = b * xb[-1] + a * y[-1]
-    return np.array([y_k + c_u1 * n1_k + c_u2 * n2_k
-                     for y_k, n1_k, n2_k in zip(y, x, n2.tolist())])
+            states.append((s + a * (ends[r - 1] if r else 0.0)) * row_grow[j])
+        y.extend(x_k * sigma + z_k for x_k, z_k in zip(xb, states))
+        z = states[-1]
+    return np.array(y)
+
+
+def _state_recursion(factor, e, z0):
+    """The same output by the state recursion it defines, one step at a
+    time in Python floats: y_k = z_{k-1} + sigma e_k, z_k = a z_{k-1} +
+    beta e_k."""
+    a, sigma, beta, _ = factor
+    y, z = [], z0
+    for e_k in e.tolist():
+        y.append(z + sigma * e_k)
+        z = a * z + beta * e_k
+    return np.array(y)
 
 
 def _trapezoid_output(consts, n1, n2, x0):
-    """The output by its definition: the state recursion X_{k+1} = a X_k + w_k
-    from X_0 with w = c_w n1, one step at a time in Python floats, and
+    """The scheme's output by its definition, exactly in Fractions: the
+    state recursion X_{k+1} = a X_k + w_k from X_0 with w = c_w n1, and
     y_k = c_y (X_k + X_{k+1})/2 + u_k with u = c_u1 n1 + c_u2 n2."""
     a, c_y, c_w, c_u1, c_u2 = consts
-    states = [x0]
-    for w_k in (c_w * n1).tolist():
-        states.append(a * states[-1] + w_k)
-    x = np.array(states)
-    return c_y * (0.5 * (x[:-1] + x[1:])) + (c_u1 * n1 + c_u2 * n2)
+    x = [x0]
+    for n1_k in n1:
+        x.append(a * x[-1] + c_w * n1_k)
+    return [c_y * (x_k + x_next) / 2 + c_u1 * n1_k + c_u2 * n2_k
+            for x_k, x_next, n1_k, n2_k in zip(x, x[1:], n1, n2)]
+
+
+def _scheme_law(consts):
+    """gamma(0), gamma(1) of the scheme's stationary output, exactly:
+    _trapezoid_output on each unit input of three steps, X_0 of variance
+    c_w^2/(1 - a^2) and every normal of variance 1.  Asserts that the
+    output is stationary and that gamma(2) = a gamma(1), as an ARMA(1,1)
+    with pole a."""
+    a, c_y, c_w, c_u1, c_u2 = consts = tuple(map(Fraction, consts))
+    steps = 3
+    columns = []
+    for i in range(1 + 2 * steps):
+        unit = [Fraction(int(i == j)) for j in range(1 + 2 * steps)]
+        columns.append(_trapezoid_output(consts, unit[1:1 + steps],
+                                         unit[1 + steps:], unit[0]))
+    var = [c_w * c_w / (1 - a * a)] + [Fraction(1)] * (2 * steps)
+
+    def cov(j, k):
+        return sum(col[j] * col[k] * v for col, v in zip(columns, var))
+
+    assert (cov(1, 1), cov(1, 2)) == (cov(0, 0), cov(0, 1))
+    assert cov(0, 2) == a * cov(0, 1)
+    return cov(0, 0), cov(0, 1)
+
+
+def _assert_same_law(consts, factor, ulps=8):
+    """The factor's output y_k = z_{k-1} + sigma e_k, z_k = a z_{k-1} +
+    beta e_k, from z in its stationary law N(0, start^2), has the scheme's
+    law: exactly in Fractions, gamma(0), gamma(1) and the start variance
+    gamma(0) - sigma^2 within ulps of gamma(0), and the gain at zero
+    frequency, sigma + beta/(1 - a), within ulps of the sum of its terms'
+    magnitudes of the root of the scheme's spectral density there,
+    gamma(0) + 2 gamma(1)/(1 - a).  The factor is invertible: |theta| <= 1
+    for sigma theta = beta - a sigma."""
+    g0, g1 = _scheme_law(consts)
+    a, sigma, beta, start = map(Fraction, factor)
+    assert a == consts[0]
+    var_z = beta * beta / (1 - a * a)
+    tol = ulps * Fraction(np.finfo(float).eps)
+    assert abs(var_z + sigma * sigma - g0) <= tol * g0
+    assert abs(a * var_z + beta * sigma - g1) <= tol * g0
+    assert abs(start * start - (g0 - sigma * sigma)) <= tol * g0
+    gain, bound = sigma + beta / (1 - a), tol * (sigma + abs(beta) / (1 - a))
+    assert (gain - bound) ** 2 <= g0 + 2 * g1 / (1 - a) <= (gain + bound) ** 2
+    assert abs(beta / sigma - a) <= 1
 
 
 def _reference_sde(spec):
@@ -292,44 +368,85 @@ class TestSde:
             assert np.array_equal(res.stderr, stderr)
             assert res.n_segments == ref["n_segments"]
 
-    # the ARMA(1,1) form against the defining state recursion and
-    # trapezoid: the two associate the same sums differently, so they agree
-    # to rounding, a few ulps of the largest output sample
+    # the blocked scan against the state recursion it computes: the two
+    # associate the same sums differently, so they agree to rounding, a few
+    # ulps of the largest output sample
     @pytest.mark.parametrize("kappa_dt, steps, length", _KERNEL_CASES)
     def test_arma_output_matches_state_recursion(self, cav, kappa_dt, steps,
                                                  length):
         spec = _kernel_spec(cav, kappa_dt, steps, length)
         for k, i in itertools.product(range(2), range(spec.n_trajectories)):
-            trajectory = _trajectory(spec, k, i)
-            y = _arma_output(*trajectory, _block_samples(spec.segment_length))
-            y_def = _trapezoid_output(*trajectory)
+            factor, e, z0 = _trajectory(spec, k, i)
+            y = _arma_output(factor, e, z0, _block_samples(spec.segment_length))
+            y_def = _state_recursion(factor, e, z0)
             bound = 8 * np.finfo(float).eps * np.abs(y).max()
             assert np.abs(y - y_def).max() <= bound
 
-    # the 3-normal increments w = sqrt(2 kc dt v) xi + sqrt(2 kl dt) eta and
-    # u = -sqrt((1-eps) v/dt) xi + sqrt(eps/dt) zeta, against the two-normal
-    # factor: the same variances and covariance to a few ulps, lossless
-    # cavity, perfect readout and v >> 1 included
-    @example(t_c=0.11, eps_int=0.0, v=10.4, eps_read=0.0, dt=0.5)
-    @example(t_c=0.11, eps_int=0.012, v=1e12, eps_read=0.0, dt=0.5)
-    @example(t_c=1e-4, eps_int=0.2, v=0.05, eps_read=0.99, dt=1e-6)
-    @settings(max_examples=300, deadline=None)
+    # run_sde draws one normal a step where the scheme takes two: its
+    # output has the scheme's law, not its samples
+    @pytest.mark.parametrize("kappa_dt, steps, length", _KERNEL_CASES)
+    def test_factor_law(self, cav, kappa_dt, steps, length):
+        spec = _kernel_spec(cav, kappa_dt, steps, length)
+        for k in range(2):
+            args = (spec.cavity, *_quadrature(spec, k), spec.dt, spec.eps_read)
+            _assert_same_law(_scheme(*args), _factor(*args))
+
+    # the law over the domain of SdeRunSpec: q up to within 1e-9 of either
+    # threshold, where the slower quadrature decays by 1e-11 a step, a
+    # lossless cavity, perfect readout and eps_read 0.99, v >> 1
+    @example(t_c=0.11, eps_int=0.012, q_frac=1 - 1e-9, v=0.162,
+             eps_read=0.10, kappa_dt=0.0499, k=1)
+    @example(t_c=0.11, eps_int=0.012, q_frac=-(1 - 1e-9), v=10.4,
+             eps_read=0.10, kappa_dt=0.0499, k=0)
+    @example(t_c=0.11, eps_int=0.0, q_frac=0.0, v=10.4, eps_read=0.0,
+             kappa_dt=0.03, k=0)
+    @example(t_c=0.11, eps_int=0.012, q_frac=0.5, v=1e12, eps_read=0.0,
+             kappa_dt=1e-6, k=1)
+    @example(t_c=1e-4, eps_int=0.2, q_frac=0.0, v=0.05, eps_read=0.99,
+             kappa_dt=1e-9, k=0)
+    @settings(max_examples=200, deadline=None)
     @given(t_c=st.floats(1e-4, 0.2),
            eps_int=st.just(0.0) | st.floats(0.0, 0.2),
+           q_frac=st.floats(-(1 - 1e-9), 1 - 1e-9),
            v=st.floats(0.05, 12.0) | st.floats(1.0, 1e12),
-           eps_read=st.just(0.0) | st.floats(0.0, 0.99),
-           dt=st.floats(1e-6, 0.5))
-    def test_increment_factor_covariance(self, t_c, eps_int, v, eps_read, dt):
-        kc, kl = t_c / 2.0, eps_int / 2.0
-        c_w, c_u1, c_u2 = oracle._increment_factor(kc, kl, v, dt, eps_read)
-        w_xi, w_eta = math.sqrt(2.0 * kc * dt * v), math.sqrt(2.0 * kl * dt)
-        u_xi = -math.sqrt((1.0 - eps_read) * v / dt)
-        u_zeta = math.sqrt(eps_read / dt)
-        ulps = 8 * np.finfo(float).eps
-        assert c_w * c_w == pytest.approx(w_xi**2 + w_eta**2, rel=ulps, abs=0)
-        assert c_u1 * c_w == pytest.approx(w_xi * u_xi, rel=ulps, abs=0)
-        assert c_u1 * c_u1 + c_u2 * c_u2 == \
-            pytest.approx(u_xi**2 + u_zeta**2, rel=ulps, abs=0)
+           eps_read=st.just(0.0) | st.just(0.99) | st.floats(0.0, 0.99),
+           kappa_dt=st.floats(1e-9, 0.0499),
+           k=st.integers(0, 1))
+    def test_innovation_factor_law(self, t_c, eps_int, q_frac, v, eps_read,
+                                   kappa_dt, k):
+        cav = CavityParams(t_c, eps_int)
+        q = q_frac * cav.q_threshold
+        dt = kappa_dt / ((t_c + eps_int + abs(q)) / 2.0)
+        args = (cav, (q, -q)[k], v, dt, eps_read)
+        consts = _scheme(*args)
+        assume(consts[0] < 1.0)   # SdeRunSpec rejects a step that rounds away
+        _assert_same_law(consts, _factor(*args))
+
+    def test_vacuum_factor_white(self, cav):
+        # vacuum through the passive cavity, perfect readout: the output is
+        # white, theta = -a, so the state carries nothing
+        a, sigma, beta, start = _factor(cav, 0.0, 1.0, 0.5, 0.0)
+        assert abs(beta) <= 4 * np.finfo(float).eps * sigma
+        assert abs(start) <= 4 * np.finfo(float).eps * sigma
+        assert sigma == pytest.approx(math.sqrt(1.0 / 0.5), rel=1e-15)
+        _assert_same_law(_scheme(cav, 0.0, 1.0, 0.5, 0.0),
+                         (a, sigma, beta, start))
+
+    def test_factor_where_discriminant_rounds_negative(self, cav):
+        # a step of 6.1e-13 decay times, so theta is within 1e-12 of -1: the
+        # quadratic-formula route, theta = 2 r1/(r0 + sqrt(r0^2 - 4 r1^2))
+        # from the covariances r0, r1 of the scheme's MA(1) part, meets
+        # r0^2 - 4 r1^2 < 0 in floats; the factor stays invertible and keeps
+        # the law
+        dt = 1e-11
+        args = (cav, 0.0, 0.162, dt, 0.0)
+        a, c_y, c_w, c_u1, c_u2 = consts = _scheme(*args)
+        b = 0.5 * c_y * c_w
+        b0, b1 = b + c_u1, b - a * c_u1
+        r0 = b0 * b0 + b1 * b1 + c_u2 * c_u2 * (1.0 + a * a)
+        r1 = b0 * b1 - a * c_u2 * c_u2
+        assert r0 * r0 - 4.0 * r1 * r1 < 0.0
+        _assert_same_law(consts, _factor(*args))
 
     def test_deterministic_under_seed(self, cav):
         for quadrature in ("sq", "anti"):
@@ -390,10 +507,10 @@ class TestSde:
     @pytest.mark.parametrize("quadrature", ["sq", "anti"])
     def test_trajectory_memory(self, cav, quadrature):
         # one trajectory of 2**20 steps, on the builtin map as on one CPU:
-        # the two noise draws, 16 bytes a step, and one block's buffers,
-        # bounded by 4 bytes a step at this length (1.6 measured); three
-        # draws a step would need 28, and the kernel that held
-        # whole-trajectory arrays peaked at 32
+        # the noise draws, one float64 a step, and one block's buffers,
+        # bounded by 4 bytes a step at this length (9.6 bytes a step
+        # measured in all); two draws a step would need 16 and more, and the
+        # kernel that held whole-trajectory arrays peaked at 32
         steps = 1 << 20
         spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
                            seed=29, duration=0.5 * steps, n_trajectories=1,
@@ -404,7 +521,8 @@ class TestSde:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= spec.trajectory_bytes <= 20 * steps
+        assert peak <= 10 * steps
+        assert peak <= spec.trajectory_bytes <= 12 * steps
 
     def test_children_built_on_demand(self, cav, monkeypatch):
         # a list of 10**12 streams would need hundreds of terabytes; the map
