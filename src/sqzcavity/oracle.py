@@ -44,9 +44,12 @@ _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 # many samples, so that a block's float64 buffers stay in cache
 _BLOCK_SAMPLES = 1 << 16
 # bytes of a block's buffers at their peak, per block sample, an upper bound:
-# tracemalloc measured 24 to 48 over segment lengths of 8 to 2**19, the
-# filter's work buffer, one per trajectory, included
+# tracemalloc measured 30 to 57 over segment lengths of 8 to 2**19, each
+# trajectory's draw, work, spectrum and periodogram buffers included
 _BLOCK_BYTES_PER_SAMPLE = 64
+# the most steps a trajectory may take, numpy's largest index: no array holds
+# them, but a longer run would take millennia, and an infinite one has no count
+_MAX_STEPS = np.iinfo(np.intp).max
 
 
 def _block_samples(segment_length: int) -> int:
@@ -186,10 +189,12 @@ class SdeRunSpec:
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
         steps = self.duration / self.dt    # compared exactly; inf fails too
-        if not steps <= np.iinfo(np.intp).max:
-            raise ValueError(f"duration/dt = {steps:.3g} exceeds the largest "
-                             "array length")
-        check_memory(f"duration/dt = {steps:.3g} steps", self.trajectory_bytes)
+        if not steps <= _MAX_STEPS:
+            raise ValueError(f"duration/dt = {steps:.3g} steps exceeds the "
+                             f"limit of {_MAX_STEPS:.3g} a trajectory")
+        check_memory(f"segment_length = {self.segment_length}: blocks of "
+                     f"{_block_samples(self.segment_length)} samples",
+                     self.trajectory_bytes)
         n_seg = self.n_trajectories * (self.steps_per_trajectory
                                        // self.segment_length)
         if n_seg < 2:
@@ -202,10 +207,9 @@ class SdeRunSpec:
 
     @property
     def trajectory_bytes(self) -> int:
-        """Peak bytes of one trajectory of run_sde: its noise draws, one
-        float64 a step, and one block's buffers."""
-        return (8 * self.steps_per_trajectory + _BLOCK_BYTES_PER_SAMPLE
-                * _block_samples(self.segment_length))
+        """Peak bytes of one trajectory of run_sde: one block's buffers, its
+        draws included, whatever the trajectory's length."""
+        return _BLOCK_BYTES_PER_SAMPLE * _block_samples(self.segment_length)
 
     @property
     def scored(self) -> tuple[float, float]:
@@ -423,16 +427,21 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     built once per call of run_sde, each correctly rounded, so no output bit
     depends on the CPU dispatch of numpy's power or exp.
 
-    Each trajectory draws its noise at once, then walks its whole segments
-    in blocks of about 2**16 samples, carrying the filter's state from block
-    to block through one reused work buffer and writing each block's output
-    over its draws; every product and sum keeps the operand order of the
-    reference kernel in the tests, which scans the same blocks one operation
-    at a time in Python floats.
+    Each trajectory walks its whole segments in blocks of about 2**16
+    samples, carrying the filter's state from block to block: it draws a
+    block's normals into one reused buffer just before the filter reads
+    them, and the filter writes the block's output over them.  The
+    filter's work buffer and the block's spectra and periodograms are
+    reused too, so a trajectory holds one block's buffers, however long it
+    runs, and allocates them once.  Every product and sum keeps the operand
+    order of the reference kernel in the tests, which scans the same blocks
+    one operation at a time in Python floats.
 
     Trajectory i of quadrature k (its index in ("sq", "anti")) draws from
-    SeedSequence(seed, spawn_key=(i, k)): first the (n,) normals e, then
-    one normal for the start state.  The streams are built only when the map
+    SeedSequence(seed, spawn_key=(i, k)): first one normal for the start
+    state, then the normals e of its whole segments, block by block, the
+    same sequence as one draw of them all; the tail after the last whole
+    segment is not drawn.  The streams are built only when the map
     reaches them, and the trajectories are reduced in order, so the result
     does not depend on the map: one thread per usable CPU (restrict the CPUs
     with taskset), the builtin map on one.
@@ -444,7 +453,7 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     dt = spec.dt
     n = spec.steps_per_trajectory
     length = spec.segment_length
-    n_used = n - n % length            # the tail is neither filtered nor formed
+    n_used = n - n % length            # the tail is not even drawn
     block = _block_samples(length)
     win = np.hanning(length)
     scale = dt / (win * win).sum()
@@ -461,19 +470,34 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
-        e = rng.standard_normal(n)
         z = start * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
+        # every buffer a block needs, taken once: blocks that allocated their
+        # own spectra faulted in fresh pages each time (about 0.4 MB a block
+        # at verify.ini's sizes), since arrays that large are mapped anew
+        draws = np.empty(block)
         work = np.empty(work_samples)
+        spectra = np.empty((block // length, n_bins), complex)
+        # a running sum, then the block's periodograms (or their squares)
+        sums = np.empty((1 + block // length, n_bins))
         for k0 in range(0, n_used, block):
-            y, z = lfilter(scan, e[k0:min(k0 + block, n_used)], z, work)
+            e = draws[:min(block, n_used - k0)]
+            rng.standard_normal(out=e)
+            y, z = lfilter(scan, e, z, work)
             segs = y.reshape(-1, length)
             segs *= win
-            p = np.abs(np.fft.rfft(segs, axis=1)) ** 2 * scale
+            rows = sums[:1 + len(segs)]
+            p = rows[1:]
+            np.abs(np.fft.rfft(segs, axis=1, out=spectra[:len(segs)]), out=p)
+            p **= 2
+            p *= scale
             # each segment added in order: the association of one axis-0 sum
             # over all of the trajectory's segments
-            s1 = np.add.reduce(np.concatenate((s1[None], p)), axis=0)
-            s2 = np.add.reduce(np.concatenate((s2[None], p**2)), axis=0)
+            rows[0] = s1
+            np.add.reduce(rows, axis=0, out=s1)
+            rows[0] = s2
+            p **= 2
+            np.add.reduce(rows, axis=0, out=s2)
         return s1, s2, n_used // length
 
     s1, s2 = np.zeros(n_bins), np.zeros(n_bins)

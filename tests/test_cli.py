@@ -337,16 +337,19 @@ class TestConfigValidation:
                 assert not out.exists()
 
     def test_sde_steps_beyond_array_length_exit_2(self, tmp_path, capsys):
-        # duration/dt above the largest array length, or beyond physical
-        # memory, is rejected when the SDE checks are specified, before any
-        # array is allocated; so is a step too fine for even the passive
-        # cavity to decay within it, and a run too short for the two
-        # periodogram segments a standard error needs
+        # duration/dt above the largest index, or a segment whose kernel
+        # block exceeds physical memory, is rejected when the SDE checks are
+        # specified, before any array is allocated; so is a step too fine
+        # for even the passive cavity to decay within it, and a run too
+        # short for the two periodogram segments a standard error needs
         for sde, prefix in (
-                ("sde_duration = 1e300", "[verify] duration/dt = "),
-                ("sde_dt = 1e-14", "[verify] duration/dt = "),
-                ("sde_duration = 4096\nsde_dt = 1e-14",
-                 "[verify] duration/dt = 4.1e+17 steps need about"),
+                ("sde_duration = 1e300",
+                 "[verify] duration/dt = 2e+300 steps exceeds the limit"),
+                ("sde_dt = 1e-14",
+                 "[verify] duration/dt = 3.85e+19 steps exceeds the limit"),
+                ("sde_segment_length = 10000000000000",
+                 "[verify] segment_length = 10000000000000: blocks of "
+                 "10000000000000 samples need about 6.4e+14 bytes, above"),
                 ("sde_dt = 1e-300", "[verify] dt = 1e-300 is too fine"),
                 ("sde_trajectories = 1\nsde_duration = 4096\n"
                  "sde_segment_length = 8192",
@@ -408,13 +411,14 @@ class TestConfigValidation:
             "above the 1.05e+06 bytes of physical memory\n")
         assert not out.exists()
         # the SDE specs read the same probe: one trajectory at TINY_SDE's
-        # sizes holds its draws, 8 bytes a step, and a 65536-sample block,
-        # about 4.3 MB
+        # sizes holds one 65536-sample block, its draws included, about
+        # 4.2 MB
         cfg = _tiny_verify_config(tmp_path)
         assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
         assert one_line_stderr(capsys) == (
-            "config error: [verify] duration/dt = 8.19e+03 steps need about "
-            "4.26e+06 bytes, above the 1.05e+06 bytes of physical memory\n")
+            "config error: [verify] segment_length = 256: blocks of 65536 "
+            "samples need about 4.19e+06 bytes, above the 1.05e+06 bytes of "
+            "physical memory\n")
         assert not out.exists()
 
     def test_grid_times_panels_exit_2(self, tmp_path, capsys):

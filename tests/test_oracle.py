@@ -130,15 +130,22 @@ def _quadrature(spec, k):
             (-spec.q, spec.input_state.v_anti))[k]
 
 
+def _stream(spec, k, i):
+    """Trajectory i's generator for quadrature k of spec, on its own stream
+    SeedSequence(seed, spawn_key=(i, k))."""
+    return np.random.default_rng(np.random.SeedSequence(spec.seed,
+                                                        spawn_key=(i, k)))
+
+
 def _trajectory(spec, k, i):
     """The factor (a, sigma, beta, start) of quadrature k of spec and
-    trajectory i's draws from its own stream SeedSequence(seed,
-    spawn_key=(i, k)): the (n,) normals e, then the start state z_{-1}."""
+    trajectory i's draws: the start state z_{-1}, then the normals e of its
+    whole segments in one call."""
     factor = _factor(spec.cavity, *_quadrature(spec, k), spec.dt, spec.eps_read)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed,
-                                                       spawn_key=(i, k)))
-    e = rng.standard_normal(spec.steps_per_trajectory)
-    return factor, e, factor[3] * rng.standard_normal()
+    rng = _stream(spec, k, i)
+    z0 = factor[3] * rng.standard_normal()
+    n = spec.steps_per_trajectory
+    return factor, rng.standard_normal(n - n % spec.segment_length), z0
 
 
 @functools.cache
@@ -368,6 +375,24 @@ class TestSde:
             assert np.array_equal(res.stderr, stderr)
             assert res.n_segments == ref["n_segments"]
 
+    # run_sde draws each block's normals into one reused buffer as its scan
+    # reaches the block; the pieces are the stream of one call after the
+    # start normal, which the reference draws
+    @pytest.mark.parametrize("kappa_dt, steps, length", _KERNEL_CASES)
+    def test_block_draws_continue_one_stream(self, cav, kappa_dt, steps,
+                                             length):
+        spec = _kernel_spec(cav, kappa_dt, steps, length)
+        block = _block_samples(length)
+        draws = np.empty(block)
+        for k, i in itertools.product(range(2), range(spec.n_trajectories)):
+            _, e, _ = _trajectory(spec, k, i)
+            rng = _stream(spec, k, i)
+            rng.standard_normal()
+            for k0 in range(0, e.size, block):
+                piece = draws[:min(block, e.size - k0)]
+                rng.standard_normal(out=piece)
+                assert np.array_equal(piece, e[k0:k0 + block])
+
     # the blocked scan against the state recursion it computes: the two
     # associate the same sums differently, so they agree to rounding, a few
     # ulps of the largest output sample
@@ -506,23 +531,33 @@ class TestSde:
 
     @pytest.mark.parametrize("quadrature", ["sq", "anti"])
     def test_trajectory_memory(self, cav, quadrature):
-        # one trajectory of 2**20 steps, on the builtin map as on one CPU:
-        # the noise draws, one float64 a step, and one block's buffers,
-        # bounded by 4 bytes a step at this length (9.6 bytes a step
-        # measured in all); two draws a step would need 16 and more, and the
-        # kernel that held whole-trajectory arrays peaked at 32
-        steps = 1 << 20
-        spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
-                           seed=29, duration=0.5 * steps, n_trajectories=1,
-                           quadrature=quadrature)
-        tracemalloc.start()
-        try:
-            run_sde(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * steps
-        assert peak <= spec.trajectory_bytes <= 12 * steps
+        # one trajectory, on the builtin map as on one CPU, holds one block's
+        # buffers, its draws included, however many steps it takes: 8x the
+        # steps moves its peak by less than one block of draws (the kernel
+        # that held the whole draw array grew by 8 bytes a step), and the
+        # peak stays within trajectory_bytes, which no step count changes
+        def traced(steps, length=4096):
+            spec = _small_spec(cav, q=0.0085, v=(0.162, 10.40), eps_read=0.10,
+                               seed=29, duration=0.5 * steps, n_trajectories=1,
+                               segment_length=length, quadrature=quadrature)
+            tracemalloc.start()
+            try:
+                run_sde(spec)
+                return tracemalloc.get_traced_memory()[1], spec.trajectory_bytes
+            finally:
+                tracemalloc.stop()
+
+        traced(1 << 18)      # a process's first run allocates once for good
+        short, short_bytes = traced(1 << 18)
+        long, long_bytes = traced(1 << 21)
+        assert abs(long - short) <= 8 * _block_samples(4096)
+        assert long <= long_bytes == short_bytes
+        # at the shortest segment and a block of one 2**19 segment, within
+        # the per-sample bound that trajectory_bytes counts
+        for length in (8, 1 << 19):
+            peak, nbytes = traced(1 << 21, length)
+            assert peak <= nbytes == (oracle._BLOCK_BYTES_PER_SAMPLE
+                                      * _block_samples(length))
 
     def test_children_built_on_demand(self, cav, monkeypatch):
         # a list of 10**12 streams would need hundreds of terabytes; the map
@@ -581,14 +616,22 @@ class TestSde:
                 _small_spec(cav, **short)
         with pytest.raises(ValueError):
             _small_spec(cav, quadrature="both")
-        # duration/dt beyond physical memory, beyond the largest array
-        # length, and beyond the float range, are rejected before anything is
-        # allocated
-        with pytest.raises(ValueError, match="physical memory"):
-            _small_spec(cav, duration=4096.0, dt=1e-14)
+        # a block beyond physical memory, a step count beyond the largest
+        # index, and one beyond the float range, are rejected before
+        # anything is allocated; a long run needs no more memory than a
+        # short one
+        with pytest.raises(ValueError, match=r"blocks of 10000000000000 "
+                                             r"samples need about 6\.4e\+14 "):
+            _small_spec(cav, segment_length=10**13)
+        assert (_small_spec(cav, duration=4096.0, dt=1e-14).trajectory_bytes
+                == _small_spec(cav).trajectory_bytes)
+        for steps in (dict(duration=3.85024e5, dt=1e-14),
+                      dict(duration=1e300)):
+            with pytest.raises(ValueError, match="steps exceeds the limit"):
+                _small_spec(cav, **steps)
         for bad in (dict(q=float("nan")), dict(dt=float("nan")),
                     dict(duration=float("inf")), dict(seed=-1),
-                    dict(duration=1e300), dict(duration=1e300, dt=1e-300)):
+                    dict(duration=1e300, dt=1e-300)):
             with pytest.raises(ValueError):
                 _small_spec(cav, **bad)
         # within rounding of threshold: 1 - lam*dt rounds to 1.0
