@@ -11,7 +11,7 @@ command or script loads only the modules it runs.
 import importlib
 import sys
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 
 def _attach(module_name: str, names: dict[str, str | None]):

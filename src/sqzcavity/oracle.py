@@ -47,9 +47,9 @@ _BLOCK_SAMPLES = 1 << 16
 # tracemalloc measured 30 to 57 over segment lengths of 8 to 2**19, each
 # trajectory's draw, work, spectrum and periodogram buffers included
 _BLOCK_BYTES_PER_SAMPLE = 64
-# the most steps a trajectory may take, numpy's largest index: no array holds
-# them, but a longer run would take millennia, and an infinite one has no count
-_MAX_STEPS = np.iinfo(np.intp).max
+# the most steps a run may take over all its trajectories, about 5 minutes on
+# one CPU (verify.ini's checks take 2.5e7 each): time grows with them
+_MAX_RUN_STEPS = 10**10
 
 
 def _block_samples(segment_length: int) -> int:
@@ -188,10 +188,15 @@ class SdeRunSpec:
             raise ValueError("segment_length must be >= 8")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
-        steps = self.duration / self.dt    # compared exactly; inf fails too
-        if not steps <= _MAX_STEPS:
-            raise ValueError(f"duration/dt = {steps:.3g} steps exceeds the "
-                             f"limit of {_MAX_STEPS:.3g} a trajectory")
+        # compared exactly, unrounded: inf fails too, and so does a count of
+        # trajectories beyond the float range
+        total = (self.n_trajectories * (self.duration / self.dt)
+                 if self.n_trajectories <= _MAX_RUN_STEPS else math.inf)
+        if not total <= _MAX_RUN_STEPS:
+            raise ValueError(
+                f"n_trajectories * duration/dt = {total:.12g} steps exceeds the "
+                f"limit of {_MAX_RUN_STEPS:.3g} a run; lower sde_trajectories "
+                "or sde_duration, or raise sde_dt")
         check_memory(f"segment_length = {self.segment_length}: blocks of "
                      f"{_block_samples(self.segment_length)} samples",
                      self.trajectory_bytes)
@@ -231,25 +236,18 @@ class SdeResult:
 
 
 class _ScanTables(NamedTuple):
-    """The constants of lfilter's scan for the ARMA(1,1) output
-    y_k = z_{k-1} + sigma x_k, z_k = a z_{k-1} + beta x_k, built once per
-    run_sde call: with m = _SCAN_ROW, A = a**m and l the index of a row end
-    within its row of _SCAN_CARRY ends."""
+    """The constants of lfilter's scan for the ARMA(1,1) output y_k =
+    z_{k-1} + sigma x_k, z_k = a z_{k-1} + beta x_k, with m = _SCAN_ROW."""
 
     a: float
-    beta: float
     sigma: float
     row_scale: np.ndarray   # beta a^-j, j < m
     row_grow: np.ndarray    # a^j
-    end_scale: np.ndarray   # a^(m-1) A^-l
-    end_grow: np.ndarray    # A^l
 
 
-# lfilter's scan: samples per row, and row ends per row of the carry level.
-# SdeRunSpec's dt*kappa_total < 0.05 gives a > 0.95, so no scale factor
-# exceeds 0.95**-(64*31), about 1e44
-_SCAN_ROW = 64
-_SCAN_CARRY = 32
+# lfilter's scan: samples per row.  SdeRunSpec's dt*kappa_total < 0.05 gives
+# a > 0.95, so no scale factor exceeds 0.95**-255, about 5e5
+_SCAN_ROW = 256
 
 
 def _scan_tables(a: float, beta: float, sigma: float) -> _ScanTables:
@@ -257,23 +255,16 @@ def _scan_tables(a: float, beta: float, sigma: float) -> _ScanTables:
     exact ratio of integers, a = num/2**e, then one correctly rounded int
     division.  Unlike numpy's power and exp, the bits do not depend on the
     CPU dispatch."""
-    m, c = _SCAN_ROW, _SCAN_CARRY
     num, den = a.as_integer_ratio()
     e = den.bit_length() - 1
     b_num, b_den = beta.as_integer_ratio()
-    powers = [1]                         # num**(m*l), l < c
-    for _ in range(c - 1):
-        powers.append(powers[-1] * num ** m)
-    lead = num ** (m - 1)
-    return _ScanTables(
-        a=a, beta=beta, sigma=sigma,
-        row_scale=np.array([(b_num << e * j) / (b_den * num ** j)
-                            for j in range(m)]),
-        row_grow=np.array([num ** j / (1 << e * j) for j in range(m)]),
-        end_scale=np.array([(lead << e * m * l) / (p << e * (m - 1))
-                            for l, p in enumerate(powers)]),
-        end_grow=np.array([p / (1 << e * m * l)
-                           for l, p in enumerate(powers)]))
+    scale, grow, p = [], [], 1           # p = num**j
+    for j in range(_SCAN_ROW):
+        scale.append((b_num << e * j) / (b_den * p))
+        grow.append(p / (1 << e * j))
+        p *= num
+    return _ScanTables(a=a, sigma=sigma, row_scale=np.array(scale),
+                       row_grow=np.array(grow))
 
 
 def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
@@ -283,17 +274,17 @@ def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
     (Blelloch 1990).  Returns y, written over x, and the state after x;
     work holds at least x.size samples rounded up to a whole row.
 
-    In rows of m samples, z_{rm+j} = a^j (c_j + a Z_{r-1}), where c_j is the
+    In rows of m samples, z_{rm+j} = (c_j + a Z_{r-1}) a^j, where c_j is the
     sequential cumsum of beta a^-i x_i along the row (plus a z at the
-    block's first sample) and Z_{r-1} the previous row's last state.  The
-    row ends follow Z_r = A Z_{r-1} + a^(m-1) c_{m-1}, the same scan one
-    level up in rows of _SCAN_CARRY, whose own ends are carried by a loop in
-    Python floats.  A short last row and a short last carry row are padded
-    with zeros, which no earlier sample reads.
+    block's first sample) and Z_{r-1} the previous row's last state,
+    Z_{-1} = 0.  A loop in Python floats carries the row ends,
+    Z_r = (c_{m-1} + a Z_{r-1}) a^(m-1), the same operations as the row's
+    last sample.  A short last row is padded with zeros, which no earlier
+    sample reads.
 
     The name is that of scipy.signal.lfilter, which this replaced: the
     benchmark's tracer finds the per-block call under it."""
-    m, c = _SCAN_ROW, _SCAN_CARRY
+    m, a = _SCAN_ROW, scan.a
     n = x.size
     rows, tail = -(-n // m), n % m
     w = work[:rows * m]
@@ -302,25 +293,13 @@ def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
                 out=by_row[:n // m])
     np.multiply(x[n - tail:], scan.row_scale[:tail], out=w[n - tail:n])
     w[n:] = 0.0
-    w[0] += scan.a * z
+    w[0] += a * z
     np.cumsum(by_row, axis=1, out=by_row)
-    # ends[1 + r] becomes Z_r, after a zero for the first row's Z_{-1}
-    groups = -(-rows // c)
-    ends = np.zeros(1 + groups * c)
-    by_group = ends[1:].reshape(groups, c)
-    ends[1:rows + 1] = by_row[:, -1]
-    by_group *= scan.end_scale
-    np.cumsum(by_group, axis=1, out=by_group)
-    # A and A^(C-1)
-    big_a, grow = float(scan.end_grow[1]), float(scan.end_grow[-1])
-    top = np.empty(groups)
-    last = 0.0
-    for g, end in enumerate(by_group[:, -1].tolist()):
-        top[g] = last
-        last = (end + big_a * last) * grow
-    by_group += (big_a * top)[:, None]
-    by_group *= scan.end_grow
-    by_row += (scan.a * ends[:rows])[:, None]
+    grow = float(scan.row_grow[-1])
+    carry = [0.0]                        # a Z_{r-1}
+    for end in by_row[:-1, -1].tolist():
+        carry.append(a * ((end + carry[-1]) * grow))
+    by_row += np.array(carry)[:, None]
     by_row *= scan.row_grow
     x *= scan.sigma
     x[1:] += w[:n - 1]
@@ -422,10 +401,10 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     y_k = z_{k-1} + sigma e_k with z_k = a z_{k-1} + beta e_k, from the
     state z drawn from its stationary law.  One lfilter call per block forms
     it: the state as a blocked scaled prefix sum in numpy, a sequential
-    cumsum along rows of 64 samples, the row ends carried by the same scan
-    one level up, and a loop over the few ends left.  Its power tables are
-    built once per call of run_sde, each correctly rounded, so no output bit
-    depends on the CPU dispatch of numpy's power or exp.
+    cumsum along rows of 256 samples, whose ends a loop in Python floats
+    carries.  Its power tables are built once per call of run_sde, each
+    correctly rounded, so no output bit depends on the CPU dispatch of
+    numpy's power or exp.
 
     Each trajectory walks its whole segments in blocks of about 2**16
     samples, carrying the filter's state from block to block: it draws a

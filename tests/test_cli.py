@@ -336,17 +336,27 @@ class TestConfigValidation:
                 assert one_line_stderr(capsys).startswith("config error: ")
                 assert not out.exists()
 
-    def test_sde_steps_beyond_array_length_exit_2(self, tmp_path, capsys):
-        # duration/dt above the largest index, or a segment whose kernel
-        # block exceeds physical memory, is rejected when the SDE checks are
-        # specified, before any array is allocated; so is a step too fine
-        # for even the passive cavity to decay within it, and a run too
-        # short for the two periodogram segments a standard error needs
+    def test_sde_steps_beyond_bound_exit_2(self, tmp_path, capsys):
+        # a run of more steps over its trajectories than the bound, or a
+        # segment whose kernel block exceeds physical memory, is rejected
+        # when the SDE checks are specified, before any trajectory starts;
+        # so is a step too fine for even the passive cavity to decay within
+        # it, and a run too short for the two periodogram segments a
+        # standard error needs
+        limit = ("steps exceeds the limit of 1e+10 a run; lower "
+                 "sde_trajectories or sde_duration, or raise sde_dt")
         for sde, prefix in (
                 ("sde_duration = 1e300",
-                 "[verify] duration/dt = 2e+300 steps exceeds the limit"),
+                 "[verify] n_trajectories * duration/dt = 6.4e+301 " + limit),
                 ("sde_dt = 1e-14",
-                 "[verify] duration/dt = 3.85e+19 steps exceeds the limit"),
+                 "[verify] n_trajectories * duration/dt = 1.2320768e+21 "
+                 + limit),
+                ("sde_duration = 4096\nsde_dt = 1e-14",
+                 "[verify] n_trajectories * duration/dt = 1.31072e+19 "
+                 + limit),
+                ("sde_trajectories = 400000",
+                 "[verify] n_trajectories * duration/dt = 308019200000 "
+                 + limit),
                 ("sde_segment_length = 10000000000000",
                  "[verify] segment_length = 10000000000000: blocks of "
                  "10000000000000 samples need about 6.4e+14 bytes, above"),

@@ -151,17 +151,14 @@ def _trajectory(spec, k, i):
 @functools.cache
 def _scan_constants(a, beta):
     """The scan's tables as tuples of Python floats, each power correctly
-    rounded through exact rationals: beta a^-j and a^j for j < m, then
-    a^(m-1) A^-l and A^l for l < C, with A = a^m."""
-    m, c = oracle._SCAN_ROW, oracle._SCAN_CARRY
+    rounded through exact rationals: beta a^-j and a^j for j < m."""
+    m = oracle._SCAN_ROW
 
     def power(j, scale=1.0):
         return float(Fraction(scale) * Fraction(a) ** j)
 
     return (tuple(power(-j, beta) for j in range(m)),
-            tuple(power(j) for j in range(m)),
-            tuple(power(m - 1 - m * l) for l in range(c)),
-            tuple(power(m * l) for l in range(c)))
+            tuple(power(j) for j in range(m)))
 
 
 def _arma_output(factor, e, z0, block):
@@ -171,14 +168,13 @@ def _arma_output(factor, e, z0, block):
     state z_{-1} = z0:
     * in rows of m samples, the running sums c of beta a^-j e_k, plus a z
       at the block's first sample;
-    * the row ends Z_r = (G_r + A Z_{gC-1}) A^l, l = r mod C, g = r div C,
-      where G is the running sum of a^(m-1) A^-l c_(row end) in rows of C;
-    * z = (c + a Z_(row-1)) a^j, Z_(-1) = 0;
+    * z = (c + a Z_(row-1)) a^j, where Z_(row-1) is the previous row's last
+      z in the block, and Z_(-1) = 0;
     then y = sigma e + z shifted by one, z_{-1} at the block's first
     sample."""
     a, sigma, beta, _ = factor
-    m, c = oracle._SCAN_ROW, oracle._SCAN_CARRY
-    row_scale, row_grow, end_scale, end_grow = _scan_constants(a, beta)
+    m = oracle._SCAN_ROW
+    row_scale, row_grow = _scan_constants(a, beta)
     x = e.tolist()
     z = z0
     y = []
@@ -191,18 +187,13 @@ def _arma_output(factor, e, z0, block):
             if not k:
                 u = u + a * z
             sums.append(sums[-1] + u if j else u)
-        ends = []
-        for r in range(-(-len(xb) // m)):
-            l = r % c
-            e_r = sums[min(r * m + m - 1, len(xb) - 1)] * end_scale[l]
-            g_sum = g_sum + e_r if l else e_r
-            if not l:
-                top = ends[-1] if r else 0.0
-            ends.append((g_sum + end_grow[1] * top) * end_grow[l])
         states = [z]
+        end = 0.0
         for k, s in enumerate(sums):
-            r, j = divmod(k, m)
-            states.append((s + a * (ends[r - 1] if r else 0.0)) * row_grow[j])
+            j = k % m
+            states.append((s + a * end) * row_grow[j])
+            if j == m - 1:
+                end = states[-1]
         y.extend(x_k * sigma + z_k for x_k, z_k in zip(xb, states))
         z = states[-1]
     return np.array(y)
@@ -312,13 +303,15 @@ def _reference_sde(spec):
 
 # kappa_total*dt runs from a start X_0 that decays over far more than the
 # whole trajectory up to just below the 0.05 stability bound; the 32 768
-# steps fit in one kernel block.  The "blocks" case spans three blocks and a
-# partial fourth, with a tail after the last segment, so the filter state
-# crosses every block edge.  The "ragged" cases' 100-sample segments make
-# 65 500-sample blocks, which end in a short row of the scan; their partial
-# last block ends in a short row of its carry level as well.  The "short"
-# case's trajectories are shorter than one row.  ids name the Hann window
-# and zero overlap of run_sde's segmentation
+# steps fit in one kernel block, 128 whole rows of the scan.  The "blocks"
+# case spans three blocks and a partial fourth of 2 560 samples, with a tail
+# after the last segment, so the filter state crosses every block edge.  The
+# "ragged" cases' 100-sample segments make 65 500-sample blocks, 255 rows and
+# a 220-sample row; their partial last block of 4 000 samples ends in a
+# 160-sample row.  The "two-rows" case's 264 samples are one whole row and a
+# short one, so the row-end loop carries once; the "short" case's
+# trajectories are shorter than one row, so it carries none.  ids name the
+# Hann window and zero overlap of run_sde's segmentation
 _KERNEL_CASES = [
     *(pytest.param(k, 32768, 512, id=f"hann-0.0-{k}")
       for k in (1e-6, 1e-3, 0.03, 0.0499)),
@@ -326,6 +319,7 @@ _KERNEL_CASES = [
                  id="hann-0.0-1e-06-blocks"),
     *(pytest.param(k, 2 * 65500 + 40 * 100 + 37, 100,
                    id=f"hann-0.0-{k}-ragged") for k in (1e-6, 0.0499)),
+    pytest.param(0.03, 33 * 8, 8, id="hann-0.0-0.03-two-rows"),
     pytest.param(0.03, 5 * 8 + 3, 8, id="hann-0.0-0.03-short"),
 ]
 
@@ -560,12 +554,13 @@ class TestSde:
                                       * _block_samples(length))
 
     def test_children_built_on_demand(self, cav, monkeypatch):
-        # a list of 10**12 streams would need hundreds of terabytes; the map
-        # takes two, and they are the readout quadrature's streams of
-        # trajectories 0 and 1.  The address-space cap
-        # turns a regression into a MemoryError rather than a host-wide OOM
-        spec = _small_spec(cav, seed=23, duration=0.5 * 4096 * 2,
-                           n_trajectories=10**12)
+        # a list of 6e8 streams, within the bound on a run's steps at 16
+        # steps a trajectory, would need about 220 GB; the map takes two, and
+        # they are the readout quadrature's streams of trajectories 0 and 1.
+        # The address-space cap turns a regression into a MemoryError rather
+        # than a host-wide OOM
+        spec = _small_spec(cav, seed=23, duration=0.5 * 8 * 2,
+                           segment_length=8, n_trajectories=6 * 10**8)
         taken = []
 
         def first_two(fn, children):
@@ -616,17 +611,27 @@ class TestSde:
                 _small_spec(cav, **short)
         with pytest.raises(ValueError):
             _small_spec(cav, quadrature="both")
-        # a block beyond physical memory, a step count beyond the largest
-        # index, and one beyond the float range, are rejected before
-        # anything is allocated; a long run needs no more memory than a
-        # short one
+        # a block beyond physical memory, and a run of more steps over all
+        # its trajectories than the bound, one beyond the float range or
+        # beyond it in trajectories alone, are rejected before anything is
+        # allocated; a run at the bound needs no more memory than a short one
         with pytest.raises(ValueError, match=r"blocks of 10000000000000 "
                                              r"samples need about 6\.4e\+14 "):
             _small_spec(cav, segment_length=10**13)
-        assert (_small_spec(cav, duration=4096.0, dt=1e-14).trajectory_bytes
-                == _small_spec(cav).trajectory_bytes)
-        for steps in (dict(duration=3.85024e5, dt=1e-14),
-                      dict(duration=1e300)):
+        assert oracle._MAX_RUN_STEPS == 10**10
+        at_bound = _small_spec(cav, n_trajectories=1, duration=0.5 * 10**10)
+        assert at_bound.trajectory_bytes == _small_spec(cav).trajectory_bytes
+        with pytest.raises(ValueError, match=r"^n_trajectories \* duration/dt "
+                                             r"= 10000000001 steps exceeds the "
+                                             r"limit of 1e\+10 a run; lower "
+                                             r"sde_trajectories or "
+                                             r"sde_duration, or raise sde_dt$"):
+            _small_spec(cav, n_trajectories=1, duration=0.5 * (10**10 + 1))
+        for steps in (dict(duration=4096.0, dt=1e-14),
+                      dict(duration=3.85024e5, dt=1e-14),
+                      dict(duration=1e300), dict(n_trajectories=10**400),
+                      dict(n_trajectories=10**10 + 1, duration=0.5 * 8 * 2,
+                           segment_length=8)):
             with pytest.raises(ValueError, match="steps exceeds the limit"):
                 _small_spec(cav, **steps)
         for bad in (dict(q=float("nan")), dict(dt=float("nan")),
