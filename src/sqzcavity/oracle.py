@@ -161,6 +161,8 @@ class SdeRunSpec:
             )
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        if not self.duration > 0.0:
+            raise ValueError("duration must be positive")
         # per-step factor 1 - lam*dt of the slower quadrature, rounded as in
         # run_sde; at 1.0 its stationary start variance divides by zero.  When
         # even the passive decay rounds away, the step is at fault, not q.
@@ -570,8 +572,9 @@ def compare_sde(spec: SdeRunSpec, label: str,
     """Run the stochastic oracle on spec.quadrature and score its spectrum
     against that quadrature's closed form.
 
-    The zero-frequency bin must agree within SDE_Z_LIMIT standard errors, and
-    no more than 1 percent of all periodogram bins may exceed |z| = SDE_Z_LIMIT.
+    It passes three gates: |z| <= SDE_Z_LIMIT at Omega = 0, fewer than 1% of
+    all periodogram bins above |z| = SDE_Z_LIMIT (frac_abs_z_above_3), and a
+    relative standard error at Omega = 0 of at most 0.02 (stderr_rel_zero).
     """
     res = run_sde(spec)
     est, se = res.psd, res.stderr

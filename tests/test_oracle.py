@@ -604,6 +604,9 @@ class TestSde:
             _small_spec(cav, segment_length=4)
         with pytest.raises(ValueError, match="n_trajectories"):
             _small_spec(cav, n_trajectories=0)
+        for duration in (0.0, -5.0):
+            with pytest.raises(ValueError, match="^duration must be positive$"):
+                _small_spec(cav, duration=duration)
         # a standard error needs two periodogram segments in total
         for short in (dict(duration=10.0),
                       dict(n_trajectories=1, duration=0.5 * 4096)):
