@@ -82,7 +82,8 @@ class DecoherenceChain:
 def check_jitter_model(jitter_model: str) -> None:
     """ValueError unless jitter_model names one of JITTER_MODELS."""
     if jitter_model not in JITTER_MODELS:
-        raise ValueError(f"jitter_model must be one of {JITTER_MODELS}")
+        raise ValueError(f"jitter_model must be one of {JITTER_MODELS}, "
+                         f"got {jitter_model!r}")
 
 
 def input_state_from_source(src: ExternalSqueezeSource, eps_inj: float

@@ -41,7 +41,8 @@ SDE_Z_LIMIT = 3.0             # |z| an SDE bin may reach
 _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 
 # the SDE kernel walks a trajectory in blocks of whole segments of about this
-# many samples, so that a block's float64 buffers stay in cache
+# many samples, so that a block's float64 buffers stay in cache: the size sets
+# memory and time, not the output bits, while blocks are whole scan rows
 _BLOCK_SAMPLES = 1 << 16
 # bytes of a block's buffers at their peak, per block sample, an upper bound:
 # tracemalloc measured 30 to 57 over segment lengths of 8 to 2**19, each
@@ -274,39 +275,38 @@ def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
     """y_k = z_{k-1} + sigma x_k with z_k = a z_{k-1} + beta x_k over the
     block x, from the state z = z_{-1}, as a blocked scaled prefix sum
     (Blelloch 1990).  Returns y, written over x, and the state after x;
-    work holds at least x.size samples rounded up to a whole row.
+    work holds x.size rounded up to a whole row, and one sample more.
 
     In rows of m samples, z_{rm+j} = (c_j + a Z_{r-1}) a^j, where c_j is the
-    sequential cumsum of beta a^-i x_i along the row (plus a z at the
-    block's first sample) and Z_{r-1} the previous row's last state,
-    Z_{-1} = 0.  A loop in Python floats carries the row ends,
-    Z_r = (c_{m-1} + a Z_{r-1}) a^(m-1), the same operations as the row's
-    last sample.  A short last row is padded with zeros, which no earlier
-    sample reads.
+    sequential cumsum of beta a^-i x_i along the row and Z_{r-1} the
+    previous row's last state, Z_{-1} = z: a block edge is a row edge.  A
+    loop in Python floats carries the row ends, Z_r = (c_{m-1} + a Z_{r-1})
+    a^(m-1), the same operations as the row's last sample.  work[0] holds z
+    in front of the states, so y = sigma x + work[:n].  A short last row is
+    padded with zeros, which no earlier sample reads.
 
     The name is that of scipy.signal.lfilter, which this replaced: the
     benchmark's tracer finds the per-block call under it."""
     m, a = _SCAN_ROW, scan.a
     n = x.size
     rows, tail = -(-n // m), n % m
-    w = work[:rows * m]
+    work[0] = z
+    w = work[1:1 + rows * m]
     by_row = w.reshape(rows, m)
     np.multiply(x[:n - tail].reshape(-1, m), scan.row_scale,
                 out=by_row[:n // m])
     np.multiply(x[n - tail:], scan.row_scale[:tail], out=w[n - tail:n])
     w[n:] = 0.0
-    w[0] += a * z
     np.cumsum(by_row, axis=1, out=by_row)
     grow = float(scan.row_grow[-1])
-    carry = [0.0]                        # a Z_{r-1}
+    carry = [a * z]                      # a Z_{r-1}
     for end in by_row[:-1, -1].tolist():
         carry.append(a * ((end + carry[-1]) * grow))
     by_row += np.array(carry)[:, None]
     by_row *= scan.row_grow
     x *= scan.sigma
-    x[1:] += w[:n - 1]
-    x[0] += z
-    return x, float(w[n - 1])
+    x += work[:n]
+    return x, float(work[n])
 
 
 def _windowed_map(workers: int, fn: Callable, items: Iterable) -> Iterator:
@@ -402,21 +402,20 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     normal e_k a step through its spectral factor from _innovation_factor,
     y_k = z_{k-1} + sigma e_k with z_k = a z_{k-1} + beta e_k, from the
     state z drawn from its stationary law.  One lfilter call per block forms
-    it: the state as a blocked scaled prefix sum in numpy, a sequential
-    cumsum along rows of 256 samples, whose ends a loop in Python floats
-    carries.  Its power tables are built once per call of run_sde, each
-    correctly rounded, so no output bit depends on the CPU dispatch of
-    numpy's power or exp.
+    it, a scan along rows of 256 samples.  Its power tables are built once
+    per call of run_sde, each correctly rounded, so no output bit depends on
+    the CPU dispatch of numpy's power or exp.
 
     Each trajectory walks its whole segments in blocks of about 2**16
-    samples, carrying the filter's state from block to block: it draws a
-    block's normals into one reused buffer just before the filter reads
-    them, and the filter writes the block's output over them.  The
-    filter's work buffer and the block's spectra and periodograms are
-    reused too, so a trajectory holds one block's buffers, however long it
-    runs, and allocates them once.  Every product and sum keeps the operand
-    order of the reference kernel in the tests, which scans the same blocks
-    one operation at a time in Python floats.
+    samples, carrying the filter's state across block edges as across rows.
+    It draws a block's normals into one reused buffer, which the filter
+    overwrites with the output; the work buffer, spectra and periodograms
+    are reused too, so a trajectory holds and allocates one block's buffers
+    however long it runs.  The block size sets that memory and the time,
+    not the bits: blocks of whole rows, as every power-of-two segment length
+    gives, yield the same psd and stderr at any size.  Every product and sum
+    keeps the operand order of the reference kernel in the tests, which
+    scans the same blocks one operation at a time.
 
     Trajectory i of quadrature k (its index in ("sq", "anti")) draws from
     SeedSequence(seed, spawn_key=(i, k)): first one normal for the start
@@ -442,7 +441,7 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     sigma, beta, start = _innovation_factor(kc, kl, v_in, a, dt,
                                             spec.eps_read)
     scan = _scan_tables(a, beta, sigma)
-    work_samples = -(-block // _SCAN_ROW) * _SCAN_ROW
+    work_samples = 1 + -(-block // _SCAN_ROW) * _SCAN_ROW
     k = _QUADRATURES.index(spec.quadrature)
     # a generator: a list of every stream would take about 370 bytes each
     seeds = (np.random.SeedSequence(spec.seed, spawn_key=(i, k))

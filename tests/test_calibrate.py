@@ -147,7 +147,8 @@ class TestFitModel:
     def test_unknown_jitter_model(self):
         # the chain's message, not a fit that blames the data
         with pytest.raises(ValueError, match=r"^jitter_model must be one of "
-                           r"\('pump_frame', 'input_frame'\)$"):
+                           r"\('pump_frame', 'input_frame'\), "
+                           r"got 'sideways'$"):
             FitModel(free=("eps_read", "theta_rms"), fixed=TRUE,
                      jitter_model="sideways")
 

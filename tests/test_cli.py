@@ -55,6 +55,7 @@ from sqzcavity.cli import (
     main,
 )
 from sqzcavity.optimize import BASELINES
+from sqzcavity.oracle import _BLOCK_BYTES_PER_SAMPLE, _block_samples
 from conftest import address_space_headroom, reference_optimize_gain
 
 BASE = """\
@@ -324,7 +325,8 @@ FAULTS = {
                                     "float range", dict(squeeze_db=db))
        for db in (3100, 4000)},
     **{f"jitter_model_{model}": Fault(2, "config error: jitter_model must be one "
-                                         "of ('pump_frame', 'input_frame')",
+                                         "of ('pump_frame', 'input_frame'), "
+                                         f"got '{model}'",
                                       dict(analysis=f"jitter_model = {model}"))
        for model in ("sideways", "none")},
     **{f"fsr_{fsr}": Fault(2, "config error: fsr_hz must be positive",
@@ -611,14 +613,18 @@ class TestConfigValidation:
             "above the 1.05e+06 bytes of physical memory\n")
         assert not out.exists()
         # the SDE specs read the same probe: one trajectory at TINY_SDE's
-        # sizes holds one 65536-sample block, its draws included, about
-        # 4.2 MB
+        # sizes holds one block's buffers, its draws included, whatever the
+        # block size; half of that does not fit
+        block = _block_samples(256)
+        nbytes = _BLOCK_BYTES_PER_SAMPLE * block
+        monkeypatch.setattr(sqzcavity.errors, "_physical_memory",
+                            lambda: nbytes // 2)
         cfg = _tiny_verify_config(tmp_path)
         assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
         assert one_line_stderr(capsys) == (
-            "config error: [verify] segment_length = 256: blocks of 65536 "
-            "samples need about 4.19e+06 bytes, above the 1.05e+06 bytes of "
-            "physical memory\n")
+            f"config error: [verify] segment_length = 256: blocks of {block} "
+            f"samples need about {nbytes:.3g} bytes, above the "
+            f"{nbytes // 2:.3g} bytes of physical memory\n")
         assert not out.exists()
 
     def test_grid_times_panels_exit_2(self, tmp_path, capsys):

@@ -181,7 +181,8 @@ class TestNoiseBlend:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match=r"^jitter_model must be one of "
-                           r"\('pump_frame', 'input_frame'\)$"):
+                           r"\('pump_frame', 'input_frame'\), "
+                           r"got 'sideways'$"):
             DecoherenceChain(0.08, 0.05, 0.10, jitter_model="sideways")
 
     def test_anti_blend_mirrors(self, cav, state_105):

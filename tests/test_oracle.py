@@ -166,10 +166,9 @@ def _arma_output(factor, e, z0, block):
     with z_k = a z_{k-1} + beta e_k, one operation at a time in Python
     floats in the operand order of run_sde's scan, block by block from the
     state z_{-1} = z0:
-    * in rows of m samples, the running sums c of beta a^-j e_k, plus a z
-      at the block's first sample;
+    * in rows of m samples, the running sums c of beta a^-j e_k;
     * z = (c + a Z_(row-1)) a^j, where Z_(row-1) is the previous row's last
-      z in the block, and Z_(-1) = 0;
+      z, and at the block's first row the state before the block;
     then y = sigma e + z shifted by one, z_{-1} at the block's first
     sample."""
     a, sigma, beta, _ = factor
@@ -184,11 +183,9 @@ def _arma_output(factor, e, z0, block):
         for k, x_k in enumerate(xb):
             j = k % m
             u = x_k * row_scale[j]
-            if not k:
-                u = u + a * z
             sums.append(sums[-1] + u if j else u)
         states = [z]
-        end = 0.0
+        end = z
         for k, s in enumerate(sums):
             j = k % m
             states.append((s + a * end) * row_grow[j])
@@ -302,22 +299,23 @@ def _reference_sde(spec):
 
 
 # kappa_total*dt runs from a start X_0 that decays over far more than the
-# whole trajectory up to just below the 0.05 stability bound; the 32 768
-# steps fit in one kernel block, 128 whole rows of the scan.  The "blocks"
-# case spans three blocks and a partial fourth of 2 560 samples, with a tail
-# after the last segment, so the filter state crosses every block edge.  The
-# "ragged" cases' 100-sample segments make 65 500-sample blocks, 255 rows and
-# a 220-sample row; their partial last block of 4 000 samples ends in a
+# whole trajectory up to just below the 0.05 stability bound, over half a
+# kernel block of 512-sample segments: one block of whole rows of the scan.
+# The "blocks" case spans three blocks and a partial fourth of 2 560
+# samples, with a tail after the last segment, so the filter state crosses
+# every block edge.  The "ragged" cases' 100-sample segments make blocks
+# that end inside a row (65 500 samples at 2**16: 255 rows and a 220-sample
+# row), two of them and a partial third of 4 000 samples, 15 rows and a
 # 160-sample row.  The "two-rows" case's 264 samples are one whole row and a
 # short one, so the row-end loop carries once; the "short" case's
 # trajectories are shorter than one row, so it carries none.  ids name the
 # Hann window and zero overlap of run_sde's segmentation
 _KERNEL_CASES = [
-    *(pytest.param(k, 32768, 512, id=f"hann-0.0-{k}")
+    *(pytest.param(k, _block_samples(512) // 2, 512, id=f"hann-0.0-{k}")
       for k in (1e-6, 1e-3, 0.03, 0.0499)),
-    pytest.param(1e-6, 3 * 65536 + 5 * 512 + 100, 512,
+    pytest.param(1e-6, 3 * _block_samples(512) + 5 * 512 + 100, 512,
                  id="hann-0.0-1e-06-blocks"),
-    *(pytest.param(k, 2 * 65500 + 40 * 100 + 37, 100,
+    *(pytest.param(k, 2 * _block_samples(100) + 40 * 100 + 37, 100,
                    id=f"hann-0.0-{k}-ragged") for k in (1e-6, 0.0499)),
     pytest.param(0.03, 33 * 8, 8, id="hann-0.0-0.03-two-rows"),
     pytest.param(0.03, 5 * 8 + 3, 8, id="hann-0.0-0.03-short"),
@@ -368,6 +366,22 @@ class TestSde:
             assert np.array_equal(res.psd, psd)
             assert np.array_equal(res.stderr, stderr)
             assert res.n_segments == ref["n_segments"]
+
+    # the scan carries the state into a block as it carries it into a row,
+    # so blocks of whole rows give the same bits at any block size: here
+    # blocks of 1024 samples, three and a partial fourth of 512, then a tail
+    # after the last segment, against one block of the default size
+    def test_block_size_leaves_the_bits(self, cav, monkeypatch):
+        specs = [_kernel_spec(cav, 0.03, 7 * 512 + 100, 512,
+                              quadrature=quadrature)
+                 for quadrature in ("sq", "anti")]
+        ref = [run_sde(spec) for spec in specs]
+        monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", 1 << 10)
+        for spec, want in zip(specs, ref):
+            res = run_sde(spec)
+            assert np.array_equal(res.psd, want.psd)
+            assert np.array_equal(res.stderr, want.stderr)
+            assert res.n_segments == want.n_segments == 14
 
     # run_sde draws each block's normals into one reused buffer as its scan
     # reaches the block; the pieces are the stream of one call after the
