@@ -8,6 +8,7 @@ A synthetic-data generator provides round-trip validation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -120,20 +121,100 @@ def least_squares(fun, x0, **kwargs):
     return least_squares(fun, x0, **kwargs)
 
 
-def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.0,
-                      jitter_model: str = "pump_frame") -> np.ndarray:
-    """Model variances, shape (n, 2): detected (v_sq, v_anti) per pump setting.
-    A ValueError (SingularResponseError included) means that the model
-    rejects the parameters."""
+@functools.lru_cache(maxsize=8)
+def _injection(r_ext: float, eps_inj: float):
+    """The checked injected state, and the partials' own read-only rows of
+    (e^(-2 r_ext), its reciprocal) before and after the loss, which round
+    apart from the state's; cached, as most fits hold both fixed."""
+    state = input_state_from_source(
+        ExternalSqueezeSource.from_squeeze_parameter(r_ext), eps_inj)
+    e2r = math.exp(-2.0 * r_ext)
+    base = np.array([[e2r], [1.0 / e2r]])
+    v = (1.0 - eps_inj) * base + eps_inj
+    base.flags.writeable = v.flags.writeable = False
+    return state, base, v
+
+
+def _evaluate(params: dict[str, float], pump_settings, omega: float,
+              jitter_model: str):
+    """The forward model at one parameter point: its variances (n, 2) and a
+    function that forms, when called, their partials (n, 2, len(names)) in
+    the parameters it names.  A ValueError (SingularResponseError included)
+    means that the model rejects the parameters.
+
+    Each quadrature's spectrum is S = 1 - (1-eps_read)*B/D with
+    u = t_c+eps_int+q, w = t_c-eps_int-q, D = u^2+omega^2, N = w^2+omega^2
+    and B = 4*t_c*q + (1-v)*N, so dS/dx = -(1-eps_read)*(B_x*D - B*D_x)/D^2
+    with (B_x, D_x) = (4q + 2(1-v)w, 2u) for t_c, (-2(1-v)w, 2u) for eps_int
+    and (4t_c - 2(1-v)w, 2u) for q; dS/dv = (1-eps_read)*N/D and
+    dS/deps_read = B/D.  These go through q = q_max*pump, the injection loss
+    (v_sq and v_anti in eps_inj and r_ext), the jitter weight s(theta_rms)
+    and the jitter model's mix.
+    """
     cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
     chain = DecoherenceChain(eps_inj=params["eps_inj"],
                              theta_rms=params["theta_rms"],
                              eps_read=params["eps_read"],
                              jitter_model=jitter_model)
-    state = input_state_from_source(
-        ExternalSqueezeSource.from_squeeze_parameter(params["r_ext"]), chain.eps_inj)
-    q = params["q_max"] * np.asarray(pump_settings, dtype=float)
-    return measured_noise_pair(cav, q, state, chain, omega)
+    state, base, v = _injection(params["r_ext"], chain.eps_inj)
+    pumps = np.asarray(pump_settings, dtype=float)
+    q_read = params["q_max"] * pumps
+    variances = measured_noise_pair(cav, q_read, state, chain, omega)
+
+    def partials(names) -> np.ndarray:
+        t_c, eps_int, eps_inj, theta = cav.t_c, cav.eps_int, chain.eps_inj, chain.theta_rms
+        s = jitter_mixing_weight(theta)
+        # one row per quadrature: the readout at gain q, the anti at -q
+        sign = np.array([[1.0], [-1.0]])
+        q = sign * q_read
+
+        input_frame = jitter_model == "input_frame"
+        v_in = _mix(s, v, v[::-1]) if input_frame else v
+        u = t_c + eps_int + q
+        w = t_c - eps_int - q
+        d = u * u + omega * omega
+        n = w * w + omega * omega
+        b_d = (4.0 * t_c * q + (1.0 - v_in) * n) / d
+        keep = 1.0 - chain.eps_read
+        d_x = 2.0 * u / d     # D_x / D, the same for t_c, eps_int and q
+        vw = 2.0 * (1.0 - v_in) * w
+        s_v = keep * n / d    # dS/dv
+
+        def through_d(b_x):
+            return keep * (b_d * d_x - b_x / d)
+
+        jac = np.empty((len(pumps), 2, len(names)))
+        for j, name in enumerate(names):
+            if name == "t_c":
+                col = through_d(4.0 * q + vw)
+            elif name == "eps_int":
+                col = through_d(-vw)
+            elif name == "q_max":
+                col = sign * pumps * through_d(4.0 * t_c - vw)
+            elif name == "eps_read":
+                col = b_d
+            elif name in ("eps_inj", "r_ext"):
+                dv = 1.0 - base if name == "eps_inj" else -2.0 * (1.0 - eps_inj) * sign * base
+                col = s_v * (_mix(s, dv, dv[::-1]) if input_frame else dv)
+            else:   # theta_rms, through ds/dtheta_rms
+                ds = 2.0 * theta * math.exp(-2.0 * theta * theta)
+                col = ds * (s_v * (v[::-1] - v) if input_frame
+                            else keep * (b_d - b_d[::-1]))
+            if not input_frame and name != "theta_rms":
+                col = _mix(s, col, col[::-1])
+            jac[:, :, j] = col.T
+        return jac
+
+    return variances, partials
+
+
+def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.0,
+                      jitter_model: str = "pump_frame") -> np.ndarray:
+    """Model variances, shape (n, 2): detected (v_sq, v_anti) per pump setting,
+    from the evaluation that a fit makes at each point (_evaluate).  A
+    ValueError (SingularResponseError included) means that the model rejects
+    the parameters."""
+    return _evaluate(params, pump_settings, omega, jitter_model)[0]
 
 
 def synthesize_measurements(true_params: dict[str, float], pump_grid,
@@ -176,88 +257,18 @@ def _starts(boxes: list[tuple[float, float]]) -> list[np.ndarray]:
     return [np.array(c) for c in corners]
 
 
-def _predict(model: FitModel, x: np.ndarray, pumps) -> np.ndarray | None:
-    """Model variances at the free values x; None where the model rejects
-    them."""
-    try:
-        return forward_variances(model.full_params(x), pumps, omega=model.omega,
-                                 jitter_model=model.jitter_model)
-    except ValueError:
-        return None
-
-
-def _variance_jacobian(model: FitModel, x: np.ndarray, pumps: np.ndarray) -> np.ndarray:
-    """Partials of the model variances in the free values x, in closed form:
-    shape (n, 2, n_free), at an x that the model admits.
-
-    Each quadrature's spectrum is S = 1 - (1-eps_read)*B/D with
-    u = t_c+eps_int+q, w = t_c-eps_int-q, D = u^2+omega^2, N = w^2+omega^2
-    and B = 4*t_c*q + (1-v)*N, so dS/dx = -(1-eps_read)*(B_x*D - B*D_x)/D^2
-    with (B_x, D_x) = (4q + 2(1-v)w, 2u) for t_c, (-2(1-v)w, 2u) for eps_int
-    and (4t_c - 2(1-v)w, 2u) for q; dS/dv = (1-eps_read)*N/D and
-    dS/deps_read = B/D.  These go through q = q_max*pump, the injection loss
-    (v_sq and v_anti in eps_inj and r_ext), the jitter weight s(theta_rms)
-    and the jitter model's mix.
-    """
-    p = model.full_params(x)
-    t_c, eps_int, eps_inj, theta = p["t_c"], p["eps_int"], p["eps_inj"], p["theta_rms"]
-    s = jitter_mixing_weight(theta)
-    # one row per quadrature: the readout at gain q, the anti at -q
-    sign = np.array([[1.0], [-1.0]])
-    q = sign * (p["q_max"] * pumps)
-    e2r = math.exp(-2.0 * p["r_ext"])
-    base = np.array([[e2r], [1.0 / e2r]])
-    v = (1.0 - eps_inj) * base + eps_inj
-
-    input_frame = model.jitter_model == "input_frame"
-    v_in = _mix(s, v, v[::-1]) if input_frame else v
-    u = t_c + eps_int + q
-    w = t_c - eps_int - q
-    d = u * u + model.omega * model.omega
-    n = w * w + model.omega * model.omega
-    b_d = (4.0 * t_c * q + (1.0 - v_in) * n) / d
-    keep = 1.0 - p["eps_read"]
-    d_x = 2.0 * u / d     # D_x / D, the same for t_c, eps_int and q
-    vw = 2.0 * (1.0 - v_in) * w
-    s_v = keep * n / d    # dS/dv
-
-    def through_d(b_x):
-        return keep * (b_d * d_x - b_x / d)
-
-    jac = np.empty((len(pumps), 2, len(model.free)))
-    for j, name in enumerate(model.free):
-        if name == "t_c":
-            col = through_d(4.0 * q + vw)
-        elif name == "eps_int":
-            col = through_d(-vw)
-        elif name == "q_max":
-            col = sign * pumps * through_d(4.0 * t_c - vw)
-        elif name == "eps_read":
-            col = b_d
-        elif name in ("eps_inj", "r_ext"):
-            dv = 1.0 - base if name == "eps_inj" else -2.0 * (1.0 - eps_inj) * sign * base
-            col = s_v * (_mix(s, dv, dv[::-1]) if input_frame else dv)
-        else:   # theta_rms, through ds/dtheta_rms
-            ds = 2.0 * theta * math.exp(-2.0 * theta * theta)
-            col = ds * (s_v * (v[::-1] - v) if input_frame
-                        else keep * (b_d - b_d[::-1]))
-        if not input_frame and name != "theta_rms":
-            col = _mix(s, col, col[::-1])
-        jac[:, :, j] = col.T
-    return jac
-
-
 def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     """Weighted nonlinear least squares over the free parameters.
 
     Residuals are in variance space with inverse-standard-error weights,
     solved with damped least squares (bounded trust-region) from the
-    deterministic multi-start set.  least_squares takes the Jacobian of the
-    residuals in closed form (_variance_jacobian), so the fit, the rank check
-    and the standard errors rest on no finite-difference step.  A residual
-    row that is not finite, or whose square could overflow the cost, holds a
-    constant fill; a start that ends on the fill neither counts as converged
-    nor competes for the best fit.
+    deterministic multi-start set.  Each point is evaluated once (_evaluate);
+    least_squares takes the Jacobian of the residuals in closed form from that
+    evaluation, only where it asks for one, so the fit, the rank check and the
+    standard errors rest on no finite-difference step.  A residual row that
+    is not finite, or whose square could overflow the cost, holds a constant
+    fill; a start that ends on the fill neither counts as converged nor
+    competes for the best fit.
 
     Raises ConfigError for a fault of the input: no free parameter, fewer
     than n_free + 2 rows, a fixed q_max whose pump scan reaches the fixed
@@ -285,25 +296,39 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     errs = np.array([[d.err_sq, d.err_anti] for d in data])
     # the residual rows that hold the 1e6 fill, per point evaluated
     fills: dict[bytes, np.ndarray] = {}
+    # the last point's evaluation ((None, None) where the model rejects it),
+    # where least_squares takes the Jacobian; keeping one leaves the cyclic
+    # garbage collector nothing to scan
+    last: dict[bytes, tuple] = {}
     # rows within this bound keep the cost, their sum of squares, finite
     r_max = math.sqrt(np.finfo(float).max / meas.size)
+
+    def evaluate(x: np.ndarray) -> tuple:
+        if (key := x.tobytes()) not in last:
+            last.clear()
+            try:
+                last[key] = _evaluate(model.full_params(x), pumps, model.omega,
+                                      model.jitter_model)
+            except ValueError:
+                last[key] = None, None
+        return last[key]
 
     def residual(x: np.ndarray) -> np.ndarray:
         """Weighted residuals; the 1e6 fill in every row beyond r_max, where
         the model is not finite or the row's square could overflow the cost."""
-        pred = _predict(model, x, pumps)
+        pred = evaluate(x)[0]
         r = np.full(meas.size, np.inf) if pred is None else ((pred - meas) / errs).ravel()
         fill = fills[x.tobytes()] = ~(np.abs(r) <= r_max)
         return np.where(fill, 1e6, r)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        """Jacobian of residual at x; zero in the rows that hold the fill, a
-        constant.  least_squares takes it only where it has evaluated
-        residual."""
+        """Jacobian of residual at x, from the same evaluation; zero in the
+        rows that hold the fill, a constant.  least_squares takes it only
+        where it has evaluated residual."""
         fill = fills[x.tobytes()]
         if fill.all():
             return np.zeros((meas.size, len(x)))
-        jac = (_variance_jacobian(model, x, pumps) / errs[..., None]).reshape(fill.size, -1)
+        jac = (evaluate(x)[1](model.free) / errs[..., None]).reshape(fill.size, -1)
         jac[fill] = 0.0
         return jac
 
@@ -316,7 +341,7 @@ def fit_parameters(data: list[VariancePair], model: FitModel) -> FitResult:
     # the first start it admits: the fit would see a constant residual and
     # end rank-deficient, blaming the data
     first = next(((x, pred) for x in starts
-                  if (pred := _predict(model, x, pumps)) is not None), None)
+                  if (pred := evaluate(x)[0]) is not None), None)
     if first is None:
         raise ConfigError(f"the model rejects every start point of the {box}")
     x_first, pred_first = first

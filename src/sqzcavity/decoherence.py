@@ -132,24 +132,30 @@ def _mix(s, main, other):
 
 
 def _detected(cav: CavityParams, q, input_state: InputQuadratureState,
-              chain: DecoherenceChain, omega, quadratures):
-    """Detected noise of each quadrature in quadratures (0: readout, 1: anti),
-    in that order.  The anti quadrature is the readout formula with q -> -q
-    and the two input variances swapped.  A quadrature's output spectrum is
-    evaluated at most once, and only when a result needs it."""
+              chain: DecoherenceChain, omega, rows: slice):
+    """Detected noise of the quadratures in rows of (readout, anti), stacked
+    on a leading axis.  The anti quadrature is the readout formula with
+    q -> -q and the two input variances swapped.  A result that needs both
+    output spectra takes them from one broadcast spectrum call; one that
+    needs one evaluates only that one."""
     s = jitter_mixing_weight(chain.theta_rms)
+    blend = chain.jitter_model == "pump_frame" and not _holds(s == 0.0)
+    need = range(2)[slice(0, 2) if blend else rows]
+    gain = [q if k == 0 else -np.asarray(q, dtype=float) for k in need]
     v = (input_state.v_sq, input_state.v_anti)
-    gain = (q, -np.asarray(q, dtype=float))
-    if chain.jitter_model == "input_frame":
-        return [quadrature_noise_spectrum(cav, gain[k], _mix(s, v[k], v[1 - k]),
-                                          chain.eps_read, omega)
-                for k in quadratures]
-    unmixed = _holds(s == 0.0)
-    own = {k: quadrature_noise_spectrum(cav, gain[k], v[k], chain.eps_read, omega)
-           for k in (quadratures if unmixed else (0, 1))}
-    if unmixed:
-        return [own[k] for k in quadratures]
-    return [_mix(s, own[k], own[1 - k]) for k in quadratures]
+    v_in = [_mix(s, v[k], v[1 - k]) if chain.jitter_model == "input_frame" else v[k]
+            for k in need]
+    if len(need) == 1:
+        return [quadrature_noise_spectrum(cav, gain[0], v_in[0], chain.eps_read, omega)]
+    # both rows on a new leading axis, broadcast first against every operand
+    # (the blending weight too), so that per-row chains keep their axes
+    shape = np.broadcast(*gain, *v_in, chain.eps_read, omega, cav.t_c, cav.eps_int,
+                         *((s,) if blend else ())).shape
+    gains, v_rows = np.empty((2, 2, *shape))
+    gains[0], gains[1] = gain
+    v_rows[0], v_rows[1] = v_in
+    both = quadrature_noise_spectrum(cav, gains, v_rows, chain.eps_read, omega)
+    return _mix(s, both[rows], both[::-1][rows]) if blend else both
 
 
 def measured_noise_pair(cav: CavityParams, q, input_state: InputQuadratureState,
@@ -163,12 +169,15 @@ def measured_noise_pair(cav: CavityParams, q, input_state: InputQuadratureState,
     pump_frame (default): the jitter rotates the detected frame relative to the
     cavity eigenbasis, blending the two cavity OUTPUT spectra,
     S_eff = (1-s)*S_readout(q) + s*S_anti(q), and the anti quadrature the other
-    way round; each output spectrum is evaluated once.  This reproduces the
-    unbounded noise growth as q approaches threshold.
+    way round.  This reproduces the unbounded noise growth as q approaches
+    threshold.
     input_frame (alternative): the jitter scrambles the INPUT state only,
     V_eff = (1-s)*v_sq + s*v_anti fed through the readout-quadrature response.
+    Under either model, both output spectra come from one
+    quadrature_noise_spectrum call at the gains (q, -q).
     """
-    return np.stack(_detected(cav, q, input_state, chain, omega, (0, 1)), axis=-1)
+    both = _detected(cav, q, input_state, chain, omega, slice(0, 2))
+    return both.transpose(*range(1, both.ndim), 0)
 
 
 def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
@@ -176,7 +185,7 @@ def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratur
     """Readout column of measured_noise_pair.  Without jitter mixing (theta_rms
     = 0 or input_frame) only the readout spectrum is evaluated, so it stays
     finite at the anti quadrature's pole q = +q_threshold."""
-    return _detected(cav, q, input_state, chain, omega, (0,))[0]
+    return _detected(cav, q, input_state, chain, omega, slice(0, 1))[0]
 
 
 def measured_anti_noise_with_jitter(cav: CavityParams, q,
@@ -184,7 +193,7 @@ def measured_anti_noise_with_jitter(cav: CavityParams, q,
                                     chain: DecoherenceChain, omega):
     """Anti column of measured_noise_pair, evaluated as measured_noise_with_jitter
     is: finite at the readout's pole q = -q_threshold without jitter mixing."""
-    return _detected(cav, q, input_state, chain, omega, (1,))[0]
+    return _detected(cav, q, input_state, chain, omega, slice(1, 2))[0]
 
 
 def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState,

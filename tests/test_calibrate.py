@@ -203,9 +203,9 @@ class TestForwardPair:
             assert got.shape == want.shape
             assert (got == want).all()
 
-    def test_two_spectra_per_call(self, monkeypatch):
-        # counted where decoherence calls it and where
-        # anti_quadrature_noise_spectrum does
+    def test_one_spectrum_call_per_pair(self, monkeypatch):
+        # both quadratures from one broadcast call, counted where decoherence
+        # calls it and where anti_quadrature_noise_spectrum does
         calls = []
 
         def counted(*args, **kwargs):
@@ -218,7 +218,7 @@ class TestForwardPair:
             for jitter_model in ("pump_frame", "input_frame"):
                 calls.clear()
                 forward_variances(params, PUMPS, 0.3, jitter_model)
-                assert len(calls) == 2
+                assert len(calls) == 1
 
 
 def _reference_starts(boxes):
@@ -273,18 +273,19 @@ class TestFit:
         # a user box for eps_read reaching past 1: the model rejects the two
         # starts at eps_read = 1.425, and the fit scores them with the 1e6
         # fill.  The Jacobian is closed form and zero on the fill, so each
-        # is one rejected call, its start point, and each ends there: only
-        # the other two starts count as converged
+        # is one rejected evaluation, its start point, and each ends there:
+        # only the other two starts count as converged
         rejected = []
+        evaluate = calibrate._evaluate
 
         def counting(params, *args, **kwargs):
             try:
-                return forward_variances(params, *args, **kwargs)
+                return evaluate(params, *args, **kwargs)
             except ValueError:
                 rejected.append(params["eps_read"])
                 raise
 
-        monkeypatch.setattr(calibrate, "forward_variances", counting)
+        monkeypatch.setattr(calibrate, "_evaluate", counting)
         rows = synthesize_measurements(TRUE, PUMPS, 0.0, seed=1)
         fixed = {k: v for k, v in TRUE.items()
                  if k not in ("eps_read", "theta_rms")}
@@ -298,12 +299,13 @@ class TestFit:
 
     def test_no_admitted_start(self, monkeypatch):
         # eps_read must be below 1: the model rejects every start of this box,
-        # each once, and no fit starts
+        # each evaluated once, and no fit starts
         calls = []
+        evaluate = calibrate._evaluate
 
         def counting(params, *args, **kwargs):
             calls.append(params["eps_read"])
-            return forward_variances(params, *args, **kwargs)
+            return evaluate(params, *args, **kwargs)
 
         def no_fit(*args, **kwargs):
             raise AssertionError("least_squares called")
@@ -313,7 +315,7 @@ class TestFit:
                  if k not in ("eps_read", "theta_rms")}
         model = FitModel(free=("eps_read", "theta_rms"), fixed=fixed,
                          bounds={"eps_read": (1.0, 2.0)})
-        monkeypatch.setattr(calibrate, "forward_variances", counting)
+        monkeypatch.setattr(calibrate, "_evaluate", counting)
         monkeypatch.setattr(calibrate, "least_squares", no_fit)
         with pytest.raises(ValueError) as info:
             fit_parameters(rows, model)
@@ -419,6 +421,14 @@ def _fit_cases():
            FitModel(free=free2, fixed=fixed(free2), bounds={"eps_read": (0.0, 1.5)}))
 
 
+def _partials(model, x):
+    """The closed-form partials of the model variances in the free values,
+    at x, from an evaluation of its own."""
+    _, partials = calibrate._evaluate(model.full_params(x), PUMPS, model.omega,
+                                      model.jitter_model)
+    return partials(model.free)
+
+
 class TestClosedFormJacobian:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), theta_zero=st.booleans(),
@@ -436,7 +446,7 @@ class TestClosedFormJacobian:
             x[4] = 0.0
         model = FitModel(free=calibrate.PARAM_NAMES, fixed={}, omega=omega,
                          jitter_model=jitter_model)
-        jac = calibrate._variance_jacobian(model, x, np.array(PUMPS))
+        jac = _partials(model, x)
         assert jac.shape == (len(PUMPS), 2, 7)
         for j, name in enumerate(calibrate.PARAM_NAMES):
             if name == "theta_rms" and theta_zero:
@@ -487,8 +497,7 @@ class TestClosedFormJacobian:
             assert fill.sum() == n_fill
             assert (jac[fill] == 0.0).all()
             if n_fill < fill.size:
-                want = calibrate._variance_jacobian(model, x, np.array(PUMPS))
-                want = (want / errs[..., None]).reshape(fill.size, 1)
+                want = (_partials(model, x) / errs[..., None]).reshape(fill.size, 1)
                 assert np.array_equal(jac[~fill], want[~fill])
 
     def test_fits_reach_the_reference_objective(self, monkeypatch):
@@ -519,3 +528,85 @@ class TestClosedFormJacobian:
             for p in model.free:
                 assert abs(got.params[p] - want.params[p]) <= 1e-5 * want.stderr[p], name
                 assert got.stderr[p] == pytest.approx(want.stderr[p], rel=1e-5), name
+
+
+def _calibrate_ini_fit(bounds=None):
+    """calibrate.ini's model, eps_read and theta_rms free (q_max too under a
+    user box), and the golden set's synthetic table drawn from its values."""
+    free = ("eps_read", "theta_rms") + (("q_max",) if bounds else ())
+    rows = synthesize_measurements(TRUE, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 0.01, seed=7)
+    return rows, FitModel(free=free, fixed={k: v for k, v in TRUE.items() if k not in free},
+                          bounds=bounds or {})
+
+
+class TestOneEvaluationPerPoint:
+    def test_residual_and_jacobian_share_it(self, monkeypatch):
+        # each point least_squares visits is evaluated once, and the Jacobian
+        # takes its partials from that evaluation without a spectrum call;
+        # what least_squares receives at every start and at the best fit is
+        # the standalone forward model's residual and partials, bit for bit
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        evaluate = calibrate._evaluate
+        evaluations, spectra, starts, residual_calls = [], [], [], []
+        received = {}    # x's bytes -> (residual, Jacobian) as least_squares took them
+
+        def counted_evaluate(*args, **kwargs):
+            evaluations.append(1)
+            return evaluate(*args, **kwargs)
+
+        def counted_spectrum(*args, **kwargs):
+            spectra.append(1)
+            return quadrature_noise_spectrum(*args, **kwargs)
+
+        def recording(fun, x0, jac, **kwargs):
+            def residual(x):
+                residual_calls.append(1)
+                r = fun(x)
+                received[x.tobytes()] = [r.copy(), None]
+                return r
+
+            def jacobian(x):
+                n_spectra = len(spectra)
+                j = jac(x)
+                assert len(spectra) == n_spectra
+                received[x.tobytes()][1] = j.copy(order="K")
+                return j
+
+            starts.append(x0)
+            return scipy_least_squares(residual, x0, jac=jacobian, **kwargs)
+
+        rows, model = _calibrate_ini_fit()
+        monkeypatch.setattr(calibrate, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(decoherence, "quadrature_noise_spectrum", counted_spectrum)
+        monkeypatch.setattr(calibrate, "least_squares", recording)
+        res = fit_parameters(rows, model)
+        assert len(starts) == 4
+        # one spectrum call per evaluation, none of them in the Jacobian
+        assert len(spectra) == len(evaluations) == len(residual_calls) == len(received)
+        assert len(evaluations) > 4 * len(starts)
+
+        pumps = [r.pump_setting for r in rows]
+        meas = np.array([[r.v_sq, r.v_anti] for r in rows])
+        errs = np.array([[r.err_sq, r.err_anti] for r in rows])
+        monkeypatch.setattr(calibrate, "_evaluate", evaluate)
+        best = np.array([res.params[name] for name in model.free])
+        for x in starts + [best]:
+            params = model.full_params(x)
+            pred = forward_variances(params, pumps, model.omega, model.jitter_model)
+            partials = evaluate(params, pumps, model.omega, model.jitter_model)[1]
+            r, j = received[x.tobytes()]
+            assert np.array_equal(r, ((pred - meas) / errs).ravel())
+            # least_squares' SVDs and products round by the Jacobian's layout
+            assert j.flags.c_contiguous
+            assert np.array_equal(
+                j, (partials(model.free) / errs[..., None]).reshape(r.size, -1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_runtime_warning(self):
+        # calibrate.ini's table, and under an eps_read box past 1, where the
+        # model rejects the starts at eps_read = 1.425: no partials are formed
+        # at a rejected point
+        for bounds in (None, {"eps_read": (0.0, 1.5)}):
+            res = fit_parameters(*_calibrate_ini_fit(bounds))
+            assert res.n_starts_converged == 4

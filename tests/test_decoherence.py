@@ -215,23 +215,24 @@ class TestNoisePair:
                 cav, q, state_105, chain, 0.3))
 
     def test_spectrum_calls(self, cav, state_105, monkeypatch):
-        # a single quadrature evaluates its partner's spectrum only to mix it
-        calls = []
+        # one spectrum call each; a single quadrature evaluates its partner's
+        # spectrum, as a second gain row of that call, only to mix it
+        gains = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return quadrature_noise_spectrum(*args, **kwargs)
+        def counted(cav, q, *args):
+            gains.append(np.shape(q))
+            return quadrature_noise_spectrum(cav, q, *args)
 
         monkeypatch.setattr(decoherence, "quadrature_noise_spectrum", counted)
         for model, theta in self.MODELS:
             chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
             mixed = model == "pump_frame" and theta > 0.0
-            for fn, want in ((measured_noise_with_jitter, 2 if mixed else 1),
-                             (measured_anti_noise_with_jitter, 2 if mixed else 1),
-                             (measured_noise_pair, 2)):
-                calls.clear()
+            for fn, want in ((measured_noise_with_jitter, (2,) if mixed else ()),
+                             (measured_anti_noise_with_jitter, (2,) if mixed else ()),
+                             (measured_noise_pair, (2,))):
+                gains.clear()
                 fn(cav, 0.02, state_105, chain, 0.0)
-                assert len(calls) == want, (fn.__name__, model, theta)
+                assert gains == [want], (fn.__name__, model, theta)
 
     def test_poles(self, cav, state_105):
         # the readout spectrum is singular at q = -q_th, the anti one at
