@@ -45,9 +45,10 @@ _ANALYTIC_TOLERANCE = 1e-12   # max relative closed-form vs composition gap
 # memory and time, not the output bits, while blocks are whole scan rows
 _BLOCK_SAMPLES = 1 << 16
 # bytes of a block's buffers at their peak, per block sample, an upper bound:
-# tracemalloc measured 30 to 57 over segment lengths of 8 to 2**19, each
-# trajectory's draw, work, spectrum and periodogram buffers included
-_BLOCK_BYTES_PER_SAMPLE = 64
+# tracemalloc measured 17.5 to 44.3 over segment lengths of 8 to 2**19 (each
+# power of two and the length one above it), each trajectory's two buffers,
+# draws and work, and what rfft and the window take with them included
+_BLOCK_BYTES_PER_SAMPLE = 48
 # the most steps a run may take over all its trajectories, about 5 minutes on
 # one CPU (verify.ini's checks take 2.5e7 each): time grows with them
 _MAX_RUN_STEPS = 10**10
@@ -215,8 +216,9 @@ class SdeRunSpec:
 
     @property
     def trajectory_bytes(self) -> int:
-        """Peak bytes of one trajectory of run_sde: one block's buffers, its
-        draws included, whatever the trajectory's length."""
+        """Peak bytes of one trajectory of run_sde: its two block buffers,
+        draws and work, with what rfft takes, whatever the trajectory's
+        length."""
         return _BLOCK_BYTES_PER_SAMPLE * _block_samples(self.segment_length)
 
     @property
@@ -275,7 +277,8 @@ def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
     """y_k = z_{k-1} + sigma x_k with z_k = a z_{k-1} + beta x_k over the
     block x, from the state z = z_{-1}, as a blocked scaled prefix sum
     (Blelloch 1990).  Returns y, written over x, and the state after x;
-    work holds x.size rounded up to a whole row, and one sample more.
+    work holds at least x.size rounded up to a whole row, and one sample
+    more.
 
     In rows of m samples, z_{rm+j} = (c_j + a Z_{r-1}) a^j, where c_j is the
     sequential cumsum of beta a^-i x_i along the row and Z_{r-1} the
@@ -409,8 +412,10 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     Each trajectory walks its whole segments in blocks of about 2**16
     samples, carrying the filter's state across block edges as across rows.
     It draws a block's normals into one reused buffer, which the filter
-    overwrites with the output; the work buffer, spectra and periodograms
-    are reused too, so a trajectory holds and allocates one block's buffers
+    overwrites with the output, and scans in a second, the work buffer.
+    Once the scan has returned its state, the segments' spectra go into the
+    work buffer, and once rfft has read the segments, the periodograms go
+    into the draws: a trajectory holds and allocates two block buffers
     however long it runs.  The block size sets that memory and the time,
     not the bits: blocks of whole rows, as every power-of-two segment length
     gives, yield the same psd and stderr at any size.  Every product and sum
@@ -447,19 +452,24 @@ def run_sde(spec: SdeRunSpec) -> SdeResult:
     seeds = (np.random.SeedSequence(spec.seed, spawn_key=(i, k))
              for i in range(spec.n_trajectories))
     n_bins = length // 2 + 1
+    segs_max = block // length
 
     def one_trajectory(child: np.random.SeedSequence):
         rng = np.random.default_rng(child)
         z = start * rng.standard_normal()
         s1, s2 = np.zeros(n_bins), np.zeros(n_bins)
-        # every buffer a block needs, taken once: blocks that allocated their
+        # two buffers for every block, taken once: blocks that allocated their
         # own spectra faulted in fresh pages each time (about 0.4 MB a block
-        # at verify.ini's sizes), since arrays that large are mapped anew
-        draws = np.empty(block)
-        work = np.empty(work_samples)
-        spectra = np.empty((block // length, n_bins), complex)
+        # at verify.ini's sizes), since arrays that large are mapped anew.
+        # The spectra live in the scan's work, dead once lfilter has returned
+        # the state as a float, and the periodogram rows in the draws, dead
+        # once rfft has read the segments; each buffer fits both its uses
+        draws = np.empty(max(block, (1 + segs_max) * n_bins))
+        work = np.empty(max(work_samples, 2 * segs_max * n_bins))
+        spectra = work[:2 * segs_max * n_bins].view(complex).reshape(
+            segs_max, n_bins)
         # a running sum, then the block's periodograms (or their squares)
-        sums = np.empty((1 + block // length, n_bins))
+        sums = draws[:(1 + segs_max) * n_bins].reshape(1 + segs_max, n_bins)
         for k0 in range(0, n_used, block):
             e = draws[:min(block, n_used - k0)]
             rng.standard_normal(out=e)

@@ -404,7 +404,7 @@ FAULTS = {
            ("trajectories", "308019200000", "sde_trajectories = 400000\n"))},
     "sde_segment_memory": Fault(2, "config error: [verify] segment_length = "
                                    f"{_HUGE}: blocks of {_HUGE} samples need "
-                                   "about 6.4e+14 bytes, above the …",
+                                   "about 4.8e+14 bytes, above the …",
                                 dict(extra=_SDE + "sde_segment_length = "
                                                   f"{_HUGE}\n")),
     "sde_dt_too_fine": Fault(2, "config error: [verify] dt = 1e-300 is too "
@@ -613,8 +613,8 @@ class TestConfigValidation:
             "above the 1.05e+06 bytes of physical memory\n")
         assert not out.exists()
         # the SDE specs read the same probe: one trajectory at TINY_SDE's
-        # sizes holds one block's buffers, its draws included, whatever the
-        # block size; half of that does not fit
+        # sizes holds two block buffers, draws and work, whatever the block
+        # size; half of that bound does not fit
         block = _block_samples(256)
         nbytes = _BLOCK_BYTES_PER_SAMPLE * block
         monkeypatch.setattr(sqzcavity.errors, "_physical_memory",

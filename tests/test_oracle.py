@@ -370,18 +370,23 @@ class TestSde:
     # the scan carries the state into a block as it carries it into a row,
     # so blocks of whole rows give the same bits at any block size: here
     # blocks of 1024 samples, three and a partial fourth of 512, then a tail
-    # after the last segment, against one block of the default size
+    # after the last segment, against one partial block of the default size.
+    # At 256 the 512-sample segment is longer than the block, so blocks hold
+    # one segment, whose spectrum (2*257 floats) outgrows the scan's work
+    # (513) and whose running sum and periodogram (2*257) outgrow the draws
+    # (512): both buffers take the larger size, and the bits stay
     def test_block_size_leaves_the_bits(self, cav, monkeypatch):
         specs = [_kernel_spec(cav, 0.03, 7 * 512 + 100, 512,
                               quadrature=quadrature)
                  for quadrature in ("sq", "anti")]
         ref = [run_sde(spec) for spec in specs]
-        monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", 1 << 10)
-        for spec, want in zip(specs, ref):
-            res = run_sde(spec)
-            assert np.array_equal(res.psd, want.psd)
-            assert np.array_equal(res.stderr, want.stderr)
-            assert res.n_segments == want.n_segments == 14
+        for block_samples in (1 << 10, 1 << 8):
+            monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", block_samples)
+            for spec, want in zip(specs, ref):
+                res = run_sde(spec)
+                assert np.array_equal(res.psd, want.psd)
+                assert np.array_equal(res.stderr, want.stderr)
+                assert res.n_segments == want.n_segments == 14
 
     # run_sde draws each block's normals into one reused buffer as its scan
     # reaches the block; the pieces are the stream of one call after the
@@ -560,12 +565,18 @@ class TestSde:
         long, long_bytes = traced(1 << 21)
         assert abs(long - short) <= 8 * _block_samples(4096)
         assert long <= long_bytes == short_bytes
-        # at the shortest segment and a block of one 2**19 segment, within
+        # from the shortest segment to a block of one 2**19 segment, within
         # the per-sample bound that trajectory_bytes counts
-        for length in (8, 1 << 19):
-            peak, nbytes = traced(1 << 21, length)
-            assert peak <= nbytes == (oracle._BLOCK_BYTES_PER_SAMPLE
-                                      * _block_samples(length))
+        peaks = {}
+        for length in (8, 256, 4096, 1 << 19):
+            peaks[length], nbytes = traced(1 << 21, length)
+            assert peaks[length] <= nbytes == (oracle._BLOCK_BYTES_PER_SAMPLE
+                                               * _block_samples(length))
+        # a trajectory holds two block buffers, the spectra in the scan's work
+        # and the periodograms in the draws: at 4096 its peak stays within
+        # three float64 buffers of a block (four buffers read about 31 bytes
+        # a sample, two read about 19)
+        assert peaks[4096] <= 3 * 8 * _block_samples(4096)
 
     def test_children_built_on_demand(self, cav, monkeypatch):
         # a list of 6e8 streams, within the bound on a run's steps at 16
@@ -633,7 +644,7 @@ class TestSde:
         # beyond it in trajectories alone, are rejected before anything is
         # allocated; a run at the bound needs no more memory than a short one
         with pytest.raises(ValueError, match=r"blocks of 10000000000000 "
-                                             r"samples need about 6\.4e\+14 "):
+                                             r"samples need about 4\.8e\+14 "):
             _small_spec(cav, segment_length=10**13)
         assert oracle._MAX_RUN_STEPS == 10**10
         at_bound = _small_spec(cav, n_trajectories=1, duration=0.5 * 10**10)
