@@ -47,8 +47,8 @@ _PUBLIC = {
     **dict.fromkeys((
         "DecoherenceChain", "ExternalSqueezeSource", "input_state_from_source",
         "jitter_mixing_weight", "jittered_signal_factor",
-        "measured_anti_noise_with_jitter", "measured_noise_pair",
-        "measured_noise_with_jitter", "measured_sensitivity"), "decoherence"),
+        "measured_anti_noise_with_jitter", "measured_noise_with_jitter",
+        "measured_sensitivity"), "decoherence"),
     **dict.fromkeys((
         "ConfigError", "ConvergenceError", "IdentifiabilityError",
         "InstabilityError", "SingularResponseError", "SqzCavityError"), "errors"),

@@ -23,13 +23,12 @@ from .decoherence import (
     check_jitter_model,
     input_state_from_source,
     jitter_mixing_weight,
-    measured_noise_pair,
 )
 # not called here; perfbench/tracing.py binds these names in this module
 from .decoherence import measured_anti_noise_with_jitter, measured_noise_with_jitter  # noqa: F401
 from .errors import (ConfigError, ConvergenceError, IdentifiabilityError,
                      SingularResponseError)
-from .sensor import CavityParams
+from .sensor import CavityParams, _spectrum_terms
 
 DEFAULT_BOUNDS = {
     "t_c": (1e-4, 0.5),
@@ -42,6 +41,9 @@ DEFAULT_BOUNDS = {
 }
 
 RANK_TOLERANCE = 1e-8
+# one row per quadrature: the readout at gain q, the anti at -q
+_SIGN = np.array([[1.0], [-1.0]])
+_SIGN.flags.writeable = False
 _MAX_NFEV = 2000   # least_squares evaluation cap per start
 _MAX_STARTS = 8    # multi-start points when the bounds box has more corners
 
@@ -123,16 +125,18 @@ def least_squares(fun, x0, **kwargs):
 
 @functools.lru_cache(maxsize=8)
 def _injection(r_ext: float, eps_inj: float):
-    """The checked injected state, and the partials' own read-only rows of
+    """The checked injected state's variance column [[v_sq], [v_anti]], which
+    the spectrum terms take, and the partials' own read-only rows of
     (e^(-2 r_ext), its reciprocal) before and after the loss, which round
     apart from the state's; cached, as most fits hold both fixed."""
     state = input_state_from_source(
         ExternalSqueezeSource.from_squeeze_parameter(r_ext), eps_inj)
     e2r = math.exp(-2.0 * r_ext)
+    v_state = np.array([[state.v_sq], [state.v_anti]])
     base = np.array([[e2r], [1.0 / e2r]])
     v = (1.0 - eps_inj) * base + eps_inj
-    base.flags.writeable = v.flags.writeable = False
-    return state, base, v
+    v_state.flags.writeable = base.flags.writeable = v.flags.writeable = False
+    return v_state, base, v
 
 
 def _evaluate(params: dict[str, float], pump_settings, omega: float,
@@ -142,42 +146,45 @@ def _evaluate(params: dict[str, float], pump_settings, omega: float,
     the parameters it names.  A ValueError (SingularResponseError included)
     means that the model rejects the parameters.
 
-    Each quadrature's spectrum is S = 1 - (1-eps_read)*B/D with
-    u = t_c+eps_int+q, w = t_c-eps_int-q, D = u^2+omega^2, N = w^2+omega^2
-    and B = 4*t_c*q + (1-v)*N, so dS/dx = -(1-eps_read)*(B_x*D - B*D_x)/D^2
-    with (B_x, D_x) = (4q + 2(1-v)w, 2u) for t_c, (-2(1-v)w, 2u) for eps_int
-    and (4t_c - 2(1-v)w, 2u) for q; dS/dv = (1-eps_read)*N/D and
-    dS/deps_read = B/D.  These go through q = q_max*pump, the injection loss
-    (v_sq and v_anti in eps_inj and r_ext), the jitter weight s(theta_rms)
-    and the jitter model's mix.
+    Both quadratures come from one sensor._spectrum_terms call on the gain
+    rows [q, -q] and the injected state's variance column [[v_sq], [v_anti]]
+    (mixed first under input_frame; under pump_frame its two output spectra
+    are mixed after, unless the jitter weight is 0).  Each row's spectrum is
+    S = 1 - (1-eps_read)*B/D with u = t_c+eps_int+q, w = t_c-eps_int-q,
+    D = u^2+omega^2, N = w^2+omega^2 and B = 4*t_c*q + (1-v)*N, so
+    dS/dx = -(1-eps_read)*(B_x*D - B*D_x)/D^2 with (B_x, D_x) =
+    (4q + 2(1-v)w, 2u) for t_c, (-2(1-v)w, 2u) for eps_int and
+    (4t_c - 2(1-v)w, 2u) for q; dS/dv = (1-eps_read)*N/D and
+    dS/deps_read = B/D.  The partials read u, w, D and N from that call, and
+    take v and its derivatives from _injection's rows; they go through
+    q = q_max*pump, the injection loss (v_sq and v_anti in eps_inj and
+    r_ext), the jitter weight s(theta_rms) and the jitter model's mix.
     """
     cav = CavityParams(t_c=params["t_c"], eps_int=params["eps_int"])
     chain = DecoherenceChain(eps_inj=params["eps_inj"],
                              theta_rms=params["theta_rms"],
                              eps_read=params["eps_read"],
                              jitter_model=jitter_model)
-    state, base, v = _injection(params["r_ext"], chain.eps_inj)
+    v_state, base, v = _injection(params["r_ext"], chain.eps_inj)
     pumps = np.asarray(pump_settings, dtype=float)
-    q_read = params["q_max"] * pumps
-    variances = measured_noise_pair(cav, q_read, state, chain, omega)
+    q_x = _SIGN * pumps     # dq/dq_max of each row
+    q = q_x * params["q_max"]
+    s = jitter_mixing_weight(chain.theta_rms)
+    input_frame = jitter_model == "input_frame"
+    spectra, u, w, d, n = _spectrum_terms(
+        cav, q, _mix(s, v_state, v_state[::-1]) if input_frame else v_state,
+        chain.eps_read, omega)
+    if not input_frame and s != 0.0:
+        spectra = _mix(s, spectra, spectra[::-1])
 
     def partials(names) -> np.ndarray:
-        t_c, eps_int, eps_inj, theta = cav.t_c, cav.eps_int, chain.eps_inj, chain.theta_rms
-        s = jitter_mixing_weight(theta)
-        # one row per quadrature: the readout at gain q, the anti at -q
-        sign = np.array([[1.0], [-1.0]])
-        q = sign * q_read
-
-        input_frame = jitter_model == "input_frame"
+        t_c, eps_inj, theta = cav.t_c, chain.eps_inj, chain.theta_rms
         v_in = _mix(s, v, v[::-1]) if input_frame else v
-        u = t_c + eps_int + q
-        w = t_c - eps_int - q
-        d = u * u + omega * omega
-        n = w * w + omega * omega
-        b_d = (4.0 * t_c * q + (1.0 - v_in) * n) / d
+        one_v = 1.0 - v_in
+        b_d = (4.0 * t_c * q + one_v * n) / d
         keep = 1.0 - chain.eps_read
         d_x = 2.0 * u / d     # D_x / D, the same for t_c, eps_int and q
-        vw = 2.0 * (1.0 - v_in) * w
+        vw = 2.0 * one_v * w
         s_v = keep * n / d    # dS/dv
 
         def through_d(b_x):
@@ -190,11 +197,11 @@ def _evaluate(params: dict[str, float], pump_settings, omega: float,
             elif name == "eps_int":
                 col = through_d(-vw)
             elif name == "q_max":
-                col = sign * pumps * through_d(4.0 * t_c - vw)
+                col = q_x * through_d(4.0 * t_c - vw)
             elif name == "eps_read":
                 col = b_d
             elif name in ("eps_inj", "r_ext"):
-                dv = 1.0 - base if name == "eps_inj" else -2.0 * (1.0 - eps_inj) * sign * base
+                dv = 1.0 - base if name == "eps_inj" else -2.0 * (1.0 - eps_inj) * _SIGN * base
                 col = s_v * (_mix(s, dv, dv[::-1]) if input_frame else dv)
             else:   # theta_rms, through ds/dtheta_rms
                 ds = 2.0 * theta * math.exp(-2.0 * theta * theta)
@@ -205,7 +212,7 @@ def _evaluate(params: dict[str, float], pump_settings, omega: float,
             jac[:, :, j] = col.T
         return jac
 
-    return variances, partials
+    return spectra.T, partials
 
 
 def forward_variances(params: dict[str, float], pump_settings, omega: float = 0.0,

@@ -11,8 +11,9 @@ overrides, checks every value whatever the command and builds the SDE specs
 and the FitModel.  A command only computes; it raises a config error only for
 a missing section it needs or a fault in its data.
 
-Exit codes: 0 ok, 4 verification failure; any other is the exit_code of the
-error type raised (errors.py), with one "<kind>: <message>" line on stderr.
+Exit codes: 0 ok; any other is the exit_code of the error type raised
+(errors.py), with one "<kind>: <message>" line on stderr.  verify's exit 4
+writes its report first, and its line names each failed check.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     InstabilityError,
     SingularResponseError,
     SqzCavityError,
+    VerificationError,
     check_memory,
 )
 from .optimize import (
@@ -626,7 +628,16 @@ def cmd_verify(cfg: RunConfig, writer: OutputWriter, args) -> int:
         "sde_checks": [asdict(s) for s in report.sde],
     }
     writer.add_envelope("verify_report", results, [])
-    return 0 if report.passed else 4
+    if not report.passed:
+        failed = [] if report.analytic_passed else [
+            f"analytic_grid (max_analytic_rel_diff = {report.max_analytic_diff:.3g})"]
+        failed += [f"sde_{s.label} (z_zero = {s.z_zero:.3g}, stderr_rel_zero = "
+                   f"{s.stderr_rel_zero:.3g}, frac_abs_z_above_3 = "
+                   f"{s.frac_abs_z_above_3:.3g})" for s in report.sde if not s.passed]
+        # the report is the failure's record, so it is written first
+        writer.flush()
+        raise VerificationError(", ".join(failed))
+    return 0
 
 
 def _load_measurements(path: str | Path) -> list[VariancePair]:

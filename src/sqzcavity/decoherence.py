@@ -62,7 +62,7 @@ class ExternalSqueezeSource:
 @dataclass(frozen=True)
 class DecoherenceChain:
     """Injection loss, phase-jitter RMS (rad) and readout loss, scalars or
-    per-row arrays, and the jitter model (see measured_noise_pair)."""
+    per-row arrays, and the jitter model (see measured_noise_with_jitter)."""
 
     eps_inj: float
     theta_rms: float
@@ -132,68 +132,60 @@ def _mix(s, main, other):
 
 
 def _detected(cav: CavityParams, q, input_state: InputQuadratureState,
-              chain: DecoherenceChain, omega, rows: slice):
-    """Detected noise of the quadratures in rows of (readout, anti), stacked
-    on a leading axis.  The anti quadrature is the readout formula with
-    q -> -q and the two input variances swapped.  A result that needs both
-    output spectra takes them from one broadcast spectrum call; one that
-    needs one evaluates only that one."""
+               chain: DecoherenceChain, omega, k: int):
+    """Detected noise of quadrature k, 0 the readout and 1 the anti.  The
+    anti quadrature is the readout formula with q -> -q and the two input
+    variances swapped.  A pump_frame blend takes both output spectra from
+    one broadcast spectrum call at the gains (q, -q); otherwise only
+    quadrature k's spectrum is evaluated."""
     s = jitter_mixing_weight(chain.theta_rms)
     blend = chain.jitter_model == "pump_frame" and not _holds(s == 0.0)
-    need = range(2)[slice(0, 2) if blend else rows]
-    gain = [q if k == 0 else -np.asarray(q, dtype=float) for k in need]
+    need = (0, 1) if blend else (k,)
+    gain = [q if i == 0 else -np.asarray(q, dtype=float) for i in need]
     v = (input_state.v_sq, input_state.v_anti)
-    v_in = [_mix(s, v[k], v[1 - k]) if chain.jitter_model == "input_frame" else v[k]
-            for k in need]
-    if len(need) == 1:
-        return [quadrature_noise_spectrum(cav, gain[0], v_in[0], chain.eps_read, omega)]
+    v_in = [_mix(s, v[i], v[1 - i]) if chain.jitter_model == "input_frame" else v[i]
+            for i in need]
+    if not blend:
+        return quadrature_noise_spectrum(cav, gain[0], v_in[0], chain.eps_read, omega)
     # both rows on a new leading axis, broadcast first against every operand
     # (the blending weight too), so that per-row chains keep their axes
     shape = np.broadcast(*gain, *v_in, chain.eps_read, omega, cav.t_c, cav.eps_int,
-                         *((s,) if blend else ())).shape
+                         s).shape
     gains, v_rows = np.empty((2, 2, *shape))
     gains[0], gains[1] = gain
     v_rows[0], v_rows[1] = v_in
     both = quadrature_noise_spectrum(cav, gains, v_rows, chain.eps_read, omega)
-    return _mix(s, both[rows], both[::-1][rows]) if blend else both
+    return _mix(s, both[k], both[1 - k])
 
 
-def measured_noise_pair(cav: CavityParams, q, input_state: InputQuadratureState,
-                        chain: DecoherenceChain, omega):
-    """Effective detected noise of both quadratures under phase jitter,
-    stacked on a last axis: (readout, anti).
+def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
+                               chain: DecoherenceChain, omega):
+    """Effective detected noise of the readout quadrature under phase jitter.
 
     input_state is the post-injection-loss state at the coupler; only the
     chain's theta_rms, eps_read and jitter_model act here.
 
     pump_frame (default): the jitter rotates the detected frame relative to the
     cavity eigenbasis, blending the two cavity OUTPUT spectra,
-    S_eff = (1-s)*S_readout(q) + s*S_anti(q), and the anti quadrature the other
-    way round.  This reproduces the unbounded noise growth as q approaches
-    threshold.
+    S_eff = (1-s)*S_readout(q) + s*S_anti(q).  This reproduces the unbounded
+    noise growth as q approaches threshold.
     input_frame (alternative): the jitter scrambles the INPUT state only,
     V_eff = (1-s)*v_sq + s*v_anti fed through the readout-quadrature response.
-    Under either model, both output spectra come from one
-    quadrature_noise_spectrum call at the gains (q, -q).
+    Without jitter mixing (theta_rms = 0 or input_frame) only the readout
+    spectrum is evaluated, so it stays finite at the anti quadrature's pole
+    q = +q_threshold.
     """
-    both = _detected(cav, q, input_state, chain, omega, slice(0, 2))
-    return both.transpose(*range(1, both.ndim), 0)
-
-
-def measured_noise_with_jitter(cav: CavityParams, q, input_state: InputQuadratureState,
-                               chain: DecoherenceChain, omega):
-    """Readout column of measured_noise_pair.  Without jitter mixing (theta_rms
-    = 0 or input_frame) only the readout spectrum is evaluated, so it stays
-    finite at the anti quadrature's pole q = +q_threshold."""
-    return _detected(cav, q, input_state, chain, omega, slice(0, 1))[0]
+    return _detected(cav, q, input_state, chain, omega, 0)
 
 
 def measured_anti_noise_with_jitter(cav: CavityParams, q,
                                     input_state: InputQuadratureState,
                                     chain: DecoherenceChain, omega):
-    """Anti column of measured_noise_pair, evaluated as measured_noise_with_jitter
-    is: finite at the readout's pole q = -q_threshold without jitter mixing."""
-    return _detected(cav, q, input_state, chain, omega, slice(1, 2))[0]
+    """Effective detected noise of the anti quadrature, measured_noise_with_jitter
+    the other way round: S_eff = (1-s)*S_anti(q) + s*S_readout(q) under
+    pump_frame, the input variances mixed the other way under input_frame.
+    Finite at the readout's pole q = -q_threshold without jitter mixing."""
+    return _detected(cav, q, input_state, chain, omega, 1)
 
 
 def measured_sensitivity(cav: CavityParams, q, input_state: InputQuadratureState,

@@ -39,6 +39,12 @@ class ConvergenceError(SqzCavityError, RuntimeError):
     kind, exit_code = "convergence error", 6
 
 
+class VerificationError(SqzCavityError, RuntimeError):
+    """A verify check failed; verify writes its report before raising it."""
+
+    kind, exit_code = "verification failed", 4
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 

@@ -16,6 +16,7 @@ composed response denominator reads (t_c + eps_int + q)^2 + Omega^2 exactly.
 from __future__ import annotations
 
 import collections
+import contextvars
 import functools
 import math
 import os
@@ -315,13 +316,16 @@ def lfilter(scan: _ScanTables, x: np.ndarray, z: float, work: np.ndarray
 def _windowed_map(workers: int, fn: Callable, items: Iterable) -> Iterator:
     """fn over items on a pool of worker threads, yielding the results in
     item order.  At most 2*workers items are submitted and not yet yielded,
-    so the futures stay bounded however many items there are."""
+    so the futures stay bounded however many items there are.  Each item
+    runs in its own copy of the caller's context, so under the caller's
+    numpy error state (a context variable that a new thread does not
+    inherit); one context can be entered by one thread at a time."""
     from concurrent.futures import ThreadPoolExecutor
     window = collections.deque()
     with ThreadPoolExecutor(workers) as pool:
         try:
             for item in items:
-                window.append(pool.submit(fn, item))
+                window.append(pool.submit(contextvars.copy_context().run, fn, item))
                 if len(window) == 2 * workers:
                     yield window.popleft().result()
             while window:

@@ -139,19 +139,34 @@ def _check_eps_read(eps_read):
 
 
 def _response(cav: CavityParams, q, eps_read, omega):
-    """(q, omega, (t_c + eps_int + q)^2 + omega^2) as arrays, after checking
-    eps_read; SingularResponseError at the amplification pole."""
+    """(q, omega^2, u, D) as arrays, u = t_c + eps_int + q and
+    D = u^2 + omega^2, after checking eps_read; SingularResponseError at the
+    amplification pole."""
     _check_eps_read(eps_read)
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
+    omega2 = omega * omega
     u = cav.t_c + cav.eps_int + q
-    denom = u * u + omega * omega
+    denom = u * u + omega2
     if (denom == 0.0).any():
         raise SingularResponseError(
             "response evaluated at the amplification pole "
             f"(q = {-cav.q_threshold}, omega = 0)"
         )
-    return q, omega, denom
+    return q, omega2, u, denom
+
+
+def _spectrum_terms(cav: CavityParams, q, v_in, eps_read, omega):
+    """(S, u, w, D, N): quadrature_noise_spectrum's S with the terms it is
+    formed from, u = t_c+eps_int+q, w = t_c-eps_int-q, D = u^2+omega^2 and
+    N = w^2+omega^2, as arrays, so that a caller taking partials of S reuses
+    them."""
+    q, omega2, u, denom = _response(cav, q, eps_read, omega)
+    v_in = np.asarray(v_in, dtype=float)
+    w = cav.t_c - cav.eps_int - q
+    numer = w * w + omega2
+    s = 1.0 - (1.0 - eps_read) / denom * (4.0 * cav.t_c * q + (1.0 - v_in) * numer)
+    return s, u, w, denom, numer
 
 
 def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read, omega):
@@ -163,11 +178,7 @@ def quadrature_noise_spectrum(cav: CavityParams, q, v_in, eps_read, omega):
     v_in is the input variance in the observed quadrature; v_in = 1 recovers
     shot noise for a passive cavity at any frequency.
     """
-    q, omega, denom = _response(cav, q, eps_read, omega)
-    v_in = np.asarray(v_in, dtype=float)
-    w = cav.t_c - cav.eps_int - q
-    numer = w * w + omega * omega
-    return 1.0 - (1.0 - eps_read) / denom * (4.0 * cav.t_c * q + (1.0 - v_in) * numer)
+    return _spectrum_terms(cav, q, v_in, eps_read, omega)[0]
 
 
 def anti_quadrature_noise_spectrum(cav: CavityParams, q, v_anti, eps_read, omega):
@@ -189,7 +200,7 @@ def signal_transfer_power(cav: CavityParams, q, eps_read, omega,
     Normalized form t_c*(1-eps_read)/((t_c+eps_int+q)^2 + omega^2); multiplied
     by 8*pi*P_c/(hbar*lambda*c) when a physical scale is supplied.
     """
-    _, _, denom = _response(cav, q, eps_read, omega)
+    denom = _response(cav, q, eps_read, omega)[3]
     t2 = cav.t_c * (1.0 - eps_read) / denom
     if scale is not None:
         t2 = t2 * scale.transfer_prefactor

@@ -14,6 +14,7 @@ from sqzcavity import (
     ExternalSqueezeSource,
     FitModel,
     IdentifiabilityError,
+    SingularResponseError,
     VariancePair,
     fit_parameters,
     forward_variances,
@@ -204,21 +205,48 @@ class TestForwardPair:
             assert (got == want).all()
 
     def test_one_spectrum_call_per_pair(self, monkeypatch):
-        # both quadratures from one broadcast call, counted where decoherence
-        # calls it and where anti_quadrature_noise_spectrum does
+        # both quadratures from one pass of spectrum terms per fit point,
+        # and no spectrum work in the partials, which read u, w, D and N
+        # from it; counted where calibrate calls the terms, and where
+        # decoherence and anti_quadrature_noise_spectrum call the spectrum
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return quadrature_noise_spectrum(*args, **kwargs)
+        def counted(fn):
+            def count(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return count
 
-        monkeypatch.setattr(decoherence, "quadrature_noise_spectrum", counted)
-        monkeypatch.setattr(sensor, "quadrature_noise_spectrum", counted)
+        monkeypatch.setattr(calibrate, "_spectrum_terms",
+                            counted(sensor._spectrum_terms))
+        monkeypatch.setattr(decoherence, "quadrature_noise_spectrum",
+                            counted(quadrature_noise_spectrum))
+        monkeypatch.setattr(sensor, "quadrature_noise_spectrum",
+                            counted(quadrature_noise_spectrum))
         for params in (TRUE, dict(TRUE, theta_rms=0.0)):
             for jitter_model in ("pump_frame", "input_frame"):
                 calls.clear()
                 forward_variances(params, PUMPS, 0.3, jitter_model)
-                assert len(calls) == 1
+                assert calls == ["_spectrum_terms"]
+                calls.clear()
+                _, partials = calibrate._evaluate(params, PUMPS, 0.3, jitter_model)
+                assert calls == ["_spectrum_terms"]
+                partials(calibrate.PARAM_NAMES)
+                assert calls == ["_spectrum_terms"]
+
+    @pytest.mark.parametrize("jitter_model", ["pump_frame", "input_frame"])
+    @pytest.mark.parametrize("theta_rms", [0.0, 0.05])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["anti_pole", "readout_pole"])
+    def test_raises_at_either_pole(self, jitter_model, theta_rms, side):
+        # q_max*pump = +q_th is the anti quadrature's pole, -q_th the
+        # readout's; the pair holds both, so it raises at either, jittered
+        # or not, and finite one step inside
+        params = dict(TRUE, theta_rms=theta_rms,
+                      q_max=side * (TRUE["t_c"] + TRUE["eps_int"]))
+        with pytest.raises(SingularResponseError, match="amplification pole"):
+            forward_variances(params, PUMPS, 0.0, jitter_model)
+        inside = dict(params, q_max=0.99 * params["q_max"])
+        assert np.isfinite(forward_variances(inside, PUMPS, 0.0, jitter_model)).all()
 
 
 def _reference_starts(boxes):
@@ -555,9 +583,9 @@ class TestOneEvaluationPerPoint:
             evaluations.append(1)
             return evaluate(*args, **kwargs)
 
-        def counted_spectrum(*args, **kwargs):
+        def counted_terms(*args, **kwargs):
             spectra.append(1)
-            return quadrature_noise_spectrum(*args, **kwargs)
+            return sensor._spectrum_terms(*args, **kwargs)
 
         def recording(fun, x0, jac, **kwargs):
             def residual(x):
@@ -578,11 +606,11 @@ class TestOneEvaluationPerPoint:
 
         rows, model = _calibrate_ini_fit()
         monkeypatch.setattr(calibrate, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(decoherence, "quadrature_noise_spectrum", counted_spectrum)
+        monkeypatch.setattr(calibrate, "_spectrum_terms", counted_terms)
         monkeypatch.setattr(calibrate, "least_squares", recording)
         res = fit_parameters(rows, model)
         assert len(starts) == 4
-        # one spectrum call per evaluation, none of them in the Jacobian
+        # one pass of spectrum terms per evaluation, none in the Jacobian
         assert len(spectra) == len(evaluations) == len(residual_calls) == len(received)
         assert len(evaluations) > 4 * len(starts)
 

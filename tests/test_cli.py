@@ -45,7 +45,9 @@ import sqzcavity.calibrate
 import sqzcavity.cli
 import sqzcavity.errors
 import sqzcavity.optimize
+import sqzcavity.oracle
 from sqzcavity.calibrate import FitResult
+from sqzcavity.errors import VerificationError
 from sqzcavity.cli import (
     ABSOLUTE_ENHANCEMENT_NOTE,
     OutputWriter,
@@ -185,6 +187,7 @@ ERROR_KINDS = [
     (ConfigError, "config error", 2),
     (SingularResponseError, "domain error", 3),
     (InstabilityError, "domain error", 3),
+    (VerificationError, "verification failed", 4),
     (IdentifiabilityError, "identifiability error", 5),
     (ConvergenceError, "convergence error", 6),
 ]
@@ -942,6 +945,37 @@ class TestVerify:
         assert env["results"]["passed"] is False
         assert env["results"]["fault_injected"] is True
 
+    def test_exit_4_line_names_each_failed_check(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # one stderr line, written after the report: the failed analytic grid
+        # with its largest gap, then each failed SDE check with its three
+        # gate values; a passing check is not named
+        cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 16\n")
+        out = tmp_path / "outvf"
+        assert main(["--config", str(cfg), "--out", str(out), "verify",
+                     "--inject-fault"]) == 4
+        assert re.fullmatch(r"verification failed: analytic_grid "
+                            r"\(max_analytic_rel_diff = \d\.\d\de-0\d\)\n",
+                            one_line_stderr(capsys))
+        assert (out / "verify_report.csv").is_file()
+
+        compare = sqzcavity.oracle.compare_oracles
+
+        def nan_anti(grid, sde_specs, fault_offset):
+            report = compare(grid, sde_specs=sde_specs, fault_offset=fault_offset)
+            sde = [replace(s, z_zero=np.nan, passed=False)
+                   if s.label == "anti_with_gain" else replace(s, passed=True)
+                   for s in report.sde]
+            return replace(report, sde=sde, passed=False)
+
+        monkeypatch.setattr(sqzcavity.cli, "compare_oracles", nan_anti)
+        cfg = _tiny_verify_config(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "verify"]) == 4
+        assert re.fullmatch(r"verification failed: sde_anti_with_gain \(z_zero = "
+                            r"nan, stderr_rel_zero = \S+, frac_abs_z_above_3 = "
+                            r"\S+\)\n", one_line_stderr(capsys))
+
     def test_sde_checks_in_report(self, tmp_path):
         cfg = write_config(tmp_path, extra="\n[verify]\ngrid_points = 4\n"
                                            "sde = true\nsde_trajectories = 2\n"
@@ -1644,11 +1678,13 @@ class TestConfigMutation:
         finally:
             os.chdir(cwd)
         assert code in (0, 2, 3, 4, 5, 6)
-        if code not in (0, 4):
-            # one line of the exit code's kind, and no table or envelope
+        if code != 0:
+            # one line of the exit code's kind
             lines = stderr.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith(
                 KIND_OF_EXIT[code] + ": "), stderr.getvalue()
+        if code not in (0, 4):
+            # and no table or envelope; verify's exit 4 writes its report
             written = [path for path in work.rglob("*")
                        if path.suffix in (".csv", ".json")
                        and path.name != "meas.csv"]

@@ -16,11 +16,11 @@ from sqzcavity import (
     SingularResponseError,
     anti_quadrature_noise_spectrum,
     assemble_transfer,
+    forward_variances,
     input_state_from_source,
     jitter_mixing_weight,
     jittered_signal_factor,
     measured_anti_noise_with_jitter,
-    measured_noise_pair,
     measured_noise_with_jitter,
     measured_sensitivity,
     quadrature_noise_spectrum,
@@ -200,19 +200,30 @@ class TestNoiseBlend:
 
 
 class TestNoisePair:
+    # the readout and the anti quadrature: one column each of calibrate's
+    # forward_variances, which takes both from one pass of spectrum terms
+    # (test_calibrate.TestForwardPair counts it and checks its poles)
     MODELS = (("pump_frame", 0.05), ("pump_frame", 0.0), ("input_frame", 0.05))
 
-    def test_columns_are_the_single_quadratures(self, cav, state_105):
-        q = np.linspace(-0.1, 0.1, 7)
-        theta = np.array([[0.0], [0.05], [0.3]])
+    def test_columns_are_the_single_quadratures(self):
+        r_ext = ExternalSqueezeSource(10.5).r_ext
+        state = input_state_from_source(
+            ExternalSqueezeSource.from_squeeze_parameter(r_ext), 0.08)
+        cav = CavityParams(0.11, 0.012)
+        pumps = np.linspace(0.0, 1.0, 7)
         for model in ("pump_frame", "input_frame"):
-            chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
-            pair = measured_noise_pair(cav, q, state_105, chain, 0.3)
-            assert pair.shape == (3, 7, 2)
-            assert np.array_equal(pair[..., 0], measured_noise_with_jitter(
-                cav, q, state_105, chain, 0.3))
-            assert np.array_equal(pair[..., 1], measured_anti_noise_with_jitter(
-                cav, q, state_105, chain, 0.3))
+            for theta in (0.0, 0.05, 0.3):
+                params = dict(t_c=0.11, eps_int=0.012, eps_inj=0.08,
+                              eps_read=0.10, theta_rms=theta, r_ext=r_ext,
+                              q_max=-0.1)
+                pair = forward_variances(params, pumps, 0.3, model)
+                assert pair.shape == (7, 2)
+                chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
+                q = -0.1 * pumps
+                assert np.array_equal(pair[:, 0], measured_noise_with_jitter(
+                    cav, q, state, chain, 0.3)), (model, theta)
+                assert np.array_equal(pair[:, 1], measured_anti_noise_with_jitter(
+                    cav, q, state, chain, 0.3)), (model, theta)
 
     def test_spectrum_calls(self, cav, state_105, monkeypatch):
         # one spectrum call each; a single quadrature evaluates its partner's
@@ -227,16 +238,14 @@ class TestNoisePair:
         for model, theta in self.MODELS:
             chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
             mixed = model == "pump_frame" and theta > 0.0
-            for fn, want in ((measured_noise_with_jitter, (2,) if mixed else ()),
-                             (measured_anti_noise_with_jitter, (2,) if mixed else ()),
-                             (measured_noise_pair, (2,))):
+            for fn in (measured_noise_with_jitter, measured_anti_noise_with_jitter):
                 gains.clear()
                 fn(cav, 0.02, state_105, chain, 0.0)
-                assert gains == [want], (fn.__name__, model, theta)
+                assert gains == [(2,) if mixed else ()], (fn.__name__, model, theta)
 
     def test_poles(self, cav, state_105):
         # the readout spectrum is singular at q = -q_th, the anti one at
-        # +q_th; the pair and any jitter-mixed column raise at both
+        # +q_th; a jitter-mixed column raises at both
         for model, theta in self.MODELS:
             chain = DecoherenceChain(0.08, theta, 0.10, jitter_model=model)
             mixed = model == "pump_frame" and theta > 0.0
@@ -248,7 +257,7 @@ class TestNoisePair:
                 else:
                     assert np.isfinite(fn(cav, pole, state_105, chain, 0.0))
                 with pytest.raises(SingularResponseError):
-                    measured_noise_pair(cav, pole, state_105, chain, 0.0)
+                    fn(cav, -pole, state_105, chain, 0.0)
 
 
 class TestMeasuredSensitivity:
@@ -341,7 +350,7 @@ def _shape_mismatches(t_c, eps_int, rows, omega, jitter_model):
     batch = (cav, col(q), InputQuadratureState(col(v_sq), col(v_anti)),
              DecoherenceChain(0.0, col(theta), col(eps_read), jitter_model), omega)
     bad = []
-    for fn in (measured_sensitivity, measured_noise_pair):
+    for fn in (measured_sensitivity, measured_anti_noise_with_jitter):
         in_batch = fn(*batch)[:, 0]
         for i in range(len(rows)):
             state = InputQuadratureState(v_sq[i], v_anti[i])

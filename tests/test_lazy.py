@@ -16,8 +16,7 @@ PUBLIC = {
     "decoherence": ("DecoherenceChain", "ExternalSqueezeSource",
                     "input_state_from_source", "jitter_mixing_weight",
                     "jittered_signal_factor", "measured_anti_noise_with_jitter",
-                    "measured_noise_pair", "measured_noise_with_jitter",
-                    "measured_sensitivity"),
+                    "measured_noise_with_jitter", "measured_sensitivity"),
     "errors": ("ConfigError", "ConvergenceError", "IdentifiabilityError",
                "InstabilityError", "SingularResponseError", "SqzCavityError"),
     "optimize": ("GainReconciliation", "OptimizationResult",

@@ -542,6 +542,18 @@ class TestSde:
             assert taken - yielded <= 2 * workers
         results.close()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_workers_take_the_callers_error_state(self):
+        # numpy keeps its error state per context, and a pool thread starts
+        # with the default one: each item must run under the caller's, so an
+        # overflow the caller ignores raises no RuntimeWarning in a worker
+        def overflow(x):
+            return np.geterr()["over"], float(np.float64(x) * np.float64(1e308))
+
+        with np.errstate(over="ignore"):
+            results = list(oracle._windowed_map(2, overflow, [1e10] * 6))
+        assert results == [("ignore", math.inf)] * 6
+
     @pytest.mark.parametrize("quadrature", ["sq", "anti"])
     def test_trajectory_memory(self, cav, quadrature):
         # one trajectory, on the builtin map as on one CPU, holds one block's
